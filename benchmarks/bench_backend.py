@@ -4,10 +4,9 @@ Replica batching (PR 5, ``bench_batch.py``) fuses sibling seeds of
 **one** cell — it cannot touch the dominant heterogeneous workload,
 where a sweep grid spans many topologies and sizes with only a seed or
 two each.  The mega-batch backend lifts that restriction: adjacent
-cells pack into one block-diagonal
-:class:`~repro.radio.kernels.megabatch.MegaBatchPlan`, so every
-running lane of every cell joins a single fused sparse product per
-slot instead of one product per cell per slot.
+cells share one :class:`~repro.radio.kernels.megabatch.MegaBatchPlan`,
+so every running lane of every cell joins a single fused gather per
+slot instead of one per cell per slot.
 
 This benchmark measures end-to-end ``run_specs`` wall time for the
 identical heterogeneous spec list both ways — PR 5 replica batching

@@ -12,7 +12,7 @@ Measured: end-to-end wall time for the same heterogeneous SINR sweep
 grid (``poisson_cluster`` integer geometry plus lattice and hub
 families) run one spec at a time through the serial fast engine vs.
 one ``ExecutionPolicy(backend="megabatch")`` call that fuses every
-cell into a single block-diagonal slot product.  Each arm takes the
+cell into a single slot gather.  Each arm takes the
 best of three trials; the two arms' result documents are asserted
 byte-identical (the differential wall in
 ``tests/radio/test_sinr_equivalence.py`` enforces the same in depth,

@@ -264,7 +264,7 @@ def decay_bfs_mega(
     keyed by member index, while ``seeds`` maps each
     ``(member, replica)`` lane to its protocol stream.  Every Decay
     phase fuses all still-active lanes — of every member — into one
-    block-diagonal sparse product per slot
+    integer gather per slot
     (:func:`~repro.primitives.decay.run_decay_local_broadcast_mega`),
     with each member running its own
     :class:`~repro.primitives.decay.DecayParameters`.

@@ -41,7 +41,6 @@ from ..radio.faults import coerce_fault_model, named_fault_models
 from ..radio.invariants import invariant_names
 from ..radio.sinr import coerce_sinr_params, named_sinr_params
 from ..radio.topology import scenario_is_deterministic, scenario_names
-from ..radio.kernels import get_kernel, kernel_names
 from .fabric import HashRing, member_name, owned_specs
 from .registry import (
     algorithm_names,
@@ -56,7 +55,7 @@ from .runner import (
     run_sweep,
     validate_file,
 )
-from .spec import COLLISION_MODELS, ExecutionPolicy, execution_backends
+from .spec import COLLISION_MODELS, ExecutionPolicy
 from .store import DEFAULT_SHARDS, SweepStore
 
 
@@ -105,13 +104,11 @@ def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
                              "(1 disables batching; default: "
                              f"{DEFAULT_BATCH_REPLICAS}; results are "
                              "byte-identical either way)")
-    parser.add_argument("--backend", choices=execution_backends(),
-                        default=None,
-                        help="slot-kernel backend for batch-capable cells "
-                             "('megabatch' additionally fuses adjacent "
+    parser.add_argument("--backend", default=None, metavar="megabatch",
+                        help="'megabatch' fuses adjacent batch-capable "
                              "cells of different topologies into one "
-                             "block-diagonal engine run; results are "
-                             "byte-identical for every backend)")
+                             "engine run (results are byte-identical "
+                             "either way)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -315,6 +312,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    policy = _policy_from_args(args)  # validate before touching the store
     # An explicit include_timing makes the store constructor reject a
     # reopen whose record shape disagrees with the index.
     store = SweepStore(args.out, include_timing=args.timing)
@@ -350,7 +348,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         store=store,
         chunk_size=args.chunk_size,
         batch_replicas=args.batch_replicas,
-        policy=_policy_from_args(args),
+        policy=policy,
     )
     print(sweep.table(
         title=f"sweep: {len(sweep)} cells ({sweep.execution})"
@@ -360,6 +358,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
+    policy = _policy_from_args(args)  # validate before touching the store
     ring = HashRing.from_count(args.num_workers)
     if args.exclude:
         ring = ring.without(*{member_name(i) for i in args.exclude})
@@ -401,7 +400,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         store=store,
         chunk_size=args.chunk_size,
         batch_replicas=args.batch_replicas,
-        policy=_policy_from_args(args),
+        policy=policy,
     )
     print(sweep.table(
         title=f"{member}: {len(sweep)} cell(s) ({sweep.execution})"
@@ -466,8 +465,7 @@ def _cmd_list() -> int:
     Topologies are annotated with ``*`` when seed-deterministic (the
     precondition for replica batching), algorithms with ``*`` when a
     replica-batched adapter exists and ``**`` when a heterogeneous
-    mega-batched adapter exists too; kernel backends that would fall
-    back (their optional dependency is missing) say so; fault presets
+    mega-batched adapter exists too; fault presets
     are expanded to their layer stacks so ``--fault-model`` values are
     discoverable without reading source.
     """
@@ -488,11 +486,7 @@ def _cmd_list() -> int:
     print("                  (* = has a replica-batched adapter; "
           "** = mega-batched too)")
     print("engines:         ", ", ".join(available_engines()))
-    print("backends:        ", ", ".join(
-        name if get_kernel(name).available()
-        else f"{name} (unavailable: falls back)"
-        for name in kernel_names()
-    ) + ", megabatch")
+    print("backends:         megabatch")
     print("collision models:", ", ".join(COLLISION_MODELS))
     print("sinr presets:")
     for name, params in sorted(named_sinr_params().items()):

@@ -168,7 +168,7 @@ def register_mega_algorithm(
 
     A mega adapter executes several different cells — each a replica
     group of one (topology, params, channel) signature — in a single
-    block-diagonal engine run (see :class:`MegaRunContext`), returning
+    fused engine run (see :class:`MegaRunContext`), returning
     one payload list per member cell.  The contract is the batched
     adapters' strict bit-identity, extended across members: every
     replica's payload, ledger, and fault counters must equal its serial
@@ -294,11 +294,6 @@ class RunContext:
         if self._network is None:
             start = time.perf_counter()
             kwargs: Dict[str, Any] = {}
-            # The kernel knob only exists on the vectorized tier; the
-            # reference engine has no channel arithmetic to swap.
-            kernel = self._kernel_hint()
-            if kernel is not None and self.spec.engine == "fast":
-                kwargs["kernel"] = kernel
             if self.spec.sinr is not None:
                 kwargs["sinr"] = self.spec.sinr
             graph = self.graph
@@ -352,16 +347,10 @@ class RunContext:
             )
         self._network = view
 
-    def _kernel_hint(self) -> Optional[str]:
-        """The slot-kernel name pinned by the spec's execution policy
-        (``None``: best available)."""
-        policy = self.spec.execution_policy()
-        return None if policy is None else policy.kernel()
-
     def _invariant_period(self) -> Optional[int]:
         """The invariant sampling period from the spec's execution
         policy (``None``: checking disabled)."""
-        policy = self.spec.execution_policy()
+        policy = self.spec.execution
         return None if policy is None else policy.invariant_sample
 
     def mark_partial(self) -> None:
@@ -464,7 +453,6 @@ class BatchRunContext:
                 ledgers=[ctx.ledger for ctx in self.contexts],
                 faults=spec.fault_model,
                 fault_seeds=[ctx._slot_faults for ctx in self.contexts],
-                kernel=self.contexts[0]._kernel_hint(),
                 sinr=spec.sinr,
             )
             setup = time.perf_counter() - start
@@ -521,7 +509,6 @@ class MegaRunContext:
         """
         if self._mega_net is None:
             start = time.perf_counter()
-            kernel = self.members[0][0]._kernel_hint()
             member_nets = []
             for group in self.members:
                 spec = group[0].spec
@@ -533,10 +520,9 @@ class MegaRunContext:
                     ledgers=[ctx.ledger for ctx in group],
                     faults=spec.fault_model,
                     fault_seeds=[ctx._slot_faults for ctx in group],
-                    kernel=group[0]._kernel_hint(),
                     sinr=spec.sinr,
                 ))
-            self._mega_net = MegaBatchedNetwork(member_nets, kernel=kernel)
+            self._mega_net = MegaBatchedNetwork(member_nets)
             setup = time.perf_counter() - start
             for group, net in zip(self.members, member_nets):
                 for ctx, lane in zip(group, net.lanes):
@@ -634,12 +620,12 @@ def _run_decay_bfs_batch(bctx: BatchRunContext) -> List[Dict[str, Any]]:
 
 @register_mega_algorithm("decay_bfs")
 def _run_decay_bfs_mega(mctx: MegaRunContext) -> List[List[Dict[str, Any]]]:
-    """Mega-batched ``decay_bfs``: heterogeneous cells, one product/slot.
+    """Mega-batched ``decay_bfs``: heterogeneous cells, one gather/slot.
 
     Every member cell keeps its own sources, depth budget, failure
     probability, and Decay parameters (derived from its own topology's
     ``Delta``); all members' still-active lanes share each slot's
-    block-diagonal product (see
+    fused gather (see
     :func:`repro.core.simple_bfs.decay_bfs_mega`).  Each replica's
     payload is byte-identical to its serial run's.
     """

@@ -243,7 +243,7 @@ def run_experiment_mega(specs: Sequence[ExperimentSpec]) -> List[RunResult]:
     differ in topology, size, parameters, and channel, but must share
     one algorithm with a mega adapter (see
     :func:`spec_is_mega_batchable`).  All members' lanes advance on one
-    block-diagonal product per slot
+    fused gather per slot
     (:class:`~repro.radio.batch_engine.MegaBatchedNetwork`).  Returns
     one :class:`RunResult` per spec, in order, each **byte-identical**
     (timing aside) to its :func:`run_experiment` run — mega batching,
@@ -326,7 +326,7 @@ def _effective_policy(
     spec: ExperimentSpec, policy: Optional[ExecutionPolicy]
 ) -> ExecutionPolicy:
     """The spec's hint merged knob-by-knob over the sweep-wide policy."""
-    hint = spec.execution_policy()
+    hint = spec.execution
     if hint is None:
         return policy or ExecutionPolicy()
     return hint.merged_over(policy)
@@ -683,11 +683,11 @@ def run_specs(
     runs of up to ``batch_replicas`` seeds each (default
     :data:`DEFAULT_BATCH_REPLICAS`; ``batch_replicas=1`` opts out).
     ``policy`` (an :class:`~repro.experiments.spec.ExecutionPolicy`)
-    sets sweep-wide execution knobs — kernel backend, replica cap, and
-    mega batching; per-spec ``execution`` hints override it knob by
-    knob.  When the effective policy selects ``backend="megabatch"``,
-    adjacent batchable cells of one algorithm fuse further into
-    heterogeneous mega units (:func:`run_experiment_mega`).
+    sets sweep-wide execution knobs — replica cap and mega batching;
+    per-spec ``execution`` hints override it knob by knob.  When the
+    effective policy selects ``backend="megabatch"``, adjacent
+    batchable cells of one algorithm fuse further into heterogeneous
+    mega units (:func:`run_experiment_mega`).
     Batching never changes results: every cell's ``RunResult`` is
     byte-identical (timing aside) to its per-seed execution, so result
     order, store contents, hashes, and resume semantics are unaffected.
@@ -855,8 +855,8 @@ def run_sweep(
     checkpointed; ``batch_replicas`` caps (or, set to 1, disables)
     replica batching of sibling seeds — the grid's seed axis is
     innermost, so each cell's seeds arrive adjacent and batch-eligible.
-    ``policy`` sets sweep-wide execution knobs (kernel backend, replica
-    cap, mega batching).  See :func:`run_specs` for all three.
+    ``policy`` sets sweep-wide execution knobs (replica cap, mega
+    batching).  See :func:`run_specs` for all three.
     """
     specs = iter_grid(
         topologies,

@@ -22,7 +22,6 @@ them.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -35,7 +34,6 @@ from ..radio.channel import CollisionModel
 from ..radio.dynamic import DynamicSchedule, coerce_dynamic_schedule
 from ..radio.engine import available_engines
 from ..radio.faults import FaultModel, coerce_fault_model
-from ..radio.kernels import kernel_names
 from ..radio.message import MessageSizePolicy
 from ..radio.sinr import SinrParams, coerce_sinr_params
 from ..rng import make_rng, spawn_streams
@@ -103,10 +101,10 @@ def _canonical_params(params: Any) -> Tuple[Tuple[str, ParamValue], ...]:
 def validate_batch_replicas(value: Any, where: str = "batch_replicas") -> Optional[int]:
     """Validate a replica-batching cap: ``None`` or a positive int.
 
-    The single check behind both entry points for the knob — the
-    spec-level hint (:attr:`ExperimentSpec.batch_replicas`) and the
-    runner argument (``run_specs(..., batch_replicas=...)``) — so the
-    two can never drift in what they accept.  Booleans are rejected
+    The single check behind every entry point for the knob — the policy
+    field (:attr:`ExecutionPolicy.batch_replicas`) and the runner
+    argument (``run_specs(..., batch_replicas=...)``) — so they can
+    never drift in what they accept.  Booleans are rejected
     explicitly: ``batch_replicas=True`` is a plausible "enable
     batching" mistake that would otherwise silently mean "limit 1",
     i.e. the exact opposite.
@@ -128,13 +126,12 @@ def _listify(value: ParamValue) -> Any:
 
 
 def execution_backends() -> Tuple[str, ...]:
-    """Names accepted by :attr:`ExecutionPolicy.backend`.
-
-    Every registered :mod:`repro.radio.kernels` backend, plus
-    ``"megabatch"`` — the block-diagonal packing strategy that fuses
-    heterogeneous cells into one product per slot.
+    """Names accepted by :attr:`ExecutionPolicy.backend` (besides
+    ``None``): just ``"megabatch"``, the strategy that fuses lanes of
+    heterogeneous cells into one gather per slot.  There is one slot
+    kernel, so no name selects arithmetic.
     """
-    return tuple(sorted(kernel_names() + ("megabatch",)))
+    return ("megabatch",)
 
 
 @dataclass(frozen=True)
@@ -158,14 +155,11 @@ class ExecutionPolicy:
     Parameters
     ----------
     backend:
-        Channel-arithmetic backend: a kernel name from
-        :func:`repro.radio.kernels.kernel_names` (``"scipy"``,
-        ``"numpy"``, ``"numba"``) selecting the
-        :class:`~repro.radio.kernels.base.SlotKernel` the engines
-        compute on, or ``"megabatch"`` to additionally fuse *different*
-        cells into block-diagonal products
-        (:class:`~repro.radio.batch_engine.MegaBatchedNetwork`).
-        ``None`` defers to the best available kernel, cell by cell.
+        ``"megabatch"`` fuses lanes of *different* cells into one
+        gather per slot
+        (:class:`~repro.radio.batch_engine.MegaBatchedNetwork`);
+        ``None`` (the default) runs each cell, or replica group, on its
+        own tier.
     batch_replicas:
         Cap on sibling seeds of one cell fused into a replica-batched
         run (``1`` disables replica batching; ``None`` defers to the
@@ -191,25 +185,14 @@ class ExecutionPolicy:
     def __post_init__(self) -> None:
         if self.backend is not None and self.backend not in execution_backends():
             raise ConfigurationError(
-                f"unknown execution backend {self.backend!r}; available: "
-                f"{', '.join(execution_backends())}"
+                f"unknown execution backend {self.backend!r}; the only "
+                "backend is 'megabatch' (or leave it unset)"
             )
         validate_batch_replicas(self.batch_replicas)
         validate_batch_replicas(self.mega_batch, where="mega_batch")
         validate_batch_replicas(self.invariant_sample, where="invariant_sample")
 
     # ------------------------------------------------------------------
-    def kernel(self) -> Optional[str]:
-        """The :class:`~repro.radio.kernels.base.SlotKernel` name this
-        policy pins the engines to (``None``: best available).
-
-        ``"megabatch"`` is a packing strategy, not an arithmetic — it
-        runs on the default kernel, so it maps to ``None`` here.
-        """
-        if self.backend is None or self.backend == "megabatch":
-            return None
-        return self.backend
-
     def wants_mega(self) -> bool:
         """Whether this policy asks for cross-cell mega-batch fusion."""
         return self.backend == "megabatch"
@@ -326,18 +309,11 @@ class ExperimentSpec:
     execution:
         Optional :class:`ExecutionPolicy` (or its ``to_dict`` mapping)
         — an execution *hint*, not part of the cell's identity: how to
-        run this cell (kernel backend, replica-batch cap, mega-batch
-        cap), never what it computes.  Excluded from equality, hashing,
-        and serialization — two specs differing only here are the same
-        cell, produce byte-identical results, and share one
-        ``spec_hash``.
-    batch_replicas:
-        Deprecated spelling of ``execution.batch_replicas`` (caps how
-        many sibling seeds of this cell the sweep runner may fuse into
-        one replica-batched engine run).  Setting it warns; setting it
-        together with an ``execution`` policy that also pins
-        ``batch_replicas`` is an error.  Like ``execution``, it is
-        excluded from equality, hashing, and serialization.
+        run this cell (mega-batch fusion and its cap, replica-batch
+        cap, invariant sampling), never what it computes.  Excluded
+        from equality, hashing, and serialization — two specs differing
+        only here are the same cell, produce byte-identical results, and
+        share one ``spec_hash``.
     """
 
     topology: str
@@ -352,7 +328,6 @@ class ExperimentSpec:
     dynamic: Optional[DynamicSchedule] = None
     sinr: Optional[SinrParams] = None
     execution: Optional[ExecutionPolicy] = field(default=None, compare=False)
-    batch_replicas: Optional[int] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -415,23 +390,6 @@ class ExperimentSpec:
             object.__setattr__(
                 self, "execution", ExecutionPolicy.from_dict(self.execution)
             )
-        validate_batch_replicas(self.batch_replicas)
-        if self.batch_replicas is not None:
-            if (
-                self.execution is not None
-                and self.execution.batch_replicas is not None
-            ):
-                raise ConfigurationError(
-                    "batch_replicas is set both directly and through the "
-                    "execution policy; set it in one place (preferably "
-                    "execution=ExecutionPolicy(batch_replicas=...))"
-                )
-            warnings.warn(
-                "ExperimentSpec.batch_replicas is deprecated; use "
-                "execution=ExecutionPolicy(batch_replicas=...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
         # Lazy import: the registry imports this module.
         from .registry import algorithm_names
 
@@ -444,23 +402,6 @@ class ExperimentSpec:
     # ------------------------------------------------------------------
     # Derived objects
     # ------------------------------------------------------------------
-    def execution_policy(self) -> Optional[ExecutionPolicy]:
-        """The spec's effective execution hint, legacy knob folded in.
-
-        Merges the deprecated ``batch_replicas`` field into the
-        ``execution`` policy (the two cannot both pin the cap — see
-        ``__post_init__``), so every consumer reads one canonical
-        object.  ``None`` when the spec carries no hint at all.
-        """
-        if self.batch_replicas is None:
-            return self.execution
-        base = self.execution or ExecutionPolicy()
-        return ExecutionPolicy(
-            backend=base.backend,
-            batch_replicas=self.batch_replicas,
-            mega_batch=base.mega_batch,
-        )
-
     def params(self) -> Dict[str, Any]:
         """The algorithm parameters as a plain dict (tuples as lists)."""
         return {k: _listify(v) for k, v in self.algorithm_params}
@@ -501,10 +442,9 @@ class ExperimentSpec:
         specs — :meth:`~repro.experiments.results.RunResult.to_dict` uses it to re-emit v1
         documents byte-identically.
 
-        The execution hints (``execution`` policy and the deprecated
-        ``batch_replicas``) are never serialized: they do not affect
-        what a run computes, so the canonical document (and hence
-        ``spec_hash``) must not depend on them.
+        The ``execution`` policy is never serialized: it does not
+        affect what a run computes, so the canonical document (and
+        hence ``spec_hash``) must not depend on it.
         """
         doc = {
             "topology": self.topology,

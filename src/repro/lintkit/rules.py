@@ -673,9 +673,8 @@ class CrossReferenceRule(Rule):
     The AST supplies the docstrings and their owners; resolution is
     dynamic, mirroring Sphinx — the owning class namespace first (so a
     bare method name resolves against its class), then the defining
-    module, then the longest importable absolute prefix.  Absorbed
-    from ``scripts/check_crossrefs.py`` (now a thin shim over this
-    rule).
+    module, then the longest importable absolute prefix.  CI runs it
+    as ``python -m repro.lintkit --select DOC001 src/repro``.
     """
 
     rule_id = "DOC001"

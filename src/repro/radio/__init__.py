@@ -7,9 +7,9 @@ shared :class:`Engine` protocol:
   transcription of the model; the semantic ground truth, best for
   auditing protocol behavior and for small instances;
 - ``"fast"`` (:class:`FastRadioNetwork`) — a vectorized batch engine:
-  the topology is compiled once into a CSR adjacency matrix and each
-  slot's channel is arbitrated for all listeners with a single sparse
-  product, with batched energy charging.  Use it for large or dense
+  the topology is compiled once into a CSR adjacency and each slot's
+  channel is arbitrated for all listeners with a single integer gather,
+  with batched energy charging.  Use it for large or dense
   instances.
 
 Select by name with :func:`make_network`; the two engines are
@@ -22,20 +22,19 @@ graph families by name.
 
 A third executor, :class:`ReplicaBatchedNetwork`
 (:mod:`repro.radio.batch_engine`), advances ``R`` independent replicas
-of one topology in lockstep — one compiled topology and one sparse
-product per slot shared by all replicas — with each replica lane
+of one topology in lockstep — one compiled topology and one gather per
+slot shared by all replicas — with each replica lane
 bit-identical to its own serial run.  It is the engine behind
 seed-sweep replica batching in :mod:`repro.experiments`.  On top of it,
-:class:`MegaBatchedNetwork` packs several replica-batched members with
-**different** topologies into one block-diagonal fused product per slot
+:class:`MegaBatchedNetwork` resolves several replica-batched members with
+**different** topologies in one fused gather per slot
 (:mod:`repro.radio.kernels.megabatch`), lifting the same-topology
 restriction of replica batching.
 
 Engines self-register by name
 (:func:`~repro.radio.engine_registry.register_engine`); the low-level
-counts/codes arithmetic is pluggable through the
-:class:`~repro.radio.kernels.base.SlotKernel` backend protocol in
-:mod:`repro.radio.kernels`.
+counts/codes arithmetic is the one integer CSR gather of
+:mod:`repro.radio.kernels`, shared by every vectorized tier.
 """
 
 from .batch_engine import MegaBatchedNetwork, ReplicaBatchedNetwork, ReplicaLane
@@ -79,19 +78,6 @@ from .sinr import (
     resolve_sinr,
 )
 from .trace import Event, EventTrace
-
-
-def __getattr__(name: str):
-    # The deprecated module-level ENGINES dict lives on (with its
-    # one-time warning) in repro.radio.engine; delegate so that
-    # ``repro.radio.ENGINES`` keeps working without firing the warning
-    # at import time.  Intentionally not in __all__, so star-imports
-    # and doc generators never trigger the deprecation path.
-    if name == "ENGINES":
-        from . import engine as _engine
-
-        return _engine.ENGINES
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

@@ -1,22 +1,22 @@
-"""Replica-batched slot execution: R seeds per sparse product.
+"""Replica-batched slot execution: R seeds per fused gather.
 
 The dominant workload of this repo is sweeps over many seeds of the
 *same* (topology, algorithm, faults) cell — every result in the paper
 is a statement about distributions over random coin flips.  The
 single-replica engines pay one topology build, one CSR compile, and one
-sparse product per slot **per seed**; :class:`ReplicaBatchedNetwork`
+counts/codes gather per slot **per seed**; :class:`ReplicaBatchedNetwork`
 amortizes all three by advancing ``R`` independent replicas of one
 topology in lockstep:
 
 - the topology is compiled once
   (:class:`~repro.radio.fast_engine.CompiledTopology`) and shared by
   every replica lane;
-- each slot, the lanes' transmitter indicators are stacked into one
-  sparse ``(2R, n)`` matrix and resolved against the shared adjacency
-  with **one** sparse product
-  (:meth:`~repro.radio.fast_engine.CompiledTopology.counts_codes_many`)
-  — per-lane counts and sender codes come back exactly as the fast
-  engine would have computed them one replica at a time;
+- each slot, every lane's transmitter rows are gathered in **one**
+  integer CSR gather
+  (:meth:`~repro.radio.fast_engine.CompiledTopology.counts_codes_many`),
+  each lane in its own column range — per-lane counts and sender codes
+  come back exactly as the fast engine would have computed them one
+  replica at a time;
 - each lane keeps fully private state: its own device population, its
   own :class:`~repro.radio.energy.EnergyLedger`, its own fault stream
   (via :class:`~repro.radio.faults.ReplicaFaultRuntimes`), its own
@@ -37,14 +37,14 @@ Lanes do not all have to run at once:
 whichever subset of lanes the caller supplies populations for, so a
 multi-phase protocol (e.g. the batched Decay-BFS of
 :func:`repro.core.simple_bfs.decay_bfs_batch`) keeps only its
-still-active replicas in the product as wavefronts finish at different
+still-active replicas in the gather as wavefronts finish at different
 depths.
 
 :class:`MegaBatchedNetwork` goes one step further: several
-replica-batched members with **different** topologies are packed into a
-block-diagonal :class:`~repro.radio.kernels.megabatch.MegaBatchPlan`,
-so heterogeneous sweep cells share one fused product per slot — the
-same bit-identity contract, across mixed topologies.
+replica-batched members with **different** topologies share one
+:class:`~repro.radio.kernels.megabatch.MegaBatchPlan`, so heterogeneous
+sweep cells share one fused gather per slot — the same bit-identity
+contract, across mixed topologies.
 """
 
 from __future__ import annotations
@@ -73,16 +73,17 @@ from .device import ActionKind, Device
 from .energy import EnergyLedger
 from .fast_engine import _NOISE, _NOTHING, _SILENCE, CompiledTopology
 from .faults import FaultCounters, FaultModel, ReplicaFaultRuntimes
-from .kernels import MegaBatchPlan, SlotKernel
+from .kernels import MegaBatchPlan
 from .kernels.sinr_csr import SinrCsr, sinr_arbitrate_many
 from .message import Message, MessageSizePolicy
 from .network import (
+    coerce_channel,
     jam_reception_for,
     spawn_device_map,
     validate_population,
     validate_topology,
 )
-from .sinr import SinrField, SinrParams, coerce_sinr_params, transmit_level
+from .sinr import SinrField, SinrParams, transmit_level
 
 
 @dataclass
@@ -123,14 +124,14 @@ class _LaneRun:
         self.tx_levels: List[int] = []
         # (index, device, jammed) per listener, rebuilt every slot.
         self.listeners: List[Tuple[int, Device, bool]] = []
-        # This slot's fused-product output: a (counts, codes) pair for
+        # This slot's fused-gather output: a (counts, codes) pair for
         # the binary models, a (counts, codes, deliver) triple under
         # SINR arbitration.
         self.resolved: Optional[Tuple[np.ndarray, ...]] = None
 
 
 class ReplicaBatchedNetwork:
-    """R replica lanes of one topology, one sparse product per slot.
+    """R replica lanes of one topology, one fused gather per slot.
 
     Parameters
     ----------
@@ -152,9 +153,6 @@ class ReplicaBatchedNetwork:
     fault_seeds:
         One dedicated fault stream (or seed) per lane; defaults to
         ``None`` per lane.
-    kernel:
-        Optional :mod:`repro.radio.kernels` backend (or its name)
-        resolving the fused product; default: best available.
     sinr:
         Optional :class:`~repro.radio.sinr.SinrParams` (or preset name /
         mapping), exactly as on the serial engines: required context for
@@ -174,7 +172,6 @@ class ReplicaBatchedNetwork:
         ledgers: Optional[Sequence[EnergyLedger]] = None,
         faults: Optional[FaultModel] = None,
         fault_seeds: Optional[Sequence[SeedLike]] = None,
-        kernel: Union[None, str, SlotKernel] = None,
         sinr: Union[None, str, Mapping, SinrParams] = None,
     ) -> None:
         validate_topology(graph)
@@ -184,27 +181,11 @@ class ReplicaBatchedNetwork:
             )
         self.graph = graph
         self.replicas = replicas
-        if not isinstance(collision_model, CollisionModel):
-            try:
-                collision_model = CollisionModel(collision_model)
-            except ValueError:
-                raise ConfigurationError(
-                    f"unknown collision model {collision_model!r}; known: "
-                    f"{', '.join(m.value for m in CollisionModel)}"
-                ) from None
+        collision_model, sinr_params = coerce_channel(collision_model, sinr)
         self.collision_model = collision_model
         self.size_policy = size_policy or MessageSizePolicy.unbounded()
-        self._topology = CompiledTopology(graph, kernel=kernel)
+        self._topology = CompiledTopology(graph)
         self._node_set: Set[Hashable] = set(graph.nodes)
-        sinr_params = coerce_sinr_params(sinr)
-        if collision_model is CollisionModel.SINR:
-            if sinr_params is None:
-                sinr_params = SinrParams()
-        elif sinr_params is not None:
-            raise ConfigurationError(
-                "sinr params require collision_model=CollisionModel.SINR, "
-                f"got {collision_model.value!r}"
-            )
         self.sinr = sinr_params
         self._sinr_csr: Optional[SinrCsr] = (
             SinrCsr.compile(
@@ -283,7 +264,7 @@ class ReplicaBatchedNetwork:
         ``populations`` maps lane index -> that lane's device mapping
         (exact vertex cover, as on the serial engines).  Per slot, every
         still-running lane collects its device actions, all lanes'
-        channels are resolved with one fused sparse product, and each
+        channels are resolved with one fused gather, and each
         lane's receptions are dispatched with its own collision model
         outcome.  A lane stops early when all its devices have halted —
         exactly the serial ``run`` loop's stop rule, applied per lane —
@@ -322,10 +303,9 @@ class ReplicaBatchedNetwork:
     def _step_all(self, running: List[_LaneRun]) -> None:
         """Execute one synchronous slot across all running lanes."""
         self._collect_actions(running)
-        # One fused product covering every lane that has both
-        # transmitters and listeners this slot: the sparse
-        # counts/codes product for the binary models, fused SINR
-        # arbitration (same block-diagonal trick) otherwise.
+        # One fused gather covering every lane that has both
+        # transmitters and listeners this slot: counts/codes for the
+        # binary models, fused SINR arbitration (same gather) otherwise.
         need = [s for s in running if s.listeners and s.tx_idx]
         if need:
             if self._sinr_csr is None:
@@ -471,19 +451,19 @@ MegaLaneKey = Tuple[int, int]
 
 
 class MegaBatchedNetwork:
-    """Heterogeneous members, one block-diagonal fused product per slot.
+    """Heterogeneous members, one fused gather per slot.
 
     Where :class:`ReplicaBatchedNetwork` fuses lanes sharing **one**
     topology, this executor packs several replica-batched *members* —
     each with its own topology, collision model, fault model, and lane
     set — into a single
     :class:`~repro.radio.kernels.megabatch.MegaBatchPlan`, so every
-    running lane of every member joins the same sparse product each
-    slot.  Per-lane semantics are untouched: device callbacks, fault
+    running lane of every member joins the same gather each slot.
+    Per-lane semantics are untouched: device callbacks, fault
     draws, energy charging, and collision outcomes all run through the
     member's own machinery (:meth:`ReplicaBatchedNetwork._collect_actions`
-    / :meth:`ReplicaBatchedNetwork._dispatch`), and the block-diagonal
-    slices are exactly the per-member products (see
+    / :meth:`ReplicaBatchedNetwork._dispatch`), and every lane gets its
+    own column range in the gather (see
     :mod:`repro.radio.kernels.megabatch`), so each lane stays
     **byte-identical** to its own serial run — the same contract as
     replica batching, now across mixed topologies.
@@ -495,18 +475,14 @@ class MegaBatchedNetwork:
 
     name = "mega-batch"
 
-    def __init__(
-        self,
-        members: Sequence[ReplicaBatchedNetwork],
-        kernel: Union[None, str, SlotKernel] = None,
-    ) -> None:
+    def __init__(self, members: Sequence[ReplicaBatchedNetwork]) -> None:
         if not members:
             raise ConfigurationError(
                 "MegaBatchedNetwork requires at least one member network"
             )
         self.members: List[ReplicaBatchedNetwork] = list(members)
         self._plan = MegaBatchPlan(
-            [m._topology.adjacency for m in self.members], kernel=kernel
+            [m._topology.adjacency for m in self.members]
         )
 
     # ------------------------------------------------------------------
@@ -579,10 +555,10 @@ class MegaBatchedNetwork:
                 by_member.setdefault(member_idx, []).append(state)
             for member_idx, states in by_member.items():
                 self.members[member_idx]._collect_actions(states)
-            # One block-diagonal product for every lane, of every
-            # member, that has both transmitters and listeners.
-            # SINR members take the fused arbitration kernel instead
-            # (its own block-diagonal pass over all such lanes).
+            # One gather for every lane, of every member, that has
+            # both transmitters and listeners.  SINR members take the
+            # fused arbitration kernel instead (its own gather over all
+            # such lanes).
             need = [
                 (member_idx, state)
                 for _, member_idx, state, _ in running

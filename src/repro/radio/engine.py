@@ -9,9 +9,8 @@ on any backend unchanged:
   per-device Python transcription of paper Section 1.1; the semantic
   ground truth.
 - ``"fast"`` — :class:`~repro.radio.fast_engine.FastRadioNetwork`, the
-  vectorized engine resolving each slot's channel through a
-  :mod:`repro.radio.kernels` backend (one sparse product per slot on
-  the default scipy kernel).
+  vectorized engine resolving each slot's channel with the integer CSR
+  gather of :mod:`repro.radio.kernels`.
 
 Engines self-register by name via
 :func:`~repro.radio.engine_registry.register_engine` (re-exported
@@ -20,17 +19,10 @@ here); :func:`make_network` looks them up with
 bit-for-bit equivalent under identical seeds (enforced by
 ``tests/radio/test_engine_equivalence.py``); pick ``"fast"`` for large
 or dense instances and ``"reference"`` when auditing semantics.
-
-The module-level ``ENGINES`` dict of earlier releases is deprecated:
-reading it still works (it returns a snapshot of the registry) but
-emits a ``DeprecationWarning`` once; use
-:func:`~repro.radio.engine_registry.get_engine` /
-:func:`~repro.radio.engine_registry.available_engines` instead.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, Hashable, Mapping, Optional, Protocol, Union, runtime_checkable
 
 import networkx as nx
@@ -42,7 +34,6 @@ from .channel import CollisionModel
 from .device import Device
 from .engine_registry import (
     available_engines,
-    engine_registry_snapshot,
     get_engine,
     register_engine,
 )
@@ -114,30 +105,6 @@ class Engine(Protocol):
         ...
 
 
-# The legacy module-level ENGINES dict is served lazily (and with a
-# one-time DeprecationWarning) by the module __getattr__ below, so that
-# merely importing this module never fires the warning.
-_ENGINES_WARNED = False
-
-
-def __getattr__(name: str) -> "Dict[str, type]":
-    if name == "ENGINES":
-        global _ENGINES_WARNED
-        if not _ENGINES_WARNED:
-            _ENGINES_WARNED = True
-            warnings.warn(
-                "repro.radio.engine.ENGINES is deprecated; use "
-                "get_engine()/available_engines() from "
-                "repro.radio.engine_registry instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return engine_registry_snapshot()
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
-
-
 def make_network(
     graph: nx.Graph,
     engine: str = "reference",
@@ -147,8 +114,7 @@ def make_network(
 
     ``kwargs`` are forwarded to the engine constructor
     (``collision_model``, ``size_policy``, ``ledger``, ``trace``,
-    ``faults``, ``fault_seed``, ``dynamic``, ``sinr``; the fast engine
-    also accepts ``kernel``).  Raises
+    ``faults``, ``fault_seed``, ``dynamic``, ``sinr``).  Raises
     :class:`~repro.errors.ConfigurationError` for unknown engine names.
     """
     return get_engine(engine)(graph, **kwargs)

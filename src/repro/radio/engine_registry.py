@@ -71,10 +71,3 @@ def get_engine(name: str) -> type:
 def available_engines() -> Tuple[str, ...]:
     """All registered engine names, sorted."""
     return tuple(sorted(_ENGINES))
-
-
-def engine_registry_snapshot() -> Dict[str, type]:
-    """A copy of the name -> class mapping (for the deprecated
-    ``ENGINES`` shim and for introspection; mutating it changes
-    nothing)."""
-    return dict(_ENGINES)

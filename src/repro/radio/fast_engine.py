@@ -6,9 +6,10 @@ channel for *all* listeners at once:
 
 - the topology is compiled once into a CSR adjacency matrix over the
   contiguous vertex indexing ``0..n-1``;
-- each slot, the transmitting vertices form an indicator vector; one
-  sparse product against their adjacency rows yields, per vertex, the
-  number of transmitting neighbors *and* (summed) transmitter indices;
+- each slot, the transmitters' adjacency rows are gathered into one
+  run of listener columns; two integer reductions over it yield, per
+  vertex, the number of transmitting neighbors *and* (summed)
+  transmitter indices;
 - a vertex with transmitter-count exactly 1 decodes its unique sender
   directly from the index sum — no per-listener neighbor scan;
 - energy charges are applied to the ledger in one batch per slot.
@@ -20,12 +21,11 @@ with the same seed produces bit-for-bit identical slot counts, energy
 ledgers, and event traces on either engine — a guarantee enforced by
 ``tests/radio/test_engine_equivalence.py``.
 
-The counts/codes arithmetic itself lives behind the
-:class:`~repro.radio.kernels.base.SlotKernel` protocol
-(:mod:`repro.radio.kernels`): the default ``"scipy"`` backend computes
-one sparse product per slot, the ``"numpy"`` backend is the
-dependency-floor fallback, and ``"numba"`` JIT-compiles the loops when
-available — all bit-identical by construction.
+The counts/codes arithmetic itself is the one integer CSR gather of
+:mod:`repro.radio.kernels`
+(:func:`~repro.radio.kernels.base.counts_codes_blocks`), which the
+replica- and mega-batched tiers share, so every tier computes the same
+bytes for the same lane.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 import networkx as nx
@@ -54,7 +53,7 @@ from .dynamic import DynamicTopology, TopologyPatch
 from .energy import EnergyLedger
 from .faults import FaultModel
 from .engine_registry import register_engine
-from .kernels import CSRAdjacency, SlotKernel, resolve_kernel
+from .kernels import CSRAdjacency, counts_codes_blocks
 from .kernels.sinr_csr import SinrCsr, sinr_arbitrate
 from .message import Message, MessageSizePolicy
 from .network import SlotEngineBase
@@ -74,27 +73,18 @@ class CompiledTopology:
     Owns the contiguous ``0..n-1`` vertex indexing and the CSR adjacency
     (:class:`~repro.radio.kernels.base.CSRAdjacency`) that both the
     single-replica fast engine and the replica-batched engine
-    (:mod:`repro.radio.batch_engine`) resolve slots against.  The
-    arithmetic itself runs on a
-    :class:`~repro.radio.kernels.base.SlotKernel` backend selected at
-    construction (default: the best available — scipy when importable,
-    pure NumPy otherwise), so neither engine has a hard dependency
-    beyond NumPy and both stay bit-identical across backends.
+    (:mod:`repro.radio.batch_engine`) resolve slots against, through
+    the shared gather
+    (:func:`~repro.radio.kernels.base.counts_codes_blocks`).
     """
 
-    def __init__(
-        self,
-        graph: nx.Graph,
-        kernel: Union[None, str, SlotKernel] = None,
-    ) -> None:
+    def __init__(self, graph: nx.Graph) -> None:
         self.vertices: List[Hashable] = list(graph.nodes)
         self.index: Dict[Hashable, int] = {
             v: i for i, v in enumerate(self.vertices)
         }
         self.n = len(self.vertices)
         self.adjacency = CSRAdjacency.from_graph(graph, self.index)
-        self.kernel = resolve_kernel(kernel)
-        self._kernel_state = self.kernel.prepare(self.adjacency)
 
     # ------------------------------------------------------------------
     def counts_codes(self, tx_idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -102,10 +92,8 @@ class CompiledTopology:
 
         Sender codes are 1-based transmitter indices; where the count is
         exactly 1 the code minus one *is* the unique sender's index.
-        Delegates to the backend kernel's
-        :meth:`~repro.radio.kernels.base.SlotKernel.counts_codes`.
         """
-        return self.kernel.counts_codes(self._kernel_state, tx_idx)
+        return counts_codes_blocks([(self.adjacency, tx_idx)])[0]
 
     def counts_codes_many(
         self, tx_lists: Sequence[np.ndarray]
@@ -114,25 +102,22 @@ class CompiledTopology:
 
         ``tx_lists[r]`` holds replica ``r``'s transmitter indices; the
         per-replica (counts, codes) pairs come back in the same order,
-        resolved in one backend call (one fused sparse product on the
-        scipy kernel).  Entries of distinct replicas never mix, so each
-        replica's result is bit-identical to its own
-        :meth:`counts_codes` call — on every backend.
+        resolved in one fused gather.  Each replica gets its own column
+        range, so its result is bit-identical to its own
+        :meth:`counts_codes` call.
         """
-        return self.kernel.counts_codes_many(self._kernel_state, tx_lists)
+        adjacency = self.adjacency
+        return counts_codes_blocks([(adjacency, tx) for tx in tx_lists])
 
     def patch_rows(self, updates: Mapping[int, np.ndarray]) -> None:
-        """Replace the given adjacency rows and re-prepare the kernel.
+        """Replace the given adjacency rows.
 
         The incremental dynamic-topology path: the CSR arrays are row
         spliced in place of a full per-edge recompile
-        (:meth:`~repro.radio.kernels.base.CSRAdjacency.with_row_updates`),
-        and only the backend's cheap array-level ``prepare`` runs again.
+        (:meth:`~repro.radio.kernels.base.CSRAdjacency.with_row_updates`).
         """
-        if not updates:
-            return
-        self.adjacency = self.adjacency.with_row_updates(updates)
-        self._kernel_state = self.kernel.prepare(self.adjacency)
+        if updates:
+            self.adjacency = self.adjacency.with_row_updates(updates)
 
 
 @register_engine
@@ -144,10 +129,7 @@ class FastRadioNetwork(SlotEngineBase):
     :class:`~repro.radio.device.Device` populations; only the internal
     channel-resolution strategy differs.  Prefer this engine for
     ``n`` in the thousands or dense topologies, where the reference
-    engine's per-listener neighbor scans dominate.  ``kernel`` selects
-    the :mod:`repro.radio.kernels` backend resolving the channel
-    arithmetic (default: best available); all backends are
-    bit-identical.
+    engine's per-listener neighbor scans dominate.
     """
 
     name = "fast"
@@ -161,14 +143,13 @@ class FastRadioNetwork(SlotEngineBase):
         trace: Optional[EventTrace] = None,
         faults: Optional[FaultModel] = None,
         fault_seed: SeedLike = None,
-        kernel: Union[None, str, SlotKernel] = None,
         dynamic: Optional[DynamicTopology] = None,
         sinr: Optional[SinrParams] = None,
     ) -> None:
         super().__init__(graph, collision_model, size_policy, ledger, trace,
                          faults=faults, fault_seed=fault_seed, dynamic=dynamic,
                          sinr=sinr)
-        self._topology = CompiledTopology(graph, kernel=kernel)
+        self._topology = CompiledTopology(graph)
         self._index = self._topology.index
         # Per-slot message staging area, reused across slots.
         self._msg_buf: List[Optional[Message]] = [None] * self._topology.n

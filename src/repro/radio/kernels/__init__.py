@@ -1,63 +1,41 @@
-"""Slot-kernel backends: the arithmetic core behind the fast engines.
+"""The slot kernel: the integer arithmetic core behind the fast engines.
 
-This package isolates the per-slot counts/codes computation (one sparse
-product, or its equivalent) behind the
-:class:`~repro.radio.kernels.base.SlotKernel` protocol, selected by
-name through a small registry:
+A slot's channel outcome reduces to two integers per listener — how
+many neighbors transmitted and the sum of their 1-based indices — and
+one NumPy CSR gather computes them for every tier
+(:func:`~repro.radio.kernels.base.counts_codes_blocks`): the fast
+engine's single lane, a replica batch's lanes, and the lanes of a
+:class:`~repro.radio.kernels.megabatch.MegaBatchPlan` spanning
+heterogeneous member topologies (the engine behind the ``"megabatch"``
+execution backend of :mod:`repro.experiments`).  SINR arbitration
+(:mod:`repro.radio.kernels.sinr_csr`) reuses the same gather and adds
+per-edge signal reductions.
 
-- ``"scipy"`` — the reference backend: one :mod:`scipy.sparse` CSR
-  product per (batched) slot; exactly the arithmetic the fast engine
-  has always computed.
-- ``"numpy"`` — pure-NumPy CSR accumulation; the always-available
-  dependency floor and the delegation target of optional backends.
-- ``"numba"`` — JIT-compiled accumulation loops when ``numba`` is
-  importable; **gracefully falls back** to the default backend when it
-  is not, so selecting it is always safe.
-
-On top of the kernels, :class:`~repro.radio.kernels.megabatch.MegaBatchPlan`
-packs *heterogeneous* member topologies into one block-diagonal CSR
-matrix so lanes of different cells share a single fused product per
-slot — the engine behind the ``"megabatch"`` execution backend of
-:mod:`repro.experiments`.
-
-Every kernel is bit-identical to every other by construction: the
-computation is exact int64 accumulation, which no evaluation order can
-change.  ``tests/radio/test_kernels.py`` and the backend equivalence
-grids enforce it end to end.
+Every reduction is exact int64 arithmetic, which no evaluation order or
+block packing can change, so every tier returns the same bytes for the
+same lane.  ``tests/radio/test_kernels.py`` pins the gather against a
+plain per-transmitter loop.
 """
 
 from .base import (
     CSRAdjacency,
-    SlotKernel,
+    EdgeGather,
+    counts_codes_blocks,
     default_kernel,
-    get_kernel,
-    kernel_names,
-    register_kernel,
-    resolve_kernel,
+    gather_edges,
 )
 from .megabatch import MegaBatchPlan
-from .numba_csr import NUMBA_KERNEL, NumbaKernel
-from .numpy_csr import NUMPY_KERNEL, NumpyKernel
-from .scipy_csr import SCIPY_KERNEL, ScipyKernel
 from .sinr_csr import SinrCsr, compile_sinr, sinr_arbitrate, sinr_arbitrate_many
 
 __all__ = [
     "CSRAdjacency",
+    "EdgeGather",
     "MegaBatchPlan",
-    "NUMBA_KERNEL",
-    "NUMPY_KERNEL",
-    "NumbaKernel",
-    "NumpyKernel",
-    "SCIPY_KERNEL",
-    "ScipyKernel",
     "SinrCsr",
-    "SlotKernel",
     "compile_sinr",
+    "counts_codes_blocks",
     "default_kernel",
-    "get_kernel",
-    "kernel_names",
-    "register_kernel",
-    "resolve_kernel",
+    "gather_edges",
     "sinr_arbitrate",
     "sinr_arbitrate_many",
 ]

@@ -1,40 +1,29 @@
-"""The :class:`SlotKernel` backend protocol and its registry.
+"""CSR adjacency and the one slot kernel: an integer CSR gather.
 
-A *slot kernel* is the narrow arithmetic core of the vectorized engine
-tiers: given a CSR adjacency and one or more sets of transmitter
-indices, produce per-vertex ``(counts, codes)`` pairs — the number of
-transmitting neighbors and the sum of their 1-based indices (see
-:meth:`SlotKernel.counts_codes`).  Everything else about a slot
-(device callbacks, fault plans, collision semantics, energy charging)
-lives above the kernel, in the engines; everything below it is exact
-int64 arithmetic, so **any** kernel is bit-identical to any other by
-construction — integer sums do not depend on evaluation order.
+In the RN cost model a slot reduces to integer counts: per listener,
+how many neighbors transmitted and which one (when exactly one did).
+Every vectorized tier computes those numbers the same way —
+:func:`counts_codes_blocks` over :func:`gather_edges`:
 
-Kernels register themselves here (:func:`register_kernel`) and are
-selected by name (:func:`get_kernel`); the experiment layer exposes the
-same names through ``ExecutionPolicy.backend`` and the CLI's
-``--backend`` flag.  :func:`default_kernel` picks the best available
-backend (scipy when importable, the pure-NumPy fallback otherwise), so
-constructing an engine without naming a kernel reproduces the historic
-behavior exactly.
+- each transmitter's CSR row becomes a run of *edge positions*, the
+  positions become *listener columns*, and each block (a replica lane,
+  or a lane of a mega-batch member) is shifted into its own column
+  range so blocks never mix;
+- per-listener counts are one ``np.bincount`` of the columns, sender
+  codes one int64 ``np.add.at`` of ``tx + 1``; where the count is
+  exactly 1, the code minus one *is* the unique sender's local index.
+
+Everything above the gather (device callbacks, fault plans, collision
+semantics, energy charging) lives in the engines.  Everything below it
+is exact int64 arithmetic, which no evaluation order, block packing or
+lane count can change — so a lane's counts and codes are the same bytes
+whether it runs alone, among replicas, or in a mega batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Dict,
-    Hashable,
-    List,
-    Mapping,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    Union,
-    runtime_checkable,
-)
+from typing import Dict, Hashable, List, Mapping, NamedTuple, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -130,107 +119,90 @@ class CSRAdjacency:
         return CSRAdjacency(n=self.n, indptr=indptr, indices=indices)
 
 
-@runtime_checkable
-class SlotKernel(Protocol):
-    """Backend protocol for the per-slot counts/codes arithmetic.
+class EdgeGather(NamedTuple):
+    """Every (transmitter, listener) edge of a fused slot.
 
-    Implementations are stateless singletons; per-topology state lives
-    in whatever :meth:`prepare` returns and is threaded back into the
-    ``counts_codes*`` calls by the caller (so one kernel instance can
-    serve any number of compiled topologies).
+    ``cols`` and ``codes`` run over all blocks' edges, transmitter-major
+    within a block; ``spans[b] = (offset, n)`` is block ``b``'s column
+    range and ``edges[b] = (pos, lens)`` its CSR edge positions and
+    per-transmitter degrees (what weighted reductions such as SINR
+    arbitration index their per-edge tables with).
     """
 
-    #: Registry name (``"scipy"``, ``"numpy"``, ``"numba"``, ...).
+    cols: np.ndarray
+    codes: np.ndarray
+    spans: List[Tuple[int, int]]
+    edges: List[Tuple[np.ndarray, np.ndarray]]
+    size: int
+
+
+def gather_edges(
+    blocks: Sequence[Tuple[CSRAdjacency, np.ndarray]],
+) -> EdgeGather:
+    """Gather the edges of every ``(adjacency, tx_idx)`` block.
+
+    ``tx_idx`` holds the block's transmitting vertex indices (any
+    order, possibly empty).  Block ``b``'s listener columns are shifted
+    by the summed sizes of the blocks before it; sender codes stay
+    block-local (``tx + 1``).
+    """
+    cols_parts: List[np.ndarray] = []
+    code_parts: List[np.ndarray] = []
+    spans: List[Tuple[int, int]] = []
+    edges: List[Tuple[np.ndarray, np.ndarray]] = []
+    offset = 0
+    for adjacency, tx_idx in blocks:
+        tx_idx = np.asarray(tx_idx, dtype=np.int64)
+        tx_codes = tx_idx + 1
+        starts = adjacency.indptr[tx_idx]
+        lens = adjacency.indptr[tx_codes] - starts
+        # Edge positions in the CSR arrays, transmitter-major.
+        pos = (
+            np.repeat(starts - np.cumsum(lens) + lens, lens)
+            + np.arange(int(lens.sum()), dtype=np.int64)
+        )
+        cols_parts.append(adjacency.indices[pos] + offset)
+        code_parts.append(np.repeat(tx_codes, lens))
+        spans.append((offset, adjacency.n))
+        edges.append((pos, lens))
+        offset += adjacency.n
+    empty = np.zeros(0, dtype=np.int64)
+    return EdgeGather(
+        cols=np.concatenate(cols_parts) if cols_parts else empty,
+        codes=np.concatenate(code_parts) if code_parts else empty,
+        spans=spans,
+        edges=edges,
+        size=offset,
+    )
+
+
+def counts_codes_blocks(
+    blocks: Sequence[Tuple[CSRAdjacency, np.ndarray]],
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Per-block ``(counts, codes)``: transmitting neighbors per vertex
+    and the sum of their 1-based sender codes (int64, length ``n``).
+
+    One gather and two integer reductions resolve every block at once;
+    each block's pair equals what it would get resolved alone.
+    """
+    gathered = gather_edges(blocks)
+    counts = np.bincount(gathered.cols, minlength=gathered.size).astype(
+        np.int64, copy=False
+    )
+    codes = np.zeros(gathered.size, dtype=np.int64)
+    np.add.at(codes, gathered.cols, gathered.codes)
+    return [
+        (counts[off:off + n], codes[off:off + n])
+        for off, n in gathered.spans
+    ]
+
+
+class KernelInfo(NamedTuple):
+    """Identity of the slot kernel, for environment stamps."""
+
     name: str
 
-    def available(self) -> bool:
-        """Whether the backend's native dependency is importable.
 
-        A kernel whose dependency is missing must still *work* — by
-        delegating to :func:`default_kernel` — so selecting it is always
-        safe; ``available()`` only reports whether the native path runs.
-        """
-        ...
-
-    def prepare(self, adjacency: CSRAdjacency) -> Any:
-        """Compile per-topology state for this backend (opaque)."""
-        ...
-
-    def counts_codes(
-        self, state: Any, tx_idx: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-vertex (transmitting-neighbor count, summed sender codes).
-
-        Sender codes are 1-based transmitter indices; where the count is
-        exactly 1 the code minus one *is* the unique sender's index.
-        """
-        ...
-
-    def counts_codes_many(
-        self, state: Any, tx_lists: Sequence[np.ndarray]
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """:meth:`counts_codes` for many independent replicas at once.
-
-        ``tx_lists[r]`` holds replica ``r``'s transmitter indices; the
-        per-replica pairs come back in the same order, each bit-identical
-        to its own :meth:`counts_codes` call (entries of distinct
-        replicas never mix — exact int64 arithmetic guarantees it).
-        """
-        ...
-
-
-_KERNELS: Dict[str, SlotKernel] = {}
-
-
-def register_kernel(kernel: SlotKernel, overwrite: bool = False) -> SlotKernel:
-    """Install a kernel under its :class:`SlotKernel` ``name``.
-
-    Backends self-register at import time (see
-    :mod:`repro.radio.kernels`); third-party code can register its own
-    the same way.  Returns the kernel so the call composes as a
-    decorator-style one-liner.
-    """
-    name = getattr(kernel, "name", "")
-    if not name:
-        raise ConfigurationError("kernel name must be non-empty")
-    if not overwrite and name in _KERNELS:
-        raise ConfigurationError(f"kernel {name!r} is already registered")
-    _KERNELS[name] = kernel
-    return kernel
-
-
-def kernel_names() -> Tuple[str, ...]:
-    """All registered kernel names, sorted."""
-    return tuple(sorted(_KERNELS))
-
-
-def get_kernel(name: str) -> SlotKernel:
-    """Look up a kernel by name, failing loudly for unknown names."""
-    try:
-        return _KERNELS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown kernel {name!r}; registered: {', '.join(kernel_names())}"
-        ) from None
-
-
-def default_kernel() -> SlotKernel:
-    """The best always-safe backend: scipy if importable, else numpy."""
-    scipy = _KERNELS.get("scipy")
-    if scipy is not None and scipy.available():
-        return scipy
-    return _KERNELS["numpy"]
-
-
-def resolve_kernel(kernel: Union[None, str, SlotKernel]) -> SlotKernel:
-    """Coerce a kernel designation (name, instance, or ``None``).
-
-    ``None`` selects :func:`default_kernel` — the engines' historic
-    behavior; a string goes through :func:`get_kernel`; an instance
-    passes through unchanged.
-    """
-    if kernel is None:
-        return default_kernel()
-    if isinstance(kernel, str):
-        return get_kernel(kernel)
-    return kernel
+def default_kernel() -> KernelInfo:
+    """The slot kernel in use: there is exactly one, the NumPy gather."""
+    return KernelInfo(name="numpy")

@@ -1,19 +1,18 @@
 """Vectorized SINR arbitration over CSR adjacency (int64, numpy-only).
 
 The binary collision models reduce each slot to transmitter *counts*
-per listener, which the pluggable :class:`~repro.radio.kernels.base.SlotKernel`
-backends compute.  SINR arbitration needs per-edge *signals*, so it has
-its own kernel here — deliberately backend-agnostic pure numpy: every
-operation is an int64 sum, maximum, or comparison, which are exact and
-order-independent, so scipy/numpy/numba sessions produce bit-identical
-arbitration without per-backend code.
+per listener (:func:`~repro.radio.kernels.base.counts_codes_blocks`).
+SINR arbitration needs per-edge *signals*, so it runs the same edge
+gather (:func:`~repro.radio.kernels.base.gather_edges`) and then
+weights each gathered edge by its compiled gain times its
+transmitter's power.  Every operation is an int64 sum, maximum, or
+comparison — exact and order-independent — so fused and per-lane
+arbitration produce the same bytes.
 
 The fused entry point :func:`sinr_arbitrate_many` processes several
-lanes (replica batching) or members (mega batching) in one pass by
-offsetting each block's listener columns into a disjoint range — the
-same block-diagonal trick as
-:class:`~repro.radio.kernels.megabatch.MegaBatchPlan`, and bit-identical
-to per-lane arbitration because the ranges never interact.
+lanes (replica batching) or members (mega batching) in one pass: the
+gather gives each block its own disjoint column range, so the blocks
+never interact.
 """
 
 from __future__ import annotations
@@ -25,21 +24,19 @@ import numpy as np
 
 from ...errors import ConfigurationError
 from ..sinr import THRESHOLD_DEN, SinrField, SinrParams
-from .base import CSRAdjacency
+from .base import CSRAdjacency, gather_edges
 
 
 @dataclass(frozen=True)
-class SinrCsr:
+class SinrCsr(CSRAdjacency):
     """A topology's compiled SINR state: CSR gains + threshold integers.
 
-    ``gains[k]`` is the fixed-point channel gain of CSR entry ``k``
-    (transmitter row -> listener column); ``mults`` / ``costs`` are the
-    power ladder as int64 arrays indexed by level.
+    The CSR adjacency itself plus ``gains[k]``, the fixed-point channel
+    gain of CSR entry ``k`` (transmitter row -> listener column);
+    ``mults`` / ``costs`` are the power ladder as int64 arrays indexed
+    by level.
     """
 
-    n: int
-    indptr: np.ndarray
-    indices: np.ndarray
     gains: np.ndarray
     mults: np.ndarray
     costs: np.ndarray
@@ -95,45 +92,19 @@ def sinr_arbitrate_many(
     - ``deliver[v]`` — True iff the strongest signal is unique and
       clears the SINR threshold.
     """
-    results: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    cols_parts: List[np.ndarray] = []
-    sig_parts: List[np.ndarray] = []
-    code_parts: List[np.ndarray] = []
-    shapes: List[Tuple[int, int]] = []  # (offset, n) per block
-    offset = 0
-    for csr, tx_idx, tx_levels in blocks:
-        tx_idx = np.asarray(tx_idx, dtype=np.int64)
-        tx_levels = np.asarray(tx_levels, dtype=np.int64)
-        if tx_idx.shape != tx_levels.shape:
+    for _, tx_idx, tx_levels in blocks:
+        if np.shape(tx_idx) != np.shape(tx_levels):
             raise ConfigurationError(
                 "tx_idx and tx_levels must have identical shapes"
             )
-        shapes.append((offset, csr.n))
-        if tx_idx.size:
-            starts = csr.indptr[tx_idx]
-            lens = csr.indptr[tx_idx + 1] - starts
-            total = int(lens.sum())
-            if total:
-                # CSR gather: positions of every (transmitter, listener)
-                # edge in the data arrays, transmitter-major.
-                pos = (
-                    np.repeat(starts - np.cumsum(lens) + lens, lens)
-                    + np.arange(total, dtype=np.int64)
-                )
-                cols_parts.append(csr.indices[pos] + offset)
-                sig_parts.append(
-                    csr.gains[pos] * np.repeat(csr.mults[tx_levels], lens)
-                )
-                code_parts.append(np.repeat(tx_idx + 1, lens))
-        offset += csr.n
-    if cols_parts:
-        cols = np.concatenate(cols_parts)
-        sig = np.concatenate(sig_parts)
-        codes = np.concatenate(code_parts)
-    else:
-        cols = np.empty(0, dtype=np.int64)
-        sig = np.empty(0, dtype=np.int64)
-        codes = np.empty(0, dtype=np.int64)
+    gathered = gather_edges([(csr, tx_idx) for csr, tx_idx, _ in blocks])
+    cols, codes, offset = gathered.cols, gathered.codes, gathered.size
+    sig_parts = [
+        csr.gains[pos]
+        * np.repeat(csr.mults[np.asarray(tx_levels, dtype=np.int64)], lens)
+        for (csr, _, tx_levels), (pos, lens) in zip(blocks, gathered.edges)
+    ]
+    sig = np.concatenate(sig_parts) if sig_parts else np.zeros(0, dtype=np.int64)
     counts_all = np.bincount(cols, minlength=offset).astype(np.int64)
     power_all = np.zeros(offset, dtype=np.int64)
     np.add.at(power_all, cols, sig)
@@ -144,7 +115,8 @@ def sinr_arbitrate_many(
     np.add.at(ties_all, cols, at_max.astype(np.int64))
     code_all = np.zeros(offset, dtype=np.int64)
     np.add.at(code_all, cols, np.where(at_max, codes, 0))
-    for (off, n), (csr, _, _) in zip(shapes, blocks):
+    results: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for (off, n), (csr, _, _) in zip(gathered.spans, blocks):
         counts = counts_all[off:off + n]
         best = best_all[off:off + n]
         power = power_all[off:off + n]

@@ -37,6 +37,7 @@ from typing import (
     Mapping,
     Optional,
     Set,
+    Tuple,
 )
 
 import networkx as nx
@@ -89,6 +90,37 @@ def jam_reception_for(collision_model: CollisionModel) -> Reception:
         if collision_model is CollisionModel.NO_CD
         else Feedback.NOISE
     )
+
+
+def coerce_channel(
+    collision_model: "CollisionModel | str",
+    sinr: "None | str | Mapping | SinrParams",
+) -> Tuple[CollisionModel, Optional[SinrParams]]:
+    """Coerce a collision model (enum or name) and its SINR context.
+
+    ``sinr`` is required context for ``CollisionModel.SINR`` (the
+    defaults apply when omitted) and rejected for the binary models.
+    Shared by every executor tier so the accepted channel settings and
+    their errors can never drift between them.
+    """
+    if not isinstance(collision_model, CollisionModel):
+        try:
+            collision_model = CollisionModel(collision_model)
+        except ValueError:
+            raise ConfigurationError(
+                f"unknown collision model {collision_model!r}; known: "
+                f"{', '.join(m.value for m in CollisionModel)}"
+            ) from None
+    sinr_params = coerce_sinr_params(sinr)
+    if collision_model is CollisionModel.SINR:
+        if sinr_params is None:
+            sinr_params = SinrParams()
+    elif sinr_params is not None:
+        raise ConfigurationError(
+            "sinr params require collision_model=CollisionModel.SINR, "
+            f"got {collision_model.value!r}"
+        )
+    return collision_model, sinr_params
 
 
 def validate_population(
@@ -195,14 +227,7 @@ class SlotEngineBase:
     ) -> None:
         validate_topology(graph)
         self.graph = graph
-        if not isinstance(collision_model, CollisionModel):
-            try:
-                collision_model = CollisionModel(collision_model)
-            except ValueError:
-                raise ConfigurationError(
-                    f"unknown collision model {collision_model!r}; known: "
-                    f"{', '.join(m.value for m in CollisionModel)}"
-                ) from None
+        collision_model, sinr_params = coerce_channel(collision_model, sinr)
         self.collision_model = collision_model
         self.size_policy = size_policy or MessageSizePolicy.unbounded()
         self.ledger = ledger if ledger is not None else EnergyLedger()
@@ -221,19 +246,10 @@ class SlotEngineBase:
                 f"DynamicTopology.initial_graph())"
             )
         self._dynamic = dynamic
-        sinr_params = coerce_sinr_params(sinr)
-        if collision_model is CollisionModel.SINR:
-            if sinr_params is None:
-                sinr_params = SinrParams()
-            if dynamic is not None:
-                raise ConfigurationError(
-                    "the SINR collision model compiles per-edge gains for "
-                    "a static topology; dynamic membership is not supported"
-                )
-        elif sinr_params is not None:
+        if sinr_params is not None and dynamic is not None:
             raise ConfigurationError(
-                "sinr params require collision_model=CollisionModel.SINR, "
-                f"got {collision_model.value!r}"
+                "the SINR collision model compiles per-edge gains for "
+                "a static topology; dynamic membership is not supported"
             )
         #: Active :class:`~repro.radio.sinr.SinrParams` (``None`` for
         #: the binary collision models).

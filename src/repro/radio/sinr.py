@@ -20,8 +20,9 @@ energy units per transmitting slot — *louder costs more*.
 
 Fixed-point convention (everything is an ``int``)
 -------------------------------------------------
-Engines must stay bit-for-bit equivalent across the scipy / numpy /
-numba kernels, so the whole signal pipeline is integer-only:
+The reference engine's per-listener loop and the vectorized tiers'
+fused CSR gather must stay bit-for-bit equivalent, so the whole signal
+pipeline is integer-only:
 
 - node positions (the ``pos`` attribute written by the geometric
   generators) are quantized onto a :data:`GRID` x :data:`GRID` integer
@@ -37,8 +38,9 @@ numba kernels, so the whole signal pipeline is integer-only:
       ``<=>  (1000 + threshold_milli) * M >= threshold_milli * (S + noise)``
 
 Because int64 sums, maxima and comparisons are exact and
-order-independent, every backend computes the identical arbitration by
-construction; no kernel-specific floating-point tolerance exists.
+order-independent, every tier computes the identical arbitration by
+construction, however its lanes are fused; no floating-point tolerance
+exists.
 """
 
 from __future__ import annotations
@@ -310,7 +312,7 @@ class SinrField:
     """Compiled per-edge gain table for one (static) topology.
 
     Built once per engine at construction; both the reference
-    per-listener loop and the CSR kernels read gains from here, so the
+    per-listener loop and the CSR gather read gains from here, so the
     invariant monitor can cross-check an engine's live table against a
     fresh recomputation (``sinr_gain_integrity``).
     """

@@ -7,7 +7,7 @@ sweep writes store shards byte-identical to a serial sweep.  Batching
 must be invisible everywhere except the wall clock.
 
 The same contract extends to every :class:`ExecutionPolicy` backend:
-each kernel backend and the heterogeneous mega-batch packing produce
+the default tiers and the heterogeneous mega-batch fusion produce
 byte-identical results, ledgers, fault streams, and store shards.
 """
 
@@ -15,10 +15,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.errors import ConfigurationError
 from repro.experiments import (
     ExecutionPolicy,
@@ -42,7 +46,6 @@ from repro.experiments.runner import (
 )
 from repro.experiments.spec import COLLISION_MODELS
 from repro.radio.faults import named_fault_models
-from repro.radio.kernels import kernel_names
 
 REPLICAS = 8
 PRESETS = sorted(named_fault_models())
@@ -185,14 +188,13 @@ def test_execution_policy_hint_excluded_from_identity():
 def test_execution_policy_coerced_and_merged():
     hinted = ExperimentSpec(
         topology="path", n=8, algorithm="decay_bfs", engine="fast", seed=1,
-        execution={"backend": "numpy"})  # plain mapping coerces
-    assert hinted.execution == ExecutionPolicy(backend="numpy")
-    assert hinted.execution_policy().kernel() == "numpy"
+        execution={"backend": "megabatch"})  # plain mapping coerces
+    assert hinted.execution == ExecutionPolicy(backend="megabatch")
     merged = ExecutionPolicy(batch_replicas=2).merged_over(
         ExecutionPolicy(backend="megabatch", mega_batch=8))
     assert merged == ExecutionPolicy(backend="megabatch", batch_replicas=2,
                                      mega_batch=8)
-    assert merged.wants_mega() and merged.kernel() is None
+    assert merged.wants_mega()
 
 
 def test_execution_policy_validation():
@@ -204,39 +206,16 @@ def test_execution_policy_validation():
         with pytest.raises(ConfigurationError, match="mega_batch"):
             ExecutionPolicy(mega_batch=bad)
     with pytest.raises(ConfigurationError, match="unknown"):
-        ExecutionPolicy.from_dict({"backend": "scipy", "gpu": True})
-    round_trip = ExecutionPolicy(backend="scipy", mega_batch=4)
+        ExecutionPolicy.from_dict({"backend": "megabatch", "gpu": True})
+    round_trip = ExecutionPolicy(backend="megabatch", mega_batch=4)
     assert ExecutionPolicy.from_dict(round_trip.to_dict()) == round_trip
-
-
-def test_batch_replicas_spec_kwarg_deprecated_but_working():
-    """The pre-policy spelling still works — once, loudly."""
-    with pytest.warns(DeprecationWarning, match="batch_replicas"):
-        hinted = ExperimentSpec(topology="path", n=8, algorithm="decay_bfs",
-                                engine="fast", seed=1, batch_replicas=4)
-    assert hinted.execution_policy() == ExecutionPolicy(batch_replicas=4)
-    assert spec_hash(hinted) == spec_hash(
-        ExperimentSpec(topology="path", n=8, algorithm="decay_bfs",
-                       engine="fast", seed=1))
-    # from_dict accepts the key (picklable hint survives worker round
-    # trips) even though to_dict never emits it.
-    doc = hinted.to_dict()
-    doc["batch_replicas"] = 4
-    with pytest.warns(DeprecationWarning, match="batch_replicas"):
-        assert ExperimentSpec.from_dict(doc).batch_replicas == 4
-    # Setting the knob in both places is a contradiction, not a merge
-    # (rejected before the deprecation warning even fires).
-    with pytest.raises(ConfigurationError, match="one place"):
-        ExperimentSpec(topology="path", n=8, algorithm="decay_bfs",
-                       seed=0, batch_replicas=4,
-                       execution=ExecutionPolicy(batch_replicas=2))
 
 
 @pytest.mark.parametrize("bad", [0, -1, True, 2.5, "8"])
 def test_batch_replicas_hint_validated(bad):
     with pytest.raises(ConfigurationError, match="batch_replicas"):
         ExperimentSpec(topology="path", n=8, algorithm="decay_bfs",
-                       seed=0, batch_replicas=bad)
+                       seed=0, execution={"batch_replicas": bad})
 
 
 def test_default_batch_replicas_is_sane():
@@ -318,13 +297,12 @@ def _hetero_specs(preset, collision_model, seeds=3):
 
 @pytest.mark.parametrize("collision_model", COLLISION_MODELS)
 @pytest.mark.parametrize("preset", PRESETS)
-@pytest.mark.parametrize("backend", sorted(execution_backends()))
+@pytest.mark.parametrize("backend", [None, "megabatch"])
 def test_backend_byte_identical_grid(backend, preset, collision_model):
     """The headline backend matrix: byte-for-byte against per-seed serial.
 
-    Covers every kernel backend (including ``numba``, which silently
-    falls back when the dependency is missing) and the mega-batch
-    packing, across every fault preset and collision model, on a
+    Covers the default tiers (replica batching) and the mega-batch
+    fusion, across every fault preset and collision model, on a
     heterogeneous spec stream.
     """
     specs = _hetero_specs(preset, collision_model, seeds=2)
@@ -337,9 +315,42 @@ def test_backend_byte_identical_grid(backend, preset, collision_model):
         assert got.fault_counts() == ref.fault_counts()
 
 
-def test_execution_backends_cover_kernels_and_mega():
-    assert set(execution_backends()) == set(kernel_names()) | {"megabatch"}
+def test_execution_backends_are_megabatch_only():
+    assert execution_backends() == ("megabatch",)
     assert "decay_bfs" in mega_algorithm_names()
+
+
+@pytest.mark.parametrize("name", ["numba", "scipy", "numpy"])
+def test_retired_kernel_backends_fail_naming_megabatch(name):
+    with pytest.raises(ConfigurationError, match="megabatch") as info:
+        ExecutionPolicy(backend=name)
+    assert "\n" not in str(info.value)
+
+
+def _python(args, cwd):
+    """Run a fresh interpreter on this checkout's ``repro`` package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_retired_backend_is_a_one_line_error(tmp_path):
+    proc = _python(["-m", "repro.experiments", "run", "--topologies", "grid",
+                    "--algorithms", "decay_bfs", "--serial",
+                    "--backend", "scipy"], cwd=tmp_path)
+    assert proc.returncode == 2
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "megabatch" in lines[0] and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_importing_experiments_leaves_scipy_unloaded(tmp_path):
+    code = "import sys, repro.experiments; print('scipy' in sys.modules)"
+    proc = _python(["-c", code], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +455,9 @@ def test_cli_backend_flag_uniform_across_subcommands():
         assert _policy_from_args(ns) == ExecutionPolicy(backend="megabatch")
         ns = parser.parse_args([command, *common, *args])
         assert _policy_from_args(ns) is None
-    with pytest.raises(SystemExit):
-        parser.parse_args(["run", *common, "--backend", "cuda"])
+    ns = parser.parse_args(["run", *common, "--backend", "cuda"])
+    with pytest.raises(ConfigurationError, match="megabatch"):
+        _policy_from_args(ns)
 
 
 def test_cli_run_backend_byte_identical(tmp_path, capsys):

@@ -95,7 +95,7 @@ def test_module_name_derivation(tmp_path):
 
     assert ctx("src/repro/radio/faults.py").module_name == "repro.radio.faults"
     assert ctx("src/repro/lintkit/__init__.py").module_name == "repro.lintkit"
-    assert ctx("scripts/check_crossrefs.py").module_name is None
+    assert ctx("scripts/fabric_sim.py").module_name is None
 
 
 def test_findings_order_is_by_location(write_module, tmp_path):

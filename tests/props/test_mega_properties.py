@@ -2,7 +2,7 @@
 
 The property that makes ``backend="megabatch"`` safe to turn on
 anywhere: no matter how cells are ordered and how the lane cap slices
-them into block-diagonal units, every cell's result document — and
+them into mega units, every cell's result document — and
 every store shard written from it — is byte-identical to per-seed
 serial execution.
 """

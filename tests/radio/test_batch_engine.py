@@ -8,9 +8,8 @@ for every fault preset and collision model.  Batching is an execution
 strategy, never an observable.
 
 :class:`MegaBatchedNetwork` extends the identical contract across
-*heterogeneous* members: every ``(member, replica)`` lane of a
-block-diagonal mega batch must match its own serial run bit for bit,
-for every kernel backend.
+*heterogeneous* members: every ``(member, replica)`` lane of a mega
+batch must match its own serial run bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from repro.radio import (
     make_network,
     topology,
 )
-from repro.radio.kernels import kernel_names
 from repro.radio.faults import named_fault_models
 from repro.radio.message import message_of_ints
 from repro.rng import make_rng, spawn_streams
@@ -199,7 +197,7 @@ def test_single_replica_batch_degenerates_to_fast_engine():
 MEGA_MEMBERS = [("grid", 25, 24), ("star", 17, 8), ("cycle", 30, 30)]
 
 
-def _mega_bfs(collision_model, faults, kernel=None, member_order=None):
+def _mega_bfs(collision_model, faults, member_order=None):
     """Run Decay-BFS over three heterogeneous members, 2 lanes each."""
     members_spec = (
         MEGA_MEMBERS if member_order is None
@@ -213,10 +211,9 @@ def _mega_bfs(collision_model, faults, kernel=None, member_order=None):
         fault_seeds = [_replica_streams(s)[0] for s in seeds]
         member_nets.append(ReplicaBatchedNetwork(
             graph, len(seeds), collision_model=collision_model,
-            ledgers=ledgers, faults=faults, fault_seeds=fault_seeds,
-            kernel=kernel))
+            ledgers=ledgers, faults=faults, fault_seeds=fault_seeds))
         all_ledgers.append(ledgers)
-    net = MegaBatchedNetwork(member_nets, kernel=kernel)
+    net = MegaBatchedNetwork(member_nets)
     labels = decay_bfs_mega(
         net,
         sources={m: [0] for m in range(len(members_spec))},
@@ -248,21 +245,6 @@ def test_mega_bfs_bit_identical_to_serial(preset, collision_model):
             assert ledgers[m][r].snapshot() == ref_snapshot
             assert ledgers[m][r].time_slots == ref_time
             assert net.lane((m, r)).fault_counters.as_dict() == ref_faults
-
-
-@pytest.mark.parametrize("kernel", sorted(kernel_names()))
-def test_mega_bfs_identical_on_every_kernel(kernel):
-    """Kernel choice (including the numba fallback) is unobservable."""
-    reference = _mega_bfs(CollisionModel.NO_CD, _fault_model("drop10"))
-    alternate = _mega_bfs(CollisionModel.NO_CD, _fault_model("drop10"),
-                          kernel=kernel)
-    assert alternate[4] == reference[4]
-    for m in range(len(MEGA_MEMBERS)):
-        for r in range(2):
-            assert (alternate[2].lane((m, r)).slot
-                    == reference[2].lane((m, r)).slot)
-            assert (alternate[3][m][r].snapshot()
-                    == reference[3][m][r].snapshot())
 
 
 def test_mega_member_order_never_changes_lane_results():

@@ -1,14 +1,16 @@
-"""SlotKernel backends: registry, bit-identity, fallback, mega packing.
+"""The slot kernel: one integer CSR gather, pinned against a plain loop.
 
-Every kernel computes exact int64 counts/codes, so any two backends
-must agree **bitwise** on any topology and any transmitter set — that
-is the whole contract that makes ``--backend`` safe.  The ``numba``
-backend must additionally work (by falling back) when its dependency
-is missing, which is the case in this environment.
+Every vectorized tier resolves a slot through
+:func:`repro.radio.kernels.counts_codes_blocks`.  Its contract is exact
+int64 counts and codes per listener, so it must agree **bitwise** with
+the most literal implementation there is — one loop over transmitters,
+adding each one's row into the counts and codes — on any topology, any
+transmitter set, and any mix of lanes and members fused into one call.
 """
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -17,7 +19,6 @@ from repro.radio import topology
 from repro.radio.engine import make_network
 from repro.radio.engine_registry import (
     available_engines,
-    engine_registry_snapshot,
     get_engine,
     register_engine,
 )
@@ -25,114 +26,167 @@ from repro.radio.fast_engine import CompiledTopology
 from repro.radio.kernels import (
     CSRAdjacency,
     MegaBatchPlan,
+    counts_codes_blocks,
     default_kernel,
-    get_kernel,
-    kernel_names,
-    register_kernel,
-    resolve_kernel,
+    gather_edges,
+    sinr_arbitrate_many,
+)
+from repro.radio.kernels.sinr_csr import SinrCsr
+from repro.radio.sinr import (
+    SinrField,
+    SinrParams,
+    named_sinr_params,
+    resolve_sinr,
 )
 
 TOPOLOGIES = [("grid", 25), ("star", 17), ("barbell", 18), ("wheel", 20),
               ("path", 12), ("complete", 9)]
 
 
-def _adjacency(name, n):
-    graph = topology.scenario(name, n)
+def loop_counts_codes(adj, tx_idx):
+    """The oracle: one row at a time, int64 accumulation."""
+    counts = np.zeros(adj.n, dtype=np.int64)
+    codes = np.zeros(adj.n, dtype=np.int64)
+    indptr, indices = adj.indptr, adj.indices
+    for i in tx_idx:
+        nbrs = indices[indptr[i]:indptr[i + 1]]
+        counts[nbrs] += 1
+        codes[nbrs] += i + 1
+    return counts, codes
+
+
+def _compile(graph):
     index = {v: i for i, v in enumerate(graph.nodes)}
     return CSRAdjacency.from_graph(graph, index)
+
+
+def _adjacency(name, n, seed=0):
+    return _compile(topology.scenario(name, n, seed=seed))
 
 
 def _tx_sets(adj, seed=0):
     """A spread of transmitter sets: empty, singleton, random, full."""
     rng = np.random.default_rng(seed)
     full = np.arange(adj.n, dtype=np.int64)
-    some = np.sort(rng.choice(adj.n, size=max(1, adj.n // 3), replace=False))
+    some = rng.choice(adj.n, size=max(1, adj.n // 3), replace=False)
     return [np.zeros(0, dtype=np.int64), full[:1], some.astype(np.int64), full]
 
 
-# ---------------------------------------------------------------------------
-# Registry surface
-# ---------------------------------------------------------------------------
-
-def test_kernel_registry_names_and_lookup():
-    assert set(kernel_names()) >= {"scipy", "numpy", "numba"}
-    for name in kernel_names():
-        assert get_kernel(name).name == name
-    with pytest.raises(ConfigurationError, match="unknown kernel"):
-        get_kernel("cuda")
-    with pytest.raises(ConfigurationError, match="already registered"):
-        register_kernel(get_kernel("numpy"))
-
-
-def test_resolve_kernel_coercions():
-    assert resolve_kernel(None) is default_kernel()
-    assert resolve_kernel("numpy") is get_kernel("numpy")
-    instance = get_kernel("scipy")
-    assert resolve_kernel(instance) is instance
-    # The default is always available — it must never itself fall back.
-    assert default_kernel().available()
+def _assert_pair(got, adj, tx):
+    counts, codes = got
+    want_counts, want_codes = loop_counts_codes(adj, tx)
+    assert counts.dtype == np.int64 and codes.dtype == np.int64
+    np.testing.assert_array_equal(counts, want_counts)
+    np.testing.assert_array_equal(codes, want_codes)
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity across backends
+# The gather against the loop
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", topology.scenario_names())
+def test_gather_matches_loop_on_every_family(name):
+    adj = _adjacency(name, 24, seed=5)
+    for tx in _tx_sets(adj, seed=1):
+        (pair,) = counts_codes_blocks([(adj, tx)])
+        _assert_pair(pair, adj, tx)
+
 
 @pytest.mark.parametrize("name,n", TOPOLOGIES)
-def test_kernels_agree_bitwise(name, n):
-    adj = _adjacency(name, n)
-    reference = get_kernel("scipy")
-    ref_state = reference.prepare(adj)
-    for kernel_name in kernel_names():
-        kernel = get_kernel(kernel_name)
-        state = kernel.prepare(adj)
-        for tx in _tx_sets(adj):
-            counts, codes = kernel.counts_codes(state, tx)
-            ref_counts, ref_codes = reference.counts_codes(ref_state, tx)
-            assert counts.dtype == np.int64 and codes.dtype == np.int64
-            np.testing.assert_array_equal(counts, ref_counts)
-            np.testing.assert_array_equal(codes, ref_codes)
+def test_compiled_topology_single_and_many_lanes(name, n):
+    topo = CompiledTopology(topology.scenario(name, n))
+    tx_lists = _tx_sets(topo.adjacency, seed=n)
+    for tx in tx_lists:
+        _assert_pair(topo.counts_codes(tx), topo.adjacency, tx)
+    many = topo.counts_codes_many(tx_lists)
+    assert len(many) == len(tx_lists)
+    for pair, tx in zip(many, tx_lists):
+        _assert_pair(pair, topo.adjacency, tx)
 
 
-def test_counts_codes_many_matches_single_calls():
-    adj = _adjacency("grid", 36)
-    for kernel_name in kernel_names():
-        kernel = get_kernel(kernel_name)
-        state = kernel.prepare(adj)
-        tx_lists = _tx_sets(adj, seed=3)
-        many = kernel.counts_codes_many(state, tx_lists)
-        assert len(many) == len(tx_lists)
-        for (counts, codes), tx in zip(many, tx_lists):
-            ref_counts, ref_codes = kernel.counts_codes(state, tx)
-            np.testing.assert_array_equal(counts, ref_counts)
-            np.testing.assert_array_equal(codes, ref_codes)
+@pytest.mark.parametrize("name", topology.scenario_names())
+def test_fused_blocks_match_loop_on_every_family(name):
+    """Each family's blocks keep their own edges and columns when fused.
+
+    The family's lanes (two graph seeds, every transmitter set, listed
+    in reverse order) sit between two blocks of another topology, so
+    every offset the gather applies is non-trivial.
+    """
+    other = _adjacency("star", 17)
+    blocks = [(other, np.arange(other.n, dtype=np.int64))]
+    for seed in (5, 9):
+        adj = _adjacency(name, 24, seed=seed)
+        for tx in _tx_sets(adj, seed=seed):
+            blocks.append((adj, tx[::-1].copy()))
+    blocks.append((other, np.array([0], dtype=np.int64)))
+
+    gathered = gather_edges(blocks)
+    assert gathered.size == sum(adj.n for adj, _ in blocks)
+    start = 0
+    for (adj, tx), (pos, lens), (off, n) in zip(
+        blocks, gathered.edges, gathered.spans
+    ):
+        assert n == adj.n
+        rows = [adj.row(i) for i in tx]
+        np.testing.assert_array_equal(lens, [row.size for row in rows])
+        want = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
+        np.testing.assert_array_equal(adj.indices[pos], want)
+        stop = start + int(lens.sum())
+        np.testing.assert_array_equal(gathered.cols[start:stop], want + off)
+        np.testing.assert_array_equal(
+            gathered.codes[start:stop], np.repeat(tx + 1, lens)
+        )
+        start = stop
+    assert start == gathered.cols.size
+
+    for pair, (adj, tx) in zip(counts_codes_blocks(blocks), blocks):
+        _assert_pair(pair, adj, tx)
+
+
+def test_empty_lanes_and_empty_calls():
+    topo = CompiledTopology(topology.scenario("grid", 16))
+    empty = np.zeros(0, dtype=np.int64)
+    lanes = [empty, np.array([5], dtype=np.int64), empty]
+    for pair, tx in zip(topo.counts_codes_many(lanes), lanes):
+        _assert_pair(pair, topo.adjacency, tx)
+    assert topo.counts_codes_many([]) == []
+    assert counts_codes_blocks([]) == []
+
+
+def test_isolated_vertices():
+    graph = nx.Graph()
+    graph.add_nodes_from(range(8))
+    graph.add_edges_from([(0, 1), (1, 2), (5, 6)])  # 3, 4 and 7 isolated
+    adj = _compile(graph)
+    for tx in ([3, 4, 7], [0, 3, 5], list(range(8))):
+        tx = np.asarray(tx, dtype=np.int64)
+        (pair,) = counts_codes_blocks([(adj, tx)])
+        _assert_pair(pair, adj, tx)
+        assert pair[0][[3, 4, 7]].tolist() == [0, 0, 0]
 
 
 def test_unique_sender_decode_invariant():
     """Where count == 1, code - 1 is the unique transmitting neighbor."""
-    adj = _adjacency("star", 17)
-    kernel = default_kernel()
-    state = kernel.prepare(adj)
+    topo = CompiledTopology(topology.scenario("star", 17))
     tx = np.array([1, 2], dtype=np.int64)  # two leaves transmit
-    counts, codes = kernel.counts_codes(state, tx)
-    hub = counts == 2
-    assert counts[0] == 2 and hub.sum() == 1  # only the hub hears both
+    counts, codes = topo.counts_codes(tx)
+    assert counts[0] == 2 and (counts == 2).sum() == 1  # only the hub
     unique = counts == 1
     assert not unique.any() or np.isin(codes[unique] - 1, tx).all()
 
 
-def test_numba_backend_falls_back_gracefully():
-    """numba is not installed here: the kernel must still be correct."""
-    kernel = get_kernel("numba")
-    assert not kernel.available()  # this environment has no numba
-    adj = _adjacency("barbell", 18)
-    state = kernel.prepare(adj)
-    ref = get_kernel("scipy")
-    ref_state = ref.prepare(adj)
-    for tx in _tx_sets(adj, seed=7):
-        np.testing.assert_array_equal(
-            kernel.counts_codes(state, tx)[1],
-            ref.counts_codes(ref_state, tx)[1],
-        )
+def test_patch_rows_resolves_on_the_new_adjacency():
+    graph = topology.scenario("path", 6)
+    topo = CompiledTopology(graph)
+    topo.patch_rows({0: np.array([1, 5], dtype=np.int64),
+                     5: np.array([0, 4], dtype=np.int64)})
+    graph.add_edge(0, 5)
+    tx = np.array([0, 2], dtype=np.int64)
+    _assert_pair(topo.counts_codes(tx), _compile(graph), tx)
+
+
+def test_default_kernel_names_the_gather():
+    assert default_kernel().name == "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +195,6 @@ def test_numba_backend_falls_back_gracefully():
 
 def test_csr_adjacency_matches_scipy_layout():
     scipy_sparse = pytest.importorskip("scipy.sparse")
-    import networkx as nx
 
     graph = topology.scenario("grid", 25)
     index = {v: i for i, v in enumerate(graph.nodes)}
@@ -156,42 +209,27 @@ def test_csr_adjacency_matches_scipy_layout():
     assert adj.nnz == 2 * graph.number_of_edges()
 
 
-def test_compiled_topology_accepts_kernel_designations():
-    graph = topology.scenario("cycle", 12)
-    by_name = CompiledTopology(graph, kernel="numpy")
-    assert by_name.kernel.name == "numpy"
-    by_default = CompiledTopology(graph)
-    assert by_default.kernel is default_kernel()
-    tx = np.array([0, 5], dtype=np.int64)
-    np.testing.assert_array_equal(
-        by_name.counts_codes(tx)[1], by_default.counts_codes(tx)[1]
-    )
-
-
 # ---------------------------------------------------------------------------
-# Block-diagonal mega packing
+# Mega-batch plans: mixed members in one call
 # ---------------------------------------------------------------------------
 
-def test_mega_plan_slices_equal_per_member_products():
+def test_mega_plan_mixed_members_match_loop():
     adjs = [_adjacency(name, n) for name, n in TOPOLOGIES]
     plan = MegaBatchPlan(adjs)
-    kernel = default_kernel()
-    states = [kernel.prepare(adj) for adj in adjs]
     requests = []
     for m, adj in enumerate(adjs):
         for tx in _tx_sets(adj, seed=m):
             requests.append((m, tx))
+    # Interleave members, repeat some, and keep the empty lanes.
+    requests = requests[::2] + requests[1::2] + requests[:3]
     resolved = plan.counts_codes_many(requests)
     assert len(resolved) == len(requests)
-    for (m, tx), (counts, codes) in zip(requests, resolved):
-        ref_counts, ref_codes = kernel.counts_codes(states[m], tx)
-        np.testing.assert_array_equal(counts, ref_counts)
-        np.testing.assert_array_equal(codes, ref_codes)
+    for (m, tx), pair in zip(requests, resolved):
+        _assert_pair(pair, adjs[m], tx)
 
 
 def test_mega_plan_order_independent():
-    adjs = [_adjacency("grid", 25), _adjacency("star", 17)]
-    plan = MegaBatchPlan(adjs)
+    plan = MegaBatchPlan([_adjacency("grid", 25), _adjacency("star", 17)])
     a = (0, np.array([0, 3], dtype=np.int64))
     b = (1, np.array([1], dtype=np.int64))
     ab = plan.counts_codes_many([a, b])
@@ -201,18 +239,84 @@ def test_mega_plan_order_independent():
         np.testing.assert_array_equal(xa, xb)
 
 
+def test_mega_plan_requires_members():
+    with pytest.raises(ConfigurationError, match="at least one member"):
+        MegaBatchPlan([])
+
+
 # ---------------------------------------------------------------------------
-# Engine registry + deprecation shim
+# SINR arbitration shares the gather
+# ---------------------------------------------------------------------------
+
+def test_sinr_counts_match_loop_across_fused_blocks():
+    blocks = []
+    for m, (name, n) in enumerate(TOPOLOGIES[:3]):
+        graph = topology.scenario(name, n)
+        adj = _compile(graph)
+        csr = SinrCsr.compile(SinrField(graph, SinrParams()), adj,
+                              list(graph.nodes))
+        for tx in _tx_sets(adj, seed=m):
+            blocks.append((csr, tx, np.zeros(tx.shape, dtype=np.int64)))
+    for (csr, tx, _), (counts, _, deliver) in zip(
+        blocks, sinr_arbitrate_many(blocks)
+    ):
+        want_counts, _ = loop_counts_codes(csr, tx)
+        np.testing.assert_array_equal(counts, want_counts)
+        assert not deliver[want_counts == 0].any()
+
+
+@pytest.mark.parametrize("preset", sorted(named_sinr_params()))
+def test_sinr_arbitration_matches_reference_listener(preset):
+    """Fused SINR arbitration == :func:`resolve_sinr` at every listener.
+
+    Random power levels on geometric and geometry-free topologies; the
+    reference resolves each listener from its transmitting neighbors'
+    ``gain * power`` signals in plain Python ints.
+    """
+    params = named_sinr_params()[preset]
+    rng = np.random.default_rng(7)
+    blocks, fields = [], []
+    for name, n in [("geometric", 24), ("poisson_cluster", 24), ("grid", 25)]:
+        graph = topology.scenario(name, n, seed=3)
+        vertices = list(graph.nodes)
+        adj = CSRAdjacency.from_graph(
+            graph, {v: i for i, v in enumerate(vertices)}
+        )
+        field = SinrField(graph, params)
+        csr = SinrCsr.compile(field, adj, vertices)
+        for tx in _tx_sets(adj, seed=n):
+            levels = rng.integers(0, params.levels, size=tx.size)
+            blocks.append((csr, tx, levels.astype(np.int64)))
+            fields.append((field, vertices))
+
+    outcomes = set()
+    for (csr, tx, levels), (field, vertices), (counts, winner, deliver) in zip(
+        blocks, fields, sinr_arbitrate_many(blocks)
+    ):
+        level_of = dict(zip(tx.tolist(), levels.tolist()))
+        for v in range(csr.n):
+            contributions = [
+                (u, field.gain(vertices[u], vertices[v])
+                 * params.power_levels[level_of[u]])
+                for u in csr.row(v).tolist() if u in level_of
+            ]
+            ref = resolve_sinr(contributions, params)
+            assert counts[v] == len(contributions)
+            assert bool(deliver[v]) == ref.received
+            if ref.received:
+                assert winner[v] - 1 == ref.message
+            outcomes.add(ref.feedback)
+    assert len(outcomes) == 3  # silence, delivery and noise all occur
+
+
+# ---------------------------------------------------------------------------
+# Engine registry
 # ---------------------------------------------------------------------------
 
 def test_engine_registry_surface():
     assert set(available_engines()) >= {"reference", "fast"}
     for name in available_engines():
         assert get_engine(name).name == name
-    with pytest.raises(ConfigurationError, match="unknown engine"):
-        get_engine("warp")
-    snapshot = engine_registry_snapshot()
-    snapshot["warp"] = object  # mutating the copy must not register
     with pytest.raises(ConfigurationError, match="unknown engine"):
         get_engine("warp")
 
@@ -253,22 +357,3 @@ def test_make_network_uses_registry():
     assert make_network(graph, engine="reference").name == "reference"
     with pytest.raises(ConfigurationError, match="unknown engine"):
         make_network(graph, engine="warp")
-
-
-def test_engines_dict_deprecated_shim():
-    import importlib
-    import warnings
-
-    engine_mod = importlib.import_module("repro.radio.engine")
-    engine_mod._ENGINES_WARNED = False
-    with pytest.warns(DeprecationWarning, match="ENGINES is deprecated"):
-        engines = engine_mod.ENGINES
-    assert engines["fast"] is get_engine("fast")
-    # The shim warns exactly once per process.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert engine_mod.ENGINES["reference"] is get_engine("reference")
-    # The package-level attribute delegates to the same shim.
-    import repro.radio as radio
-
-    assert radio.ENGINES.keys() == engines.keys()

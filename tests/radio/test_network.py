@@ -10,9 +10,12 @@ from repro.radio import (
     CollisionModel,
     Device,
     EventTrace,
+    FastRadioNetwork,
     Message,
     MessageSizePolicy,
     RadioNetwork,
+    ReplicaBatchedNetwork,
+    SinrParams,
     make_network,
 )
 from repro.errors import MessageTooLargeError
@@ -163,3 +166,39 @@ class TestPolicies:
     def test_max_degree(self):
         g = nx.star_graph(9)
         assert RadioNetwork(g).max_degree == 9
+
+
+# Every executor tier validates its channel settings through one shared
+# helper, so the coercion and both errors are identical across them.
+EXECUTORS = {
+    "reference": RadioNetwork,
+    "fast": FastRadioNetwork,
+    "replica-batch": lambda graph, **kw: ReplicaBatchedNetwork(graph, 2, **kw),
+}
+
+
+@pytest.mark.parametrize("make", list(EXECUTORS.values()), ids=list(EXECUTORS))
+class TestChannelArguments:
+    def test_model_name_coerced(self, make):
+        net = make(nx.path_graph(3), collision_model="receiver_cd")
+        assert net.collision_model is CollisionModel.RECEIVER_CD
+        sinr = make(nx.path_graph(3), collision_model="sinr")
+        assert sinr.collision_model is CollisionModel.SINR
+        assert sinr.sinr == SinrParams()
+
+    def test_unknown_model_rejected(self, make):
+        with pytest.raises(ConfigurationError) as info:
+            make(nx.path_graph(3), collision_model="full_duplex")
+        assert str(info.value) == (
+            "unknown collision model 'full_duplex'; known: "
+            + ", ".join(m.value for m in CollisionModel)
+        )
+
+    def test_sinr_params_with_binary_model_rejected(self, make):
+        with pytest.raises(ConfigurationError) as info:
+            make(nx.path_graph(3), collision_model=CollisionModel.NO_CD,
+                 sinr=SinrParams())
+        assert str(info.value) == (
+            "sinr params require collision_model=CollisionModel.SINR, "
+            "got 'no_cd'"
+        )
