@@ -44,7 +44,6 @@ leaves.  Within one slot, leaves apply before joins, then mobility.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -63,6 +62,7 @@ import networkx as nx
 
 from ..errors import ConfigurationError, SimulationError
 from ..rng import SeedLike, make_rng, spawn_streams
+from .topology import within_radius
 
 
 def _check_fraction(name: str, value: Any) -> float:
@@ -96,8 +96,10 @@ class DynamicSchedule:
     edges with them.  When ``rewire_period > 0``, every that many slots
     a ``rewire_fraction`` of the active members moves to a fresh
     uniform position and re-derives its links from the scenario's
-    geometry — only geometric scenarios (node ``pos`` attributes plus a
-    ``radius`` graph attribute) support mobility.
+    geometry, by the generator's own test
+    (:func:`repro.radio.topology.within_radius`) — only geometric
+    scenarios (node ``pos`` attributes plus a ``radius`` graph
+    attribute) support mobility.
 
     Frozen, hashable, picklable; ``to_dict``/``from_dict`` round-trip
     losslessly through JSON.  An all-zero schedule is null (see
@@ -495,10 +497,12 @@ class DynamicTopology:
                     v = movers_pool[int(i)]
                     x, y = self._motion_rng.random(2)
                     self._pos[v] = (float(x), float(y))
+                    vx, vy = self._pos[v]
                     new_nbrs = {
                         u for u in self._active
-                        if u != v and math.dist(self._pos[v],
-                                                self._pos[u]) <= self._radius
+                        if u != v and within_radius(
+                            self._pos[u][0] - vx, self._pos[u][1] - vy,
+                            self._radius)
                     }
                     touch(v)
                     for u in sorted(self._adj[v] | new_nbrs):

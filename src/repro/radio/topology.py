@@ -26,6 +26,7 @@ import math
 from typing import Callable, Dict, Optional, Tuple
 
 import networkx as nx
+import numpy as np
 
 from ..errors import ConfigurationError
 from ..rng import SeedLike, make_rng
@@ -95,6 +96,71 @@ def complete_minus_edge(n: int, edge: Optional[Tuple[int, int]] = None,
     return graph, edge
 
 
+#: Forward neighbor-cell offsets ``(dx, dy)``.  With cells of side at
+#: least ``radius``, a linked pair lies in one cell or in two cells
+#: one of these offsets (or its negation) apart, so scanning the
+#: same cell plus these four visits every unordered cell pair once.
+_FORWARD_CELLS = ((1, -1), (1, 0), (1, 1), (0, 1))
+
+
+def within_radius(dx, dy, radius):
+    """The unit-disc link test: ``dx*dx + dy*dy <= radius*radius``.
+
+    networkx's own geometric predicate, evaluated in exactly this order
+    so float ties at distance ``radius`` resolve the same way.  Works on
+    plain floats and elementwise on numpy arrays alike (both are IEEE
+    doubles), so the cell-bucket generator and mobility re-wiring in
+    :mod:`repro.radio.dynamic` link by one rule.
+    """
+    return dx * dx + dy * dy <= radius * radius
+
+
+def _geometric_pairs(xy: np.ndarray,
+                     radius: float) -> Tuple[np.ndarray, np.ndarray]:
+    """All row pairs ``u < v`` of ``xy`` that are :func:`within_radius`.
+
+    Points are bucketed into square cells of side just above ``radius``
+    (at most ``n + 1`` cells per axis, so cell keys cannot overflow);
+    only same-cell and :data:`_FORWARD_CELLS` candidates are tested.
+    The margin on the side keeps rounding in the cell coordinates from
+    splitting a linked pair two cells apart.  Returns ``(u, v)`` int64
+    arrays sorted by ``(u, v)``.
+    """
+    n = len(xy)
+    low = xy.min(axis=0)
+    span = float((xy.max(axis=0) - low).max())
+    side = max(radius * (1.0 + 1e-6), span / n)
+    cells = np.floor((xy - low) / side).astype(np.int64)
+    cx, cy = cells[:, 0], cells[:, 1]
+    rows = int(cy.max()) + 1
+    key = cx * rows + cy
+    order = np.argsort(key, kind="stable")
+    cx, cy, key = cx[order], cy[order], key[order]
+    cell_end = np.searchsorted(key, key, side="right")
+    # The same cell: each point against the points after it in its cell.
+    blocks = [(np.arange(1, n + 1), cell_end)]
+    for dx, dy in _FORWARD_CELLS:
+        ny = cy + dy
+        target = (cx + dx) * rows + ny
+        start = np.searchsorted(key, target, side="left")
+        stop = np.where((ny >= 0) & (ny < rows),
+                        np.searchsorted(key, target, side="right"), start)
+        blocks.append((start, stop))
+    found = []
+    for start, stop in blocks:
+        counts = stop - start
+        a = np.repeat(np.arange(n), counts)
+        b = (np.arange(len(a)) - np.repeat(np.cumsum(counts) - counts, counts)
+             + np.repeat(start, counts))
+        i, j = order[a], order[b]
+        delta = xy[i] - xy[j]
+        keep = within_radius(delta[:, 0], delta[:, 1], radius)
+        i, j = i[keep], j[keep]
+        found.append(np.minimum(i, j) * n + np.maximum(i, j))
+    pairs = np.sort(np.concatenate(found))
+    return pairs // n, pairs % n
+
+
 def random_geometric(n: int, radius: Optional[float] = None,
                      seed: SeedLike = None) -> nx.Graph:
     """Random geometric (unit-disc) graph on the unit square.
@@ -104,21 +170,39 @@ def random_geometric(n: int, radius: Optional[float] = None,
     Default radius is just above the connectivity threshold
     ``sqrt(2 ln n / (pi n))``; the giant component is returned (and is
     w.h.p. everything).
+
+    Edges come from a numpy cell-bucket search (cells of side at least
+    ``radius``, each point tested against its own and the forward
+    neighbor cells) under networkx's exact predicate
+    ``dx*dx + dy*dy <= radius*radius`` (:func:`within_radius`).  Pairs
+    are added in sorted ``(u, v)`` order, so the graph equals what
+    networkx's geometric generator makes of the same positions, vertex
+    for vertex and neighbor for neighbor.  A connected graph is returned
+    as built; only a disconnected one is cut to its giant component.
     """
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
-    rng = make_rng(seed)
     if radius is None:
         radius = 1.3 * math.sqrt(2.0 * math.log(max(2, n)) / (math.pi * n))
-    positions = {i: (float(x), float(y)) for i, (x, y) in
-                 enumerate(rng.random(size=(n, 2)))}
-    graph = nx.random_geometric_graph(n, radius, pos=positions)
-    giant = _giant_component(graph)
+    elif not (math.isfinite(radius) and radius > 0):
+        raise ConfigurationError(f"radius must be finite and positive, got {radius}")
+    rng = make_rng(seed)
+    xy = rng.random(size=(n, 2))
+    u, v = _geometric_pairs(xy, radius)
+    graph = nx.Graph()
+    graph.add_nodes_from((i, {"pos": tuple(p)}) for i, p in enumerate(xy.tolist()))
+    # Every edge names its endpoints by the vertex's own int object, as
+    # networkx's generator does; a fresh int per endpoint (``u.tolist()``)
+    # costs memory and slows every later adjacency scan.
+    labels = np.array(list(graph), dtype=object)
+    graph.add_edges_from(zip(labels[u].tolist(), labels[v].tolist()))
+    if not nx.is_connected(graph):
+        graph = _giant_component(graph)
     # The connectivity radius rides along as a graph attribute (node
     # positions already do, as ``pos``): mobility re-wiring in
     # repro.radio.dynamic recomputes links from exactly this geometry.
-    giant.graph["radius"] = float(radius)
-    return giant
+    graph.graph["radius"] = float(radius)
+    return graph
 
 
 def dense_geometric(n: int, seed: SeedLike = None,
@@ -127,7 +211,9 @@ def dense_geometric(n: int, seed: SeedLike = None,
 
     Radius ``multiplier * sqrt(2 ln n / (pi n))`` — a dense sensor
     field where per-listener neighbor scans dominate slot cost; the
-    engine-tier benchmarks run on this family.
+    engine-tier benchmarks run on this family.  Built by
+    :func:`random_geometric`'s cell-bucket search, linking pairs with
+    ``dx*dx + dy*dy <= radius*radius``.
     """
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")

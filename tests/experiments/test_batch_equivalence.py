@@ -346,8 +346,15 @@ def test_cli_retired_backend_is_a_one_line_error(tmp_path):
     assert proc.stdout == ""
 
 
-def test_importing_experiments_leaves_scipy_unloaded(tmp_path):
-    code = "import sys, repro.experiments; print('scipy' in sys.modules)"
+@pytest.mark.parametrize("work", [
+    "",
+    # networkx's own geometric builder imports scipy.spatial when it can.
+    "from repro.radio.topology import scenario; "
+    "scenario('dense_geometric', 500, seed=0); "
+    "scenario('geometric', 500, seed=0); ",
+], ids=["import", "geometric_build"])
+def test_importing_experiments_leaves_scipy_unloaded(tmp_path, work):
+    code = f"import sys, repro.experiments; {work}print('scipy' in sys.modules)"
     proc = _python(["-c", code], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

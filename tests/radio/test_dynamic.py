@@ -272,6 +272,27 @@ class TestDynamicTopology:
             p is not None and (p.added or p.removed) for p in patches_a
         ), "mobility produced no rewiring in 20 slots"
 
+    def test_mobility_links_by_the_generator_predicate(self):
+        graph = topology.scenario("geometric", 60, seed=2)
+        radius = graph.graph["radius"]
+        dyn = DynamicTopology(
+            DynamicSchedule(rewire_period=2, rewire_fraction=0.3), graph,
+            seed=4)
+        movers = set()
+        for slot in range(12):
+            before = dict(dyn._pos)
+            dyn.advance(slot)
+            pos = dyn._pos
+            moved = {v for v in pos if pos[v] != before[v]}
+            movers |= moved
+            adjacency = dyn.expected_adjacency()
+            for v in moved:
+                assert adjacency[v] == {
+                    u for u in pos if u != v and topology.within_radius(
+                        pos[u][0] - pos[v][0], pos[u][1] - pos[v][1], radius)
+                }, (slot, v)
+        assert movers, "mobility moved no vertex in 12 slots"
+
     def test_non_contiguous_labels_rejected(self):
         graph = nx.Graph()
         graph.add_edge("a", "b")

@@ -1,10 +1,14 @@
 """Tests for topology generators."""
 
+import math
+
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.radio import topology
+from repro.rng import make_rng
 
 
 class TestBasicFamilies:
@@ -85,6 +89,97 @@ class TestRandomFamilies:
     def test_erdos_renyi_connected(self):
         g = topology.erdos_renyi(100, seed=2)
         assert nx.is_connected(g)
+
+
+def _oracle_geometric(n, radius, seed):
+    """``random_geometric`` as networkx builds it: ``random_geometric_graph``
+    on the same positions, then the giant component's subgraph -> copy ->
+    relabel, unconditionally."""
+    rng = make_rng(seed)
+    positions = {i: (float(x), float(y))
+                 for i, (x, y) in enumerate(rng.random(size=(n, 2)))}
+    graph = nx.random_geometric_graph(n, radius, pos=positions)
+    largest = max(nx.connected_components(graph), key=len)
+    giant = graph.subgraph(largest).copy()
+    giant = nx.relabel_nodes(
+        giant, {v: i for i, v in enumerate(giant.nodes)}, copy=True)
+    giant.graph["radius"] = float(radius)
+    return giant
+
+
+def _assert_identical(got, want):
+    assert list(got.nodes(data=True)) == list(want.nodes(data=True))
+    for v in want:  # neighbor order and edge data, per vertex
+        assert list(got.adj[v].items()) == list(want.adj[v].items()), v
+    assert got.graph == want.graph
+
+
+def _threshold_radius(n, multiplier):
+    return multiplier * math.sqrt(2.0 * math.log(max(2, n)) / (math.pi * n))
+
+
+class TestGeometricBuilder:
+    """The cell-bucket generator against networkx, vertex for vertex."""
+
+    # Multipliers 0.3 and 0.6 leave many components, with ties between
+    # equal-size ones; 1.3 is the ``geometric`` default, 4.0 the
+    # ``dense_geometric`` one.
+    @pytest.mark.parametrize("multiplier", [0.3, 0.6, 1.3, 4.0])
+    @pytest.mark.parametrize("n", [1, 2, 40, 300, 2000])
+    def test_matches_networkx(self, n, multiplier):
+        # The networkx oracle takes 0.5-3 s a seed on the connected
+        # n=2000 fields (20k-200k edges), so those two cells run two
+        # seeds; every other cell runs eight.
+        seeds = range(2) if n == 2000 and multiplier > 1 else range(8)
+        radius = _threshold_radius(n, multiplier)
+        for seed in seeds:
+            _assert_identical(topology.random_geometric(n, radius, seed),
+                              _oracle_geometric(n, radius, seed))
+
+    @pytest.mark.parametrize("radius", [math.sqrt(2.0), 3.0, 1e-9])
+    @pytest.mark.parametrize("n", [2, 40])
+    def test_extreme_radii_match_networkx(self, n, radius):
+        # Radius >= sqrt(2) links every pair of the unit square; 1e-9
+        # leaves n singletons, a tie the giant-component cut breaks
+        # towards the lowest vertex.
+        for seed in range(8):
+            _assert_identical(topology.random_geometric(n, radius, seed),
+                              _oracle_geometric(n, radius, seed))
+
+    @pytest.mark.parametrize("points, radius", [
+        # A lattice of pitch ``radius``: axis neighbors lie at distance
+        # exactly ``radius``, on the boundaries of radius-side cells.
+        ([(0.25 * i, 0.25 * j) for i in range(5) for j in range(5)], 0.25),
+        # A 3-4-5 lattice: diagonal neighbors, up-right and down-right,
+        # lie at distance exactly ``radius`` = 5/16.
+        ([(3 / 16 * i, 4 / 16 * j) for i in range(6) for j in range(5)],
+         5 / 16),
+        # Coincident points, and points one radius apart on both axes.
+        ([(0.5, 0.5), (0.5, 0.5), (0.0, 0.5), (1.0, 0.5), (0.5, 0.0),
+          (0.5, 1.0)], 0.5),
+    ])
+    def test_hand_placed_pairs_match_networkx(self, points, radius):
+        order = make_rng(0).permutation(len(points))
+        xy = np.array([points[i] for i in order])
+        want = nx.random_geometric_graph(
+            len(xy), radius, pos=dict(enumerate(map(tuple, xy.tolist()))))
+        u, v = topology._geometric_pairs(xy, radius)
+        assert list(zip(u.tolist(), v.tolist())) == sorted(
+            (min(e), max(e)) for e in want.edges)
+
+    @pytest.mark.parametrize("radius", [-0.5, 0.0, -0.0, math.nan, math.inf,
+                                        -math.inf])
+    def test_bad_radius_rejected(self, radius):
+        with pytest.raises(ConfigurationError, match="radius") as info:
+            topology.random_geometric(50, radius=radius, seed=1)
+        assert "\n" not in str(info.value)
+
+    def test_bad_multiplier_rejected(self):
+        for multiplier in (0.0, -1.0):
+            with pytest.raises(ConfigurationError, match="multiplier"):
+                topology.dense_geometric(50, seed=1, multiplier=multiplier)
+        with pytest.raises(ConfigurationError, match="radius"):
+            topology.dense_geometric(50, seed=1, multiplier=math.nan)
 
 
 class TestStructuredFamilies:
