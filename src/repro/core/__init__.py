@@ -5,7 +5,7 @@ from .intervals import ClusterEstimates, EstimateEvent
 from .labeling import BFSLabeling
 from .parameters import BFSParameters
 from .recursive_bfs import RecursiveBFS, RunStats
-from .simple_bfs import decay_bfs, decay_bfs_batch, decay_bfs_mega, trivial_bfs
+from .simple_bfs import decay_bfs, decay_bfs_mega, trivial_bfs
 from .verification import VerificationReport, verify_labeling
 from .z_sequence import ZSequence, ruler_value, z_cap
 
@@ -21,7 +21,6 @@ __all__ = [
     "ZSequence",
     "compute_with_doubling",
     "decay_bfs",
-    "decay_bfs_batch",
     "decay_bfs_mega",
     "ruler_value",
     "trivial_bfs",

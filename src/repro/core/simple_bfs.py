@@ -26,7 +26,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Set,
     Tuple,
     Union,
@@ -37,7 +36,6 @@ import networkx as nx
 from ..errors import ConfigurationError
 from ..primitives.decay import (
     run_decay_local_broadcast,
-    run_decay_local_broadcast_batch,
     run_decay_local_broadcast_mega,
 )
 from ..primitives.lb_graph import LBGraph
@@ -46,7 +44,7 @@ from ..radio.message import message_of_ints
 from ..rng import SeedLike, make_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..radio.batch_engine import MegaBatchedNetwork, ReplicaBatchedNetwork
+    from ..radio.batch_engine import MegaBatchedNetwork
 
 
 def trivial_bfs(
@@ -176,77 +174,6 @@ def decay_bfs(
     return dist
 
 
-def decay_bfs_batch(
-    network: "ReplicaBatchedNetwork",
-    sources: Union[Hashable, Iterable[Hashable]],
-    depth_budget: int,
-    failure_probability: float = 1e-3,
-    seeds: Optional[Sequence[SeedLike]] = None,
-    tx_power: int = 0,
-) -> List[Dict[Hashable, float]]:
-    """:func:`decay_bfs` for every replica lane of a batched network.
-
-    Runs one independent Decay-BFS per lane of ``network`` (a
-    :class:`~repro.radio.batch_engine.ReplicaBatchedNetwork`), all lanes
-    advancing through their Decay phases in lockstep so each phase costs
-    one fused sparse product per slot instead of one per replica.
-    ``seeds[r]`` is lane ``r``'s protocol stream (the stream a serial
-    :func:`decay_bfs` call for that replica would receive).
-
-    Per lane, the wavefront, the per-phase device populations, the
-    randomness consumed, the executed slot count, and the returned
-    distance labels are **bit-identical** to a serial :func:`decay_bfs`
-    run of that lane alone; lanes whose wavefront exhausts early simply
-    stop executing phases (their slot clocks freeze, exactly as the
-    serial run's would).  Returns one label map per lane, in lane order.
-    """
-    replicas = network.replicas
-    if seeds is None:
-        seeds = [None] * replicas
-    elif len(seeds) != replicas:
-        raise ConfigurationError(
-            f"need one seed per replica lane: got {len(seeds)} "
-            f"for {replicas} lanes"
-        )
-    source_set = _coerce_sources(network.graph, sources)
-    rngs = [make_rng(s) for s in seeds]
-    dist: List[Dict[Hashable, float]] = [
-        {s: 0.0 for s in source_set} for _ in range(replicas)
-    ]
-    active = list(range(replicas))
-    vertices = list(network.graph.nodes)
-    for d in range(depth_budget):
-        rounds = {}
-        for r in active:
-            frontier = {u for u, du in dist[r].items() if du == d}
-            if not frontier:
-                continue
-            receivers = [v for v in vertices if v not in dist[r]]
-            if not receivers:
-                continue
-            messages = {u: message_of_ints(u, d, kind="bfs") for u in frontier}
-            rounds[r] = (messages, receivers)
-        if not rounds:
-            break
-        active = sorted(rounds)
-        heard_by_lane = run_decay_local_broadcast_batch(
-            network,
-            rounds,
-            failure_probability=failure_probability,
-            seeds={r: rngs[r] for r in active},
-            tx_power=tx_power,
-        )
-        for r, heard in heard_by_lane.items():
-            for v, msg in heard.items():
-                hop = msg.payload[0]
-                dist[r][v] = float(hop) + 1.0
-
-    for labels in dist:
-        for v in vertices:
-            labels.setdefault(v, math.inf)
-    return dist
-
-
 def decay_bfs_mega(
     network: "MegaBatchedNetwork",
     sources: Mapping[int, Union[Hashable, Iterable[Hashable]]],
@@ -255,11 +182,12 @@ def decay_bfs_mega(
     seeds: Optional[Mapping[Tuple[int, int], SeedLike]] = None,
     tx_power: Union[int, Mapping[int, int]] = 0,
 ) -> Dict[Tuple[int, int], Dict[Hashable, float]]:
-    """:func:`decay_bfs` for every lane of a heterogeneous mega batch.
+    """:func:`decay_bfs` for every lane of a mega batch.
 
-    The cross-topology sibling of :func:`decay_bfs_batch`: ``network``
-    is a :class:`~repro.radio.batch_engine.MegaBatchedNetwork` whose
-    members carry *different* topologies; ``sources``,
+    ``network`` is a
+    :class:`~repro.radio.batch_engine.MegaBatchedNetwork` whose members
+    may carry different topologies (a replica batch of one cell is a
+    single member); ``sources``,
     ``depth_budgets``, and (optionally) ``failure_probabilities`` are
     keyed by member index, while ``seeds`` maps each
     ``(member, replica)`` lane to its protocol stream.  Every Decay
@@ -281,6 +209,8 @@ def decay_bfs_mega(
     for m, member in enumerate(network.members):
         if m not in depth_budgets:
             raise ConfigurationError(f"no depth budget for member {m}")
+        if m not in sources:
+            raise ConfigurationError(f"no sources for member {m}")
         source_sets[m] = _coerce_sources(member.graph, sources[m])
         vertices[m] = list(member.graph.nodes)
     keys = [

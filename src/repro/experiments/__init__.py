@@ -20,8 +20,8 @@ The one harness driving every scenario cell in the repo::
 Seed sweeps over batch-capable cells (``decay_bfs`` on a
 seed-deterministic topology with the ``"fast"`` engine) are fused into
 **replica-batched** engine runs automatically — R seeds advance in
-lockstep over one compiled topology, one sparse product per slot —
-without changing a single result byte (``batch_replicas=1`` opts out;
+lockstep over one compiled topology, one fused gather per slot, on the
+same executor as mega batching — without changing a single result byte (``batch_replicas=1`` opts out;
 see EXPERIMENTS.md and ARCHITECTURE.md).
 
 Sweeps too big for one host shard across a fleet with no coordinator:
@@ -47,19 +47,14 @@ from .fabric import (
 )
 from .registry import (
     AlgorithmAdapter,
-    BatchAlgorithmAdapter,
-    BatchRunContext,
     MegaAlgorithmAdapter,
     MegaRunContext,
     RunContext,
     algorithm_names,
-    batched_algorithm_names,
     get_algorithm,
-    get_batched_algorithm,
     get_mega_algorithm,
     mega_algorithm_names,
     register_algorithm,
-    register_batched_algorithm,
     register_mega_algorithm,
 )
 from .results import (
@@ -88,7 +83,6 @@ from .runner import (
     run_specs,
     run_sweep,
     spec_is_batchable,
-    spec_is_mega_batchable,
     validate_document,
     validate_file,
 )
@@ -97,8 +91,6 @@ from .store import STORE_VERSION, SweepStore
 
 __all__ = [
     "AlgorithmAdapter",
-    "BatchAlgorithmAdapter",
-    "BatchRunContext",
     "DEFAULT_BATCH_REPLICAS",
     "DEFAULT_CHUNK_SIZE",
     "DEFAULT_MEGA_BATCH",
@@ -120,13 +112,11 @@ __all__ = [
     "SweepResult",
     "SweepStore",
     "algorithm_names",
-    "batched_algorithm_names",
     "decode_labels",
     "encode_labels",
     "execution_backends",
     "expand_grid",
     "get_algorithm",
-    "get_batched_algorithm",
     "get_mega_algorithm",
     "iter_grid",
     "mega_algorithm_names",
@@ -134,7 +124,6 @@ __all__ = [
     "owned_specs",
     "partition_specs",
     "register_algorithm",
-    "register_batched_algorithm",
     "register_mega_algorithm",
     "run_experiment",
     "run_experiment_batch",
@@ -144,7 +133,6 @@ __all__ = [
     "run_sweep",
     "spec_hash",
     "spec_is_batchable",
-    "spec_is_mega_batchable",
     "validate_document",
     "validate_file",
     "validate_result_dict",

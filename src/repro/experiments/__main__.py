@@ -42,11 +42,7 @@ from ..radio.invariants import invariant_names
 from ..radio.sinr import coerce_sinr_params, named_sinr_params
 from ..radio.topology import scenario_is_deterministic, scenario_names
 from .fabric import HashRing, member_name, owned_specs
-from .registry import (
-    algorithm_names,
-    batched_algorithm_names,
-    mega_algorithm_names,
-)
+from .registry import algorithm_names, mega_algorithm_names
 from .results import spec_hash
 from .runner import (
     DEFAULT_BATCH_REPLICAS,
@@ -464,27 +460,23 @@ def _cmd_list() -> int:
 
     Topologies are annotated with ``*`` when seed-deterministic (the
     precondition for replica batching), algorithms with ``*`` when a
-    replica-batched adapter exists and ``**`` when a heterogeneous
-    mega-batched adapter exists too; fault presets
+    lane-fused (mega) adapter exists; fault presets
     are expanded to their layer stacks so ``--fault-model`` values are
     discoverable without reading source.
     """
     def starred(name: str, mark: bool) -> str:
         return f"{name}*" if mark else name
 
-    batched = set(batched_algorithm_names())
-    mega = set(mega_algorithm_names())
+    fused = set(mega_algorithm_names())
     print("topologies:      ", ", ".join(
         starred(name, scenario_is_deterministic(name))
         for name in scenario_names()
     ))
     print("                  (* = seed-deterministic: batch-eligible)")
     print("algorithms:      ", ", ".join(
-        starred(starred(name, name in batched), name in mega)
-        for name in algorithm_names()
+        starred(name, name in fused) for name in algorithm_names()
     ))
-    print("                  (* = has a replica-batched adapter; "
-          "** = mega-batched too)")
+    print("                  (* = has a lane-fused adapter)")
     print("engines:         ", ", ".join(available_engines()))
     print("backends:         megabatch")
     print("collision models:", ", ".join(COLLISION_MODELS))

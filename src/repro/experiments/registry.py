@@ -32,7 +32,7 @@ import numpy as np
 from ..clustering.distributed import charged_mpx
 from ..core.parameters import BFSParameters
 from ..core.recursive_bfs import RecursiveBFS
-from ..core.simple_bfs import decay_bfs, decay_bfs_batch, decay_bfs_mega, trivial_bfs
+from ..core.simple_bfs import decay_bfs, decay_bfs_mega, trivial_bfs
 from ..diameter.exact import exact_diameter
 from ..diameter.three_halves import three_halves_diameter
 from ..diameter.two_approx import two_approx_diameter
@@ -55,22 +55,15 @@ from .spec import ExperimentSpec
 #: Adapter protocol: consume a run context, return the output payload.
 AlgorithmAdapter = Callable[["RunContext"], Mapping[str, Any]]
 
-#: Batched adapter protocol: consume a batch context (R replicas of one
-#: cell, differing only in seed), return one output payload per replica
-#: — each byte-identical to what the serial adapter would produce for
-#: that replica's spec alone.
-BatchAlgorithmAdapter = Callable[["BatchRunContext"], Sequence[Mapping[str, Any]]]
-
-#: Mega-batched adapter protocol: consume a mega context (several
-#: *different* cells, each with its own replica set), return one list of
-#: payloads per member cell, in member order — every payload
-#: byte-identical to its replica's serial run.
+#: Mega-batched adapter protocol: consume a mega context (one or more
+#: cells, each with its own replica set), return one list of payloads
+#: per member cell, in member order — every payload byte-identical to
+#: its replica's serial run.
 MegaAlgorithmAdapter = Callable[
     ["MegaRunContext"], Sequence[Sequence[Mapping[str, Any]]]
 ]
 
 _ALGORITHMS: Dict[str, AlgorithmAdapter] = {}
-_BATCHED_ALGORITHMS: Dict[str, BatchAlgorithmAdapter] = {}
 _MEGA_ALGORITHMS: Dict[str, MegaAlgorithmAdapter] = {}
 
 
@@ -111,17 +104,19 @@ def get_algorithm(name: str) -> AlgorithmAdapter:
         ) from None
 
 
-def register_batched_algorithm(
+def register_mega_algorithm(
     name: str, overwrite: bool = False
-) -> Callable[[BatchAlgorithmAdapter], BatchAlgorithmAdapter]:
-    """Decorator registering a *replica-batched* adapter for ``name``.
+) -> Callable[[MegaAlgorithmAdapter], MegaAlgorithmAdapter]:
+    """Decorator registering a *mega-batched* adapter for ``name``.
 
-    A batched adapter executes ``R`` replicas of one cell — specs
-    identical up to seed — in a single engine run (see
-    :class:`BatchRunContext`), returning one output payload per
-    replica.  Its contract is strict bit-identity: replica ``r``'s
-    payload, energy ledger, and fault counters must equal what the
-    serial adapter produces for ``specs[r]`` alone (enforced by
+    A mega adapter executes one or more cells — each a replica group of
+    one (topology, params, channel) signature — in a single fused
+    engine run (see :class:`MegaRunContext`), returning one payload
+    list per member cell.  A replica batch of one cell is a one-member
+    mega batch, so this is the only lane-fused adapter an algorithm
+    needs.  Its contract is strict bit-identity: every replica's
+    payload, ledger, and fault counters must equal what the serial
+    adapter produces for that replica's spec alone (enforced by
     ``tests/experiments/test_batch_equivalence.py``).  The serial
     adapter must already be registered under the same name — batching
     is an execution strategy, never the only implementation.
@@ -129,60 +124,10 @@ def register_batched_algorithm(
     if not name:
         raise ConfigurationError("algorithm name must be non-empty")
 
-    def decorator(adapter: BatchAlgorithmAdapter) -> BatchAlgorithmAdapter:
+    def decorator(adapter: MegaAlgorithmAdapter) -> MegaAlgorithmAdapter:
         if name not in _ALGORITHMS:
             raise ConfigurationError(
-                f"cannot register batched adapter for {name!r}: no serial "
-                f"adapter under that name (register it first)"
-            )
-        if not overwrite and name in _BATCHED_ALGORITHMS:
-            raise ConfigurationError(
-                f"batched algorithm {name!r} is already registered"
-            )
-        _BATCHED_ALGORITHMS[name] = adapter
-        return adapter
-
-    return decorator
-
-
-def batched_algorithm_names() -> Tuple[str, ...]:
-    """Algorithms with a replica-batched adapter, sorted."""
-    return tuple(sorted(_BATCHED_ALGORITHMS))
-
-
-def get_batched_algorithm(name: str) -> BatchAlgorithmAdapter:
-    """Look up a batched adapter, failing loudly for unknown names."""
-    try:
-        return _BATCHED_ALGORITHMS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"no batched adapter for algorithm {name!r}; available: "
-            f"{', '.join(batched_algorithm_names())}"
-        ) from None
-
-
-def register_mega_algorithm(
-    name: str, overwrite: bool = False
-) -> Callable[[MegaAlgorithmAdapter], MegaAlgorithmAdapter]:
-    """Decorator registering a *mega-batched* adapter for ``name``.
-
-    A mega adapter executes several different cells — each a replica
-    group of one (topology, params, channel) signature — in a single
-    fused engine run (see :class:`MegaRunContext`), returning
-    one payload list per member cell.  The contract is the batched
-    adapters' strict bit-identity, extended across members: every
-    replica's payload, ledger, and fault counters must equal its serial
-    run's.  The replica-batched adapter must already be registered
-    under the same name — mega batching generalizes it, never replaces
-    it.
-    """
-    if not name:
-        raise ConfigurationError("algorithm name must be non-empty")
-
-    def decorator(adapter: MegaAlgorithmAdapter) -> MegaAlgorithmAdapter:
-        if name not in _BATCHED_ALGORITHMS:
-            raise ConfigurationError(
-                f"cannot register mega adapter for {name!r}: no batched "
+                f"cannot register mega adapter for {name!r}: no serial "
                 f"adapter under that name (register it first)"
             )
         if not overwrite and name in _MEGA_ALGORITHMS:
@@ -196,7 +141,7 @@ def register_mega_algorithm(
 
 
 def mega_algorithm_names() -> Tuple[str, ...]:
-    """Algorithms with a mega-batched adapter, sorted."""
+    """Algorithms with a mega-batched (lane-fused) adapter, sorted."""
     return tuple(sorted(_MEGA_ALGORITHMS))
 
 
@@ -326,15 +271,15 @@ class RunContext:
         if not isinstance(self._network, Engine):
             raise ConfigurationError(
                 "this run's slot-level view is an adopted accounting view "
-                "(replica batching); batched adapters drive the "
-                "ReplicaBatchedNetwork directly, not ctx.network()"
+                "(lane batching); mega adapters drive the "
+                "MegaBatchedNetwork directly, not ctx.network()"
             )
         return self._network
 
     def adopt_slot_view(self, view: SlotExecutorView) -> None:
         """Register an externally driven slot executor for accounting.
 
-        Used by :meth:`BatchRunContext.batched_network` to wire each
+        Used by :meth:`MegaRunContext.mega_network` to wire each
         replica's lane in as that context's slot-level view, so
         :meth:`fault_totals` (and anything else that only *reads*)
         works unchanged.  A context has exactly one slot executor:
@@ -398,78 +343,16 @@ class RunContext:
 
 
 @dataclass
-class BatchRunContext:
-    """Everything a batched adapter needs: R sibling run contexts.
-
-    ``contexts[r]`` is the ordinary :class:`RunContext` of replica ``r``
-    — same shared topology (the runner only batches seed-deterministic
-    families), its own ledger, and its own derived random streams, so
-    each replica's randomness is exactly what its serial run would
-    draw.  :meth:`batched_network` builds the one
-    :class:`~repro.radio.batch_engine.ReplicaBatchedNetwork` all
-    replicas advance on, wiring each replica's lane back into its
-    context so the runner's uniform result assembly (fault totals, slot
-    clocks) reads through unchanged.
-    """
-
-    contexts: List[RunContext]
-    _batch_net: Optional[ReplicaBatchedNetwork] = field(default=None, init=False)
-
-    def __post_init__(self) -> None:
-        if not self.contexts:
-            raise ConfigurationError("BatchRunContext requires at least one replica")
-
-    @property
-    def graph(self) -> nx.Graph:
-        """The topology shared by every replica."""
-        return self.contexts[0].graph
-
-    @property
-    def params(self) -> Dict[str, Any]:
-        """The algorithm parameters (identical across replicas)."""
-        return self.contexts[0].params
-
-    @property
-    def replicas(self) -> int:
-        """Number of replica lanes in this batch."""
-        return len(self.contexts)
-
-    def batched_network(self) -> ReplicaBatchedNetwork:
-        """The replica-batched slot network (built once).
-
-        One lane per replica, each wired to its context's ledger and
-        dedicated fault stream; construction time is recorded as setup
-        on every context (mirroring :meth:`RunContext.network`, where
-        engine compilation is one-off setup, not algorithm work).
-        """
-        if self._batch_net is None:
-            start = time.perf_counter()
-            spec = self.contexts[0].spec
-            self._batch_net = ReplicaBatchedNetwork(
-                self.graph,
-                replicas=len(self.contexts),
-                collision_model=spec.collision(),
-                size_policy=spec.size_policy(),
-                ledgers=[ctx.ledger for ctx in self.contexts],
-                faults=spec.fault_model,
-                fault_seeds=[ctx._slot_faults for ctx in self.contexts],
-                sinr=spec.sinr,
-            )
-            setup = time.perf_counter() - start
-            for ctx, lane in zip(self.contexts, self._batch_net.lanes):
-                ctx.adopt_slot_view(lane)
-                ctx.setup_time_s += setup
-        return self._batch_net
-
-
-@dataclass
 class MegaRunContext:
     """Everything a mega adapter needs: several cells' replica contexts.
 
     ``members[m]`` is the list of :class:`RunContext` objects for member
-    cell ``m``'s replicas — each member a replica group exactly as
-    :class:`BatchRunContext` would hold, but the members carry
-    *different* (topology, params, channel) signatures.
+    cell ``m``'s replicas: the same shared topology (the runner only
+    batches seed-deterministic families), each replica with its own
+    ledger and its own derived random streams, so each replica's
+    randomness is exactly what its serial run would draw.  Different
+    members carry different (topology, params, channel) signatures; a
+    replica batch of one cell is a single member.
     :meth:`mega_network` builds one
     :class:`~repro.radio.batch_engine.ReplicaBatchedNetwork` per member
     plus the :class:`~repro.radio.batch_engine.MegaBatchedNetwork`
@@ -591,36 +474,9 @@ def _run_decay_bfs(ctx: RunContext) -> Dict[str, Any]:
     return out
 
 
-@register_batched_algorithm("decay_bfs")
-def _run_decay_bfs_batch(bctx: BatchRunContext) -> List[Dict[str, Any]]:
-    """Replica-batched ``decay_bfs``: R seeds, one sparse product/slot.
-
-    Each replica's wavefront, Decay randomness, fault draws, energy
-    charges, and slot clock replay its serial run exactly; only the
-    execution is fused (see
-    :func:`repro.core.simple_bfs.decay_bfs_batch`).
-    """
-    net = bctx.batched_network()
-    first = bctx.contexts[0]
-    labels_by_lane = decay_bfs_batch(
-        net,
-        first.sources(),
-        first.depth_budget(),
-        failure_probability=float(bctx.params.get("failure_probability", 1e-3)),
-        seeds=[ctx.rng for ctx in bctx.contexts],
-        tx_power=int(bctx.params.get("tx_power", 0)),
-    )
-    outputs: List[Dict[str, Any]] = []
-    for ctx, labels, lane in zip(bctx.contexts, labels_by_lane, net.lanes):
-        out = _labels_output(ctx, labels)
-        out["slots"] = lane.slot
-        outputs.append(out)
-    return outputs
-
-
 @register_mega_algorithm("decay_bfs")
 def _run_decay_bfs_mega(mctx: MegaRunContext) -> List[List[Dict[str, Any]]]:
-    """Mega-batched ``decay_bfs``: heterogeneous cells, one gather/slot.
+    """Lane-fused ``decay_bfs``: one or more cells, one gather per slot.
 
     Every member cell keeps its own sources, depth budget, failure
     probability, and Decay parameters (derived from its own topology's

@@ -40,12 +40,9 @@ from ..radio.sinr import SinrParams, coerce_sinr_params
 from ..radio.topology import scenario_is_deterministic
 from ..rng import make_rng
 from .registry import (
-    BatchRunContext,
     MegaRunContext,
     RunContext,
-    batched_algorithm_names,
     get_algorithm,
-    get_batched_algorithm,
     get_mega_algorithm,
     mega_algorithm_names,
 )
@@ -103,7 +100,7 @@ def _assemble_result(
 ) -> RunResult:
     """The uniform spec+ledger -> :class:`RunResult` assembly step.
 
-    Shared by :func:`run_experiment` and :func:`run_experiment_batch`
+    Shared by :func:`run_experiment` and :func:`run_experiment_mega`
     so the two execution paths can never drift in which metrics they
     report or how.  When the run carried an
     :class:`~repro.radio.invariants.InvariantMonitor` (the policy's
@@ -143,12 +140,12 @@ def _group_signature(spec: ExperimentSpec) -> str:
 
 
 def spec_is_batchable(spec: ExperimentSpec) -> bool:
-    """Whether sibling seeds of this cell may share a batched engine run.
+    """Whether this cell may share a lane-batched engine run.
 
     Four conditions, each load-bearing:
 
-    - the algorithm has a registered replica-batched adapter
-      (:func:`~repro.experiments.registry.batched_algorithm_names`);
+    - the algorithm has a registered mega (lane-fused) adapter
+      (:func:`~repro.experiments.registry.mega_algorithm_names`);
     - the topology family is seed-deterministic
       (:func:`~repro.radio.topology.scenario_is_deterministic`), so all
       seeds of the cell genuinely share one graph — stochastic families
@@ -164,94 +161,44 @@ def spec_is_batchable(spec: ExperimentSpec) -> bool:
     return (
         spec.engine == "fast"
         and spec.dynamic is None
-        and spec.algorithm in batched_algorithm_names()
+        and spec.algorithm in mega_algorithm_names()
         and scenario_is_deterministic(spec.topology)
     )
 
 
 def run_experiment_batch(specs: Sequence[ExperimentSpec]) -> List[RunResult]:
-    """Execute R replicas of one cell in a single batched engine run.
+    """Execute R replicas of one cell: a one-member
+    :func:`run_experiment_mega` (sweeps call that directly)."""
+    spec_list = list(specs)
+    cells = len({_group_signature(s) for s in spec_list})
+    if cells > 1:
+        raise ConfigurationError(
+            f"run_experiment_batch needs replicas of one cell (specs "
+            f"identical up to seed); got {cells} distinct cells"
+        )
+    return run_experiment_mega(spec_list)
 
-    ``specs`` must be replicas of one cell — identical up to seed, on a
-    seed-deterministic topology, with a batched adapter registered for
-    the algorithm (see :func:`spec_is_batchable`).  Returns one
-    :class:`RunResult` per spec, in order, each **byte-identical**
-    (timing aside) to what :func:`run_experiment` would produce for
-    that spec alone — the whole point: batching changes wall-clock
-    cost, never results, so stores, hashes, and resume semantics are
-    untouched.
+
+def run_experiment_mega(specs: Sequence[ExperimentSpec]) -> List[RunResult]:
+    """Execute one or more cells in one fused engine run.
+
+    ``specs`` is a concatenation of replica groups — adjacent specs
+    equal up to seed form one member cell; consecutive members may
+    differ in topology, size, parameters, and channel, but must share
+    one algorithm with a mega adapter (see :func:`spec_is_batchable`).
+    A replica batch of one cell is the one-member case.  All members'
+    lanes advance on one fused gather per slot
+    (:class:`~repro.radio.batch_engine.MegaBatchedNetwork`).  Returns
+    one :class:`RunResult` per spec, in order, each **byte-identical**
+    (timing aside) to its :func:`run_experiment` run — batching changes
+    wall-clock cost, never results, so stores, hashes, and resume
+    semantics are untouched.  A single spec runs on its serial engine.
     """
     spec_list = list(specs)
     if not spec_list:
         return []
     if len(spec_list) == 1:
         return [run_experiment(spec_list[0])]
-    signatures = {_group_signature(s) for s in spec_list}
-    if len(signatures) != 1:
-        raise ConfigurationError(
-            f"run_experiment_batch needs replicas of one cell (specs "
-            f"identical up to seed); got {len(signatures)} distinct cells"
-        )
-    first = spec_list[0]
-    if not spec_is_batchable(first):
-        raise ConfigurationError(
-            f"cell (topology={first.topology!r}, algorithm="
-            f"{first.algorithm!r}, engine={first.engine!r}) is not "
-            f"batchable: needs a batched adapter, a seed-deterministic "
-            f"topology, and the 'fast' engine"
-        )
-    graph = first.build_graph()  # seed-independent: one build serves all
-    contexts = [
-        RunContext(spec=spec, graph=graph, ledger=EnergyLedger())
-        for spec in spec_list
-    ]
-    adapter = get_batched_algorithm(first.algorithm)
-    start = time.perf_counter()
-    outputs = adapter(BatchRunContext(contexts))
-    if len(outputs) != len(spec_list):
-        raise ConfigurationError(
-            f"batched adapter for {first.algorithm!r} returned "
-            f"{len(outputs)} outputs for {len(spec_list)} replicas"
-        )
-    # Setup (topology + engine compilation) is shared; the remaining
-    # wall time is attributed evenly — per-replica timing under
-    # batching is inherently approximate and stays informational-only.
-    setup = max(ctx.setup_time_s for ctx in contexts)
-    wall_each = max(0.0, time.perf_counter() - start - setup) / len(spec_list)
-    return [
-        _assemble_result(spec, ctx, output, wall_each)
-        for spec, ctx, output in zip(spec_list, contexts, outputs)
-    ]
-
-
-def spec_is_mega_batchable(spec: ExperimentSpec) -> bool:
-    """Whether this cell may join a heterogeneous mega-batched unit.
-
-    Mega batching generalizes replica batching, so the cell must be
-    :func:`spec_is_batchable` *and* its algorithm must have a
-    registered mega adapter
-    (:func:`~repro.experiments.registry.mega_algorithm_names`).
-    """
-    return spec_is_batchable(spec) and spec.algorithm in mega_algorithm_names()
-
-
-def run_experiment_mega(specs: Sequence[ExperimentSpec]) -> List[RunResult]:
-    """Execute several *different* cells in one fused engine run.
-
-    ``specs`` is a concatenation of replica groups — adjacent specs
-    equal up to seed form one member cell; consecutive members may
-    differ in topology, size, parameters, and channel, but must share
-    one algorithm with a mega adapter (see
-    :func:`spec_is_mega_batchable`).  All members' lanes advance on one
-    fused gather per slot
-    (:class:`~repro.radio.batch_engine.MegaBatchedNetwork`).  Returns
-    one :class:`RunResult` per spec, in order, each **byte-identical**
-    (timing aside) to its :func:`run_experiment` run — mega batching,
-    like replica batching, changes wall-clock cost and nothing else.
-    """
-    spec_list = list(specs)
-    if not spec_list:
-        return []
     groups: List[List[ExperimentSpec]] = []
     signature: Optional[str] = None
     for spec in spec_list:
@@ -260,8 +207,6 @@ def run_experiment_mega(specs: Sequence[ExperimentSpec]) -> List[RunResult]:
             groups.append([])
             signature = sig
         groups[-1].append(spec)
-    if len(groups) == 1:
-        return run_experiment_batch(spec_list)
     algorithms = {spec.algorithm for spec in spec_list}
     if len(algorithms) != 1:
         raise ConfigurationError(
@@ -269,11 +214,11 @@ def run_experiment_mega(specs: Sequence[ExperimentSpec]) -> List[RunResult]:
             f"cells; got {sorted(algorithms)}"
         )
     for group in groups:
-        if not spec_is_mega_batchable(group[0]):
+        if not spec_is_batchable(group[0]):
             raise ConfigurationError(
                 f"cell (topology={group[0].topology!r}, algorithm="
                 f"{group[0].algorithm!r}, engine={group[0].engine!r}) is "
-                f"not mega-batchable: needs a mega adapter, a "
+                f"not batchable: needs a mega adapter, a static "
                 f"seed-deterministic topology, and the 'fast' engine"
             )
     member_contexts: List[List[RunContext]] = []
@@ -306,9 +251,8 @@ def run_experiment_mega(specs: Sequence[ExperimentSpec]) -> List[RunResult]:
 
 
 #: One unit of execution: a tuple of specs.  A singleton runs through
-#: :func:`run_experiment`; a longer tuple of one cell's replicas is a
-#: replica batch for :func:`run_experiment_batch`; a tuple spanning
-#: several cells is a mega batch for :func:`run_experiment_mega`.
+#: :func:`run_experiment`; any longer tuple — one cell's replicas or
+#: several cells — is a mega batch for :func:`run_experiment_mega`.
 #: Units are what travels to worker processes.
 ExecutionUnit = Tuple[ExperimentSpec, ...]
 
@@ -317,9 +261,7 @@ def _run_unit(unit: ExecutionUnit) -> List[RunResult]:
     """Execute one unit (module-level so it pickles to pool workers)."""
     if len(unit) == 1:
         return [run_experiment(unit[0])]
-    if len({_group_signature(s) for s in unit}) > 1:
-        return run_experiment_mega(list(unit))
-    return run_experiment_batch(list(unit))
+    return run_experiment_mega(list(unit))
 
 
 def _effective_policy(
@@ -350,7 +292,7 @@ def _plan_units(
     batched engine bypasses — fusing would silently skip the checking
     the policy asked for.
     When the effective policy selects ``backend="megabatch"``, adjacent
-    units of mega-batchable cells sharing one algorithm are further
+    units of batchable cells sharing one algorithm are further
     fused into heterogeneous units of up to ``mega_batch`` lanes total
     (default :data:`DEFAULT_MEGA_BATCH`).  Concatenating the units
     yields the input order unchanged, so downstream result assembly
@@ -399,7 +341,7 @@ def _merge_mega_units(
 
     A unit is mega-eligible when its effective policy asks for
     ``backend="megabatch"`` and its cell is
-    :func:`spec_is_mega_batchable`; adjacent eligible units sharing one
+    :func:`spec_is_batchable`; adjacent eligible units sharing one
     algorithm merge until the next unit would push the merged lane
     count past the effective ``mega_batch`` cap.  Order is preserved,
     so results and store shards are laid out exactly as without mega
@@ -421,7 +363,7 @@ def _merge_mega_units(
 
     for unit in units:
         eff = _effective_policy(unit[0], policy)
-        if not (eff.wants_mega() and spec_is_mega_batchable(unit[0])):
+        if not (eff.wants_mega() and spec_is_batchable(unit[0])):
             flush_pending()
             merged.append(unit)
             continue

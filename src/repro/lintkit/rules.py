@@ -432,10 +432,12 @@ class RegistryDisciplineRule(Rule):
 
     Two checks, one per registry:
 
-    - an ``@register_algorithm`` / ``@register_batched_algorithm``
+    - an ``@register_algorithm`` / ``@register_mega_algorithm``
       adapter must accept exactly one parameter — the shared run
       context carrying the ledger and the derived random streams
-      (:class:`~repro.experiments.registry.RunContext`); extra
+      (:class:`~repro.experiments.registry.RunContext`, or
+      :class:`~repro.experiments.registry.MegaRunContext` for the
+      lane-fused adapters); extra
       parameters mean the adapter is smuggling state around the
       context, exactly what the uniform-cost contract forbids;
     - every ``register_scenario`` call passes an explicit
@@ -447,7 +449,7 @@ class RegistryDisciplineRule(Rule):
     summary = ("adapters take exactly the shared run context; "
                "register_scenario passes an explicit deterministic= flag")
 
-    _ADAPTER_DECORATORS = {"register_algorithm", "register_batched_algorithm"}
+    _ADAPTER_DECORATORS = {"register_algorithm", "register_mega_algorithm"}
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):

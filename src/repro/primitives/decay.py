@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Dict,
     Hashable,
     Iterable,
@@ -38,14 +37,12 @@ from typing import (
 import networkx as nx
 import numpy as np
 
+from ..radio.batch_engine import MegaBatchedNetwork, ReplicaBatchedNetwork
 from ..radio.channel import Reception
 from ..radio.device import Action, Device
 from ..radio.engine import Engine, coerce_network
 from ..radio.message import Message
 from ..rng import SeedLike, geometric_decay_slot
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..radio.batch_engine import MegaBatchedNetwork, ReplicaBatchedNetwork
 
 
 @dataclass(frozen=True)
@@ -207,79 +204,26 @@ def run_decay_local_broadcast(
 
 
 def run_decay_local_broadcast_batch(
-    network: "ReplicaBatchedNetwork",
+    network: ReplicaBatchedNetwork,
     rounds: Mapping[int, Tuple[Mapping[Hashable, Message], Iterable[Hashable]]],
     failure_probability: float = 1e-3,
     seeds: Optional[Mapping[int, SeedLike]] = None,
     tx_power: int = 0,
 ) -> Dict[int, Dict[Hashable, Message]]:
-    """One Decay Local-Broadcast per replica lane, in lockstep.
-
-    ``rounds`` maps a lane index of ``network`` (a
-    :class:`~repro.radio.batch_engine.ReplicaBatchedNetwork`) to that
-    lane's ``(messages, receivers)`` round; ``seeds`` optionally maps
-    lane index to the lane's protocol stream.  Every lane executes the
-    standard :func:`run_decay_local_broadcast` — same parameters (the
-    topology, and hence ``Delta``, is shared), same device populations,
-    same per-lane randomness — but all lanes advance through the
-    protocol's slots together, one fused sparse product per slot.
-
-    Returns ``{lane: {receiver: message}}`` for every lane, exactly the
-    per-lane result the serial primitive would have produced.
-    """
-    seeds = seeds or {}
-    params = DecayParameters.for_network(network.max_degree, failure_probability)
-    populations: Dict[int, Dict[Hashable, Device]] = {}
-    receiver_sets: Dict[int, Set[Hashable]] = {}
-    for lane_index in sorted(rounds):
-        messages, receivers = rounds[lane_index]
-        receiver_set = set(receivers)
-        sender_set = set(messages)
-        overlap = sender_set & receiver_set
-        if overlap:
-            raise ValueError(
-                f"senders and receivers must be disjoint; overlap={overlap}"
-            )
-        start_slot = network.lane(lane_index).slot
-
-        def factory(
-            vertex: Hashable,
-            rng: np.random.Generator,
-            messages: Mapping[Hashable, Message] = messages,
-            sender_set: Set[Hashable] = sender_set,
-            receiver_set: Set[Hashable] = receiver_set,
-            start_slot: int = start_slot,
-        ) -> Device:
-            if vertex in sender_set:
-                return DecaySender(
-                    vertex, rng, messages[vertex], params, start_slot,
-                    power=tx_power,
-                )
-            if vertex in receiver_set:
-                return DecayReceiver(vertex, rng, params, start_slot)
-            return _SleepingDevice(vertex, rng)
-
-        populations[lane_index] = network.spawn_devices(
-            factory, seed=seeds.get(lane_index)
-        )
-        receiver_sets[lane_index] = receiver_set
-
-    network.run_lockstep(populations, max_slots=params.total_slots)
-
-    results: Dict[int, Dict[Hashable, Message]] = {}
-    for lane_index, receiver_set in receiver_sets.items():
-        heard: Dict[Hashable, Message] = {}
-        devices = populations[lane_index]
-        for v in receiver_set:
-            out = devices[v].output()
-            if out is not None:
-                heard[v] = out
-        results[lane_index] = heard
-    return results
+    """One Decay Local-Broadcast per replica lane of ``network``: the
+    one-member case of :func:`run_decay_local_broadcast_mega`."""
+    heard = run_decay_local_broadcast_mega(
+        MegaBatchedNetwork([network]),
+        {(0, r): round_ for r, round_ in rounds.items()},
+        failure_probability=failure_probability,
+        seeds={(0, r): seed for r, seed in (seeds or {}).items()},
+        tx_power=tx_power,
+    )
+    return {r: lane_heard for (_, r), lane_heard in heard.items()}
 
 
 def run_decay_local_broadcast_mega(
-    network: "MegaBatchedNetwork",
+    network: MegaBatchedNetwork,
     rounds: Mapping[
         Tuple[int, int],
         Tuple[Mapping[Hashable, Message], Iterable[Hashable]],
@@ -290,7 +234,7 @@ def run_decay_local_broadcast_mega(
 ) -> Dict[Tuple[int, int], Dict[Hashable, Message]]:
     """One Decay Local-Broadcast per lane, fused across *members*.
 
-    The heterogeneous sibling of :func:`run_decay_local_broadcast_batch`:
+    The lane-batched form of :func:`run_decay_local_broadcast`:
     ``rounds`` maps a ``(member, replica)`` lane key of a
     :class:`~repro.radio.batch_engine.MegaBatchedNetwork` to that lane's
     ``(messages, receivers)`` round.  Each member derives its **own**
@@ -315,9 +259,9 @@ def run_decay_local_broadcast_mega(
         member = network.member(member_index)
         if member_index not in params_by_member:
             f = (
-                failure_probability
-                if isinstance(failure_probability, float)
-                else failure_probability[member_index]
+                failure_probability[member_index]
+                if isinstance(failure_probability, Mapping)
+                else failure_probability
             )
             params_by_member[member_index] = DecayParameters.for_network(
                 member.max_degree, f
@@ -334,9 +278,9 @@ def run_decay_local_broadcast_mega(
         start_slot = network.lane(key).slot
 
         power = (
-            tx_power
-            if isinstance(tx_power, int)
-            else tx_power.get(member_index, 0)
+            tx_power.get(member_index, 0)
+            if isinstance(tx_power, Mapping)
+            else tx_power
         )
 
         def factory(

@@ -20,16 +20,14 @@ additionally exposes a named scenario registry
 (``topology.scenario(name, n, seed)``) so experiments can sweep diverse
 graph families by name.
 
-A third executor, :class:`ReplicaBatchedNetwork`
-(:mod:`repro.radio.batch_engine`), advances ``R`` independent replicas
-of one topology in lockstep — one compiled topology and one gather per
-slot shared by all replicas — with each replica lane
-bit-identical to its own serial run.  It is the engine behind
-seed-sweep replica batching in :mod:`repro.experiments`.  On top of it,
-:class:`MegaBatchedNetwork` resolves several replica-batched members with
-**different** topologies in one fused gather per slot
-(:mod:`repro.radio.kernels.megabatch`), lifting the same-topology
-restriction of replica batching.
+A third executor, :class:`MegaBatchedNetwork`
+(:mod:`repro.radio.batch_engine`), advances many lanes in lockstep with
+one fused gather per slot (:mod:`repro.radio.kernels.megabatch`), each
+lane bit-identical to its own serial run.  Its members are
+:class:`ReplicaBatchedNetwork` objects — ``R`` replica lanes sharing
+one compiled topology — so a seed sweep of one cell is a one-member
+mega batch and a heterogeneous grid is a many-member one.  It is the
+engine behind every batched run in :mod:`repro.experiments`.
 
 Engines self-register by name
 (:func:`~repro.radio.engine_registry.register_engine`); the low-level

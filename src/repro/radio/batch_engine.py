@@ -1,54 +1,49 @@
-"""Replica-batched slot execution: R seeds per fused gather.
+"""Lane-batched slot execution: many seeds, many cells, one gather.
 
 The dominant workload of this repo is sweeps over many seeds of the
 *same* (topology, algorithm, faults) cell — every result in the paper
 is a statement about distributions over random coin flips.  The
 single-replica engines pay one topology build, one CSR compile, and one
-counts/codes gather per slot **per seed**; :class:`ReplicaBatchedNetwork`
-amortizes all three by advancing ``R`` independent replicas of one
-topology in lockstep:
+counts/codes gather per slot **per seed**.  Two classes amortize that:
 
-- the topology is compiled once
-  (:class:`~repro.radio.fast_engine.CompiledTopology`) and shared by
-  every replica lane;
-- each slot, every lane's transmitter rows are gathered in **one**
-  integer CSR gather
-  (:meth:`~repro.radio.fast_engine.CompiledTopology.counts_codes_many`),
-  each lane in its own column range — per-lane counts and sender codes
-  come back exactly as the fast engine would have computed them one
-  replica at a time;
-- each lane keeps fully private state: its own device population, its
-  own :class:`~repro.radio.energy.EnergyLedger`, its own fault stream
-  (via :class:`~repro.radio.faults.ReplicaFaultRuntimes`), its own
-  collision resolution, and its own slot clock.
+- :class:`ReplicaBatchedNetwork` is the per-cell state of ``R``
+  independent replica lanes of one topology: the topology is compiled
+  once (:class:`~repro.radio.fast_engine.CompiledTopology`) and shared
+  by every lane, while each lane keeps fully private state — its own
+  device population, its own :class:`~repro.radio.energy.EnergyLedger`,
+  its own fault stream (via
+  :class:`~repro.radio.faults.ReplicaFaultRuntimes`), its own collision
+  resolution, and its own slot clock.  It collects and dispatches a
+  slot's actions per lane but owns no slot loop of its own.
+- :class:`MegaBatchedNetwork` is the one lockstep executor.  It packs
+  one or more such members — the same topology or different ones — into
+  a :class:`~repro.radio.kernels.megabatch.MegaBatchPlan`, so every
+  running lane of every member joins **one** integer CSR gather per
+  slot, each lane in its own column range.  A replica batch is simply a
+  one-member mega batch.
 
 Bit-identity contract
 ---------------------
-A replica lane produces **byte-identical** results to the same seed
-executed alone on either serial engine: identical executed slot
-counts, per-device energy counters, fault counters, and delivered
-messages.  Nothing about a lane's randomness, fault draws, or channel
-outcomes depends on any other lane — batching is purely an execution
-strategy (enforced by ``tests/radio/test_batch_engine.py`` and
+A lane produces **byte-identical** results to the same seed executed
+alone on either serial engine: identical executed slot counts,
+per-device energy counters, fault counters, and delivered messages.
+Nothing about a lane's randomness, fault draws, or channel outcomes
+depends on any other lane — batching is purely an execution strategy
+(enforced by ``tests/radio/test_batch_engine.py`` and
 ``tests/experiments/test_batch_equivalence.py``).
 
 Lanes do not all have to run at once:
-:meth:`ReplicaBatchedNetwork.run_lockstep` advances
-whichever subset of lanes the caller supplies populations for, so a
-multi-phase protocol (e.g. the batched Decay-BFS of
-:func:`repro.core.simple_bfs.decay_bfs_batch`) keeps only its
-still-active replicas in the gather as wavefronts finish at different
+:meth:`MegaBatchedNetwork.run_lockstep` advances whichever subset of
+lanes the caller supplies populations for, so a multi-phase protocol
+(e.g. the batched Decay-BFS of
+:func:`repro.core.simple_bfs.decay_bfs_mega`) keeps only its
+still-active lanes in the gather as wavefronts finish at different
 depths.
-
-:class:`MegaBatchedNetwork` goes one step further: several
-replica-batched members with **different** topologies share one
-:class:`~repro.radio.kernels.megabatch.MegaBatchPlan`, so heterogeneous
-sweep cells share one fused gather per slot — the same bit-identity
-contract, across mixed topologies.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -105,7 +100,7 @@ class ReplicaLane:
 
 class _LaneRun:
     """Mutable per-lane state for one
-    :meth:`ReplicaBatchedNetwork.run_lockstep` call."""
+    :meth:`MegaBatchedNetwork.run_lockstep` call."""
 
     __slots__ = ("lane", "live", "executed", "tx_counts", "listen_counts",
                  "msgs", "tx_idx", "tx_levels", "listeners", "resolved")
@@ -131,7 +126,13 @@ class _LaneRun:
 
 
 class ReplicaBatchedNetwork:
-    """R replica lanes of one topology, one fused gather per slot.
+    """R replica lanes of one topology: one mega-batch member.
+
+    Holds the shared compiled topology (and SINR gain field), one
+    :class:`ReplicaLane` per replica, and the per-lane fault runtimes;
+    :meth:`_collect_actions` and :meth:`_dispatch` are the per-lane
+    halves of a slot that :class:`MegaBatchedNetwork` drives around its
+    fused gather.
 
     Parameters
     ----------
@@ -259,76 +260,12 @@ class ReplicaBatchedNetwork:
         populations: Mapping[int, Mapping[Hashable, Device]],
         max_slots: int,
     ) -> Dict[int, int]:
-        """Advance every supplied lane for up to ``max_slots`` slots.
-
-        ``populations`` maps lane index -> that lane's device mapping
-        (exact vertex cover, as on the serial engines).  Per slot, every
-        still-running lane collects its device actions, all lanes'
-        channels are resolved with one fused gather, and each
-        lane's receptions are dispatched with its own collision model
-        outcome.  A lane stops early when all its devices have halted —
-        exactly the serial ``run`` loop's stop rule, applied per lane —
-        without holding up the others.  Returns the executed slot count
-        per lane.
-        """
-        states: List[_LaneRun] = []
-        for replica in sorted(populations):
-            devices = populations[replica]
-            self._check_population(replica, devices)
-            live = [(v, d) for v, d in devices.items() if not d.halted]
-            states.append(_LaneRun(self.lanes[replica], live, self._topology.n))
-        running = [s for s in states if s.live]
-        for _ in range(max_slots):
-            if not running:
-                break
-            self._step_all(running)
-            still_running: List[_LaneRun] = []
-            for s in running:
-                s.executed += 1
-                s.lane.slot += 1
-                # Drop devices that halted this slot so the all-halted
-                # check stays O(live) and exact.
-                s.live = [(v, d) for v, d in s.live if not d.halted]
-                if s.live:
-                    still_running.append(s)
-            running = still_running
-        for s in states:
-            s.lane.ledger.charge_slot_counts(
-                self._topology.vertices, s.tx_counts, s.listen_counts
-            )
-            s.lane.ledger.advance_time(s.executed)
-        return {s.lane.index: s.executed for s in states}
-
-    # ------------------------------------------------------------------
-    def _step_all(self, running: List[_LaneRun]) -> None:
-        """Execute one synchronous slot across all running lanes."""
-        self._collect_actions(running)
-        # One fused gather covering every lane that has both
-        # transmitters and listeners this slot: counts/codes for the
-        # binary models, fused SINR arbitration (same gather) otherwise.
-        need = [s for s in running if s.listeners and s.tx_idx]
-        if need:
-            if self._sinr_csr is None:
-                resolved: List[Tuple[np.ndarray, ...]] = (
-                    self._topology.counts_codes_many(
-                        [np.asarray(s.tx_idx, dtype=np.int64) for s in need]
-                    )
-                )
-            else:
-                csr = self._sinr_csr
-                resolved = sinr_arbitrate_many(
-                    [
-                        (
-                            csr,
-                            np.asarray(s.tx_idx, dtype=np.int64),
-                            np.asarray(s.tx_levels, dtype=np.int64),
-                        )
-                        for s in need
-                    ]
-                )
-            for s, pair in zip(need, resolved):
-                s.resolved = pair
-        self._dispatch(running)
+        """Advance the supplied lanes as a one-member
+        :class:`MegaBatchedNetwork`; returns executed slots per lane."""
+        executed = MegaBatchedNetwork([self]).run_lockstep(
+            {(0, r): devices for r, devices in populations.items()}, max_slots
+        )
+        return {r: slots for (_, r), slots in executed.items()}
 
     def _collect_actions(self, running: List[_LaneRun]) -> None:
         """Phase A of a slot: per lane, collect this slot's actions
@@ -451,12 +388,12 @@ MegaLaneKey = Tuple[int, int]
 
 
 class MegaBatchedNetwork:
-    """Heterogeneous members, one fused gather per slot.
+    """One or more members, one fused gather per slot.
 
-    Where :class:`ReplicaBatchedNetwork` fuses lanes sharing **one**
-    topology, this executor packs several replica-batched *members* —
-    each with its own topology, collision model, fault model, and lane
-    set — into a single
+    The lockstep executor of every batched run.  It packs replica-batched
+    *members* — each a :class:`ReplicaBatchedNetwork` with its own
+    topology, collision model, fault model, and lane set; a replica batch
+    is a single member — into one
     :class:`~repro.radio.kernels.megabatch.MegaBatchPlan`, so every
     running lane of every member joins the same gather each slot.
     Per-lane semantics are untouched: device callbacks, fault
@@ -465,8 +402,8 @@ class MegaBatchedNetwork:
     / :meth:`ReplicaBatchedNetwork._dispatch`), and every lane gets its
     own column range in the gather (see
     :mod:`repro.radio.kernels.megabatch`), so each lane stays
-    **byte-identical** to its own serial run — the same contract as
-    replica batching, now across mixed topologies.
+    **byte-identical** to its own serial run, whether the members share
+    a topology or not.
 
     Because members generally have different Decay parameter budgets
     (different max degrees), :meth:`run_lockstep` accepts either a
@@ -521,12 +458,20 @@ class MegaBatchedNetwork:
         mapping (exact vertex cover of the member's topology).
         ``max_slots`` is either one budget for every lane or a mapping
         with one budget per supplied lane — lanes retire individually
-        when their budget is spent or all their devices halt, exactly
-        as in per-member :meth:`ReplicaBatchedNetwork.run_lockstep`
-        calls.  Returns the executed slot count per lane key.
+        when their budget is spent or all their devices halt (the
+        serial ``run`` loop's stop rule, applied per lane), without
+        holding up the others.  Returns the executed slot count per
+        lane key.
         """
-        if isinstance(max_slots, int) and not isinstance(max_slots, bool):
-            budgets = {key: max_slots for key in populations}
+        if isinstance(max_slots, bool) or not isinstance(
+            max_slots, (numbers.Integral, Mapping)
+        ):
+            raise ConfigurationError(
+                f"max_slots must be an int or a per-lane mapping of ints; "
+                f"got {max_slots!r}"
+            )
+        if isinstance(max_slots, numbers.Integral):
+            budgets = {key: int(max_slots) for key in populations}
         else:
             try:
                 budgets = {key: int(max_slots[key]) for key in populations}

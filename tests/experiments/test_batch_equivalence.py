@@ -27,7 +27,6 @@ from repro.errors import ConfigurationError
 from repro.experiments import (
     ExecutionPolicy,
     ExperimentSpec,
-    batched_algorithm_names,
     execution_backends,
     mega_algorithm_names,
     run_experiment,
@@ -37,7 +36,6 @@ from repro.experiments import (
     run_sweep,
     spec_hash,
     spec_is_batchable,
-    spec_is_mega_batchable,
 )
 from repro.experiments.runner import (
     DEFAULT_BATCH_REPLICAS,
@@ -78,7 +76,8 @@ def _canonical(result):
 def test_batched_results_byte_identical(preset, collision_model):
     specs = _cell_specs(preset, collision_model)
     serial = [run_experiment(spec) for spec in specs]
-    batched = run_experiment_batch(specs)
+    # One cell's replicas: a one-member mega batch, as sweeps run them.
+    batched = run_experiment_mega(specs)
     assert len(batched) == len(serial)
     for ref, got in zip(serial, batched):
         assert _canonical(got) == _canonical(ref)
@@ -140,7 +139,7 @@ def test_plan_units_groups_only_adjacent_batchable_replicas():
 def test_spec_is_batchable_conditions():
     spec = _cell_specs("none", "no_cd", seeds=[0])[0]
     assert spec_is_batchable(spec)
-    assert "decay_bfs" in batched_algorithm_names()
+    assert "decay_bfs" in mega_algorithm_names()
     assert not spec_is_batchable(dataclasses.replace(spec, engine="reference"))
     assert not spec_is_batchable(dataclasses.replace(spec, topology="geometric"))
     assert not spec_is_batchable(
@@ -164,6 +163,12 @@ def test_run_experiment_batch_edge_arities():
     spec = _cell_specs("none", "no_cd", seeds=[7])[0]
     (single,) = run_experiment_batch([spec])
     assert _canonical(single) == _canonical(run_experiment(spec))
+
+
+def test_run_experiment_batch_delegates_to_one_member_mega():
+    specs = _cell_specs("drop10", "receiver_cd", seeds=range(3))
+    assert ([_canonical(r) for r in run_experiment_batch(specs)]
+            == [_canonical(r) for r in run_experiment_mega(specs)])
 
 
 # ---------------------------------------------------------------------------
@@ -233,21 +238,21 @@ def test_runner_batch_replicas_validated():
 def test_adopted_slot_view_is_accounting_only():
     """After a lane is adopted, ctx.network() fails loudly (no drivable
     engine exists inside a batched run) and a second adoption is refused."""
-    from repro.experiments.registry import BatchRunContext, RunContext
+    from repro.experiments.registry import MegaRunContext, RunContext
     from repro.radio.energy import EnergyLedger
 
     spec = _cell_specs("none", "no_cd", seeds=[0])[0]
     graph = spec.build_graph()
     ctxs = [RunContext(spec=spec, graph=graph, ledger=EnergyLedger())
             for _ in range(2)]
-    bctx = BatchRunContext(ctxs)
-    net = bctx.batched_network()
-    assert bctx.batched_network() is net  # built once
+    mctx = MegaRunContext([ctxs])
+    net = mctx.mega_network()
+    assert mctx.mega_network() is net  # built once
     for ctx in ctxs:
-        with pytest.raises(ConfigurationError, match="batched adapters"):
+        with pytest.raises(ConfigurationError, match="mega adapters"):
             ctx.network()
         with pytest.raises(ConfigurationError, match="at most once"):
-            ctx.adopt_slot_view(net.lane(0))
+            ctx.adopt_slot_view(net.lane((0, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -364,17 +369,6 @@ def test_importing_experiments_leaves_scipy_unloaded(tmp_path, work):
 # Mega batching specifics: planner, dispatcher, stores
 # ---------------------------------------------------------------------------
 
-def test_spec_is_mega_batchable_conditions():
-    spec = _cell_specs("none", "no_cd", seeds=[0])[0]
-    assert spec_is_mega_batchable(spec)
-    assert not spec_is_mega_batchable(
-        dataclasses.replace(spec, engine="reference"))
-    assert not spec_is_mega_batchable(
-        dataclasses.replace(spec, topology="geometric"))
-    assert not spec_is_mega_batchable(
-        dataclasses.replace(spec, algorithm="trivial_bfs"))
-
-
 def test_plan_units_mega_merges_adjacent_cells():
     mega = ExecutionPolicy(backend="megabatch")
     specs = _hetero_specs("none", "no_cd", seeds=3)
@@ -401,12 +395,12 @@ def test_run_experiment_mega_validates_input():
         run_experiment_mega(
             specs + _cell_specs("none", "no_cd", seeds=[0],
                                 algorithm="trivial_bfs"))
-    with pytest.raises(ConfigurationError, match="not mega-batchable"):
+    with pytest.raises(ConfigurationError, match="not batchable"):
         run_experiment_mega(
             specs[:2]
             + _cell_specs("none", "no_cd", seeds=range(2), n=16,
                           engine="reference"))
-    # A single homogeneous group degenerates to plain replica batching.
+    # A single homogeneous group is a one-member mega batch.
     single = run_experiment_mega(specs[:2])
     serial = [run_experiment(s) for s in specs[:2]]
     assert [_canonical(r) for r in single] == [_canonical(r) for r in serial]

@@ -1,22 +1,24 @@
 """Replica-batched engine: bit-identity to serial runs, lane semantics.
 
 The contract under test (see ``src/repro/radio/batch_engine.py``): a
-replica lane of :class:`ReplicaBatchedNetwork` produces **byte-identical**
-state to the same seed executed alone on a serial engine — labels,
-executed slot counts, per-device energy snapshots, and fault counters —
-for every fault preset and collision model.  Batching is an execution
-strategy, never an observable.
+replica lane of :class:`ReplicaBatchedNetwork`, driven as a one-member
+:class:`MegaBatchedNetwork`, produces **byte-identical** state to the
+same seed executed alone on a serial engine — labels, executed slot
+counts, per-device energy snapshots, and fault counters — for every
+fault preset and collision model.  Batching is an execution strategy,
+never an observable.
 
-:class:`MegaBatchedNetwork` extends the identical contract across
-*heterogeneous* members: every ``(member, replica)`` lane of a mega
-batch must match its own serial run bit for bit.
+The identical contract holds across *heterogeneous* members: every
+``(member, replica)`` lane of a mega batch must match its own serial
+run bit for bit.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.core.simple_bfs import decay_bfs, decay_bfs_batch, decay_bfs_mega
+from repro.core.simple_bfs import decay_bfs, decay_bfs_mega
 from repro.errors import ConfigurationError
 from repro.primitives.decay import (
     run_decay_local_broadcast,
@@ -76,8 +78,11 @@ def _batched_bfs(graph, seeds, collision_model, faults, depth):
                                 collision_model=collision_model,
                                 ledgers=ledgers, faults=faults,
                                 fault_seeds=fault_seeds)
-    labels = decay_bfs_batch(net, [0], depth, seeds=rngs)
-    return net, ledgers, labels
+    labels = decay_bfs_mega(
+        MegaBatchedNetwork([net]), sources={0: [0]}, depth_budgets={0: depth},
+        seeds={(0, r): rng for r, rng in enumerate(rngs)},
+    )
+    return net, ledgers, [labels[(0, r)] for r in range(len(seeds))]
 
 
 @pytest.mark.parametrize("collision_model", COLLISION_MODELS,
@@ -288,3 +293,83 @@ def test_mega_lane_key_and_budget_validation():
     executed = net.run_lockstep(populations,
                                 max_slots={(0, 0): 3, (1, 0): 5})
     assert executed == {(0, 0): 3, (1, 0): 5}
+
+
+# ---------------------------------------------------------------------------
+# Argument handling: numpy scalars, one-line errors
+# ---------------------------------------------------------------------------
+
+def _scalar_runs(failure_probability, tx_power):
+    """Labels/heard maps and ledgers of the serial, replica-delegation and
+    mega Decay entry points.  A binary model: the SINR executors validate
+    power levels as Python ints on every tier alike."""
+    model = CollisionModel.RECEIVER_CD
+    grid = topology.scenario("grid", 16)
+    star = topology.scenario("star", 9)
+    runs = []
+
+    net = make_network(grid, engine="fast", collision_model=model)
+    labels = decay_bfs(net, [0], 8, failure_probability=failure_probability,
+                       seed=make_rng(5), tx_power=tx_power)
+    runs.append((labels, net.slot, net.ledger.snapshot()))
+
+    replicas = ReplicaBatchedNetwork(grid, 2, collision_model=model)
+    messages = {0: message_of_ints(0, 0, kind="bfs")}
+    receivers = [v for v in grid.nodes if v != 0]
+    heard = run_decay_local_broadcast_batch(
+        replicas, {r: (messages, receivers) for r in range(2)},
+        failure_probability=failure_probability,
+        seeds={r: make_rng(r) for r in range(2)}, tx_power=tx_power,
+    )
+    runs.append((heard, [(lane.slot, lane.ledger.snapshot())
+                         for lane in replicas.lanes]))
+
+    mega = MegaBatchedNetwork([
+        ReplicaBatchedNetwork(grid, 2, collision_model=model),
+        ReplicaBatchedNetwork(star, 1, collision_model=model),
+    ])
+    labels = decay_bfs_mega(
+        mega, sources={0: [0], 1: [0]}, depth_budgets={0: 8, 1: 3},
+        failure_probabilities=failure_probability,
+        seeds={key: make_rng(7 + i)
+               for i, key in enumerate([(0, 0), (0, 1), (1, 0)])},
+        tx_power=tx_power,
+    )
+    runs.append((labels, {key: (mega.lane(key).slot,
+                                mega.lane(key).ledger.snapshot())
+                          for key in labels}))
+    return runs
+
+
+@pytest.mark.parametrize("failure_probability, tx_power", [
+    (np.float32(0.01), np.int64(0)),
+    (np.float64(0.05), np.int32(2)),
+], ids=["float32-int64", "float64-int32"])
+def test_numpy_scalar_arguments_match_python_scalars(failure_probability,
+                                                     tx_power):
+    """Scalar-or-mapping parameters accept numpy scalars as scalars."""
+    got = _scalar_runs(failure_probability, tx_power)
+    want = _scalar_runs(float(failure_probability), int(tx_power))
+    assert got == want
+
+
+def test_mega_bfs_missing_member_sources_is_a_configuration_error():
+    net = MegaBatchedNetwork([
+        ReplicaBatchedNetwork(topology.scenario("path", 6), 1),
+        ReplicaBatchedNetwork(topology.scenario("star", 5), 1),
+    ])
+    with pytest.raises(ConfigurationError, match="no sources for member 1") as info:
+        decay_bfs_mega(net, sources={0: [0]}, depth_budgets={0: 3, 1: 3})
+    assert "\n" not in str(info.value)
+
+
+def test_mega_lockstep_rejects_a_bool_budget():
+    from repro.radio.device import Device
+
+    net = MegaBatchedNetwork([
+        ReplicaBatchedNetwork(topology.scenario("path", 6), 1)])
+    populations = {(0, 0): net.member(0).spawn_devices(
+        lambda v, rng: Device(v, rng))}
+    with pytest.raises(ConfigurationError, match="max_slots") as info:
+        net.run_lockstep(populations, max_slots=True)
+    assert "\n" not in str(info.value)
