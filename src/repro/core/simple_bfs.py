@@ -40,7 +40,7 @@ from ..primitives.decay import (
 )
 from ..primitives.lb_graph import LBGraph
 from ..radio.engine import Engine, coerce_network
-from ..radio.message import message_of_ints
+from ..radio.message import Message, message_of_ints
 from ..rng import SeedLike, make_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -116,6 +116,29 @@ def _coerce_sources(graph: nx.Graph, sources) -> Set[Hashable]:
     return source_set
 
 
+def _wavefront_round(
+    dist: Mapping[Hashable, float], d: int, vertices: Iterable[Hashable]
+) -> Optional[Tuple[Dict[Hashable, Message], List[Hashable]]]:
+    """The ``(messages, receivers)`` Decay round that advances hop ``d``.
+
+    Every vertex labelled ``d`` sends its hop; every unlabelled vertex
+    listens.  ``None`` when the wavefront or the receivers ran out.
+    """
+    frontier = {u for u, du in dist.items() if du == d}
+    if not frontier:
+        return None
+    receivers = [v for v in vertices if v not in dist]
+    if not receivers:
+        return None
+    return {u: message_of_ints(u, d, kind="bfs") for u in frontier}, receivers
+
+
+def _settle(dist: Dict[Hashable, float], heard: Mapping[Hashable, Message]) -> None:
+    """Label every receiver that heard a hop-``h`` message with ``h + 1``."""
+    for v, msg in heard.items():
+        dist[v] = float(msg.payload[0]) + 1.0
+
+
 def decay_bfs(
     network: Union[nx.Graph, Engine],
     sources: Union[Hashable, Iterable[Hashable]],
@@ -148,13 +171,10 @@ def decay_bfs(
     if monitor is not None:
         monitor.observe_labels(dist)
     for d in range(depth_budget):
-        frontier = {u for u, du in dist.items() if du == d}
-        if not frontier:
+        round_ = _wavefront_round(dist, d, network.graph.nodes)
+        if round_ is None:
             break
-        messages = {u: message_of_ints(u, d, kind="bfs") for u in frontier}
-        receivers = [v for v in network.graph.nodes if v not in dist]
-        if not receivers:
-            break
+        messages, receivers = round_
         heard = run_decay_local_broadcast(
             network,
             messages,
@@ -163,9 +183,7 @@ def decay_bfs(
             seed=rng,
             tx_power=tx_power,
         )
-        for v, msg in heard.items():
-            hop = msg.payload[0]
-            dist[v] = float(hop) + 1.0
+        _settle(dist, heard)
         if monitor is not None:
             monitor.observe_labels(dist)
 
@@ -230,14 +248,9 @@ def decay_bfs_mega(
             m, _ = key
             if d >= depth_budgets[m]:
                 continue
-            frontier = {u for u, du in dist[key].items() if du == d}
-            if not frontier:
-                continue
-            receivers = [v for v in vertices[m] if v not in dist[key]]
-            if not receivers:
-                continue
-            messages = {u: message_of_ints(u, d, kind="bfs") for u in frontier}
-            rounds[key] = (messages, receivers)
+            round_ = _wavefront_round(dist[key], d, vertices[m])
+            if round_ is not None:
+                rounds[key] = round_
         if not rounds:
             break
         active = sorted(rounds)
@@ -249,9 +262,7 @@ def decay_bfs_mega(
             tx_power=tx_power,
         )
         for key, heard in heard_by_lane.items():
-            for v, msg in heard.items():
-                hop = msg.payload[0]
-                dist[key][v] = float(hop) + 1.0
+            _settle(dist[key], heard)
         d += 1
 
     for (m, _), labels in dist.items():

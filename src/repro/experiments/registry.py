@@ -559,7 +559,7 @@ def _diameter_budget(ctx: RunContext) -> int:
     """
     if "depth_budget" in ctx.params:
         return int(ctx.params["depth_budget"])
-    return nx.diameter(ctx.graph) + 2
+    return nx.diameter(ctx.graph, usebounds=True) + 2
 
 
 def _estimate_output(estimate, budget: int) -> Dict[str, Any]:

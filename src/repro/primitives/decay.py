@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import (
+    Callable,
     Dict,
     Hashable,
     Iterable,
@@ -151,6 +152,47 @@ class _SleepingDevice(Device):
         self.halted = True
 
 
+def _round_receivers(
+    messages: Mapping[Hashable, Message], receivers: Iterable[Hashable]
+) -> Set[Hashable]:
+    """The receiver set of one round; senders and receivers must be disjoint."""
+    receiver_set = set(receivers)
+    overlap = set(messages) & receiver_set
+    if overlap:
+        raise ValueError(f"senders and receivers must be disjoint; overlap={overlap}")
+    return receiver_set
+
+
+def _round_factory(
+    messages: Mapping[Hashable, Message],
+    receiver_set: Set[Hashable],
+    params: DecayParameters,
+    start_slot: int,
+    power: int,
+) -> Callable[[Hashable, np.random.Generator], Device]:
+    """The device factory of one round: senders, receivers, and sleepers."""
+    sender_set = set(messages)
+
+    def factory(vertex: Hashable, rng: np.random.Generator) -> Device:
+        if vertex in sender_set:
+            return DecaySender(
+                vertex, rng, messages[vertex], params, start_slot, power=power,
+            )
+        if vertex in receiver_set:
+            return DecayReceiver(vertex, rng, params, start_slot)
+        return _SleepingDevice(vertex, rng)
+
+    return factory
+
+
+def _heard(
+    devices: Mapping[Hashable, Device], receiver_set: Set[Hashable]
+) -> Dict[Hashable, Message]:
+    """``{receiver: message}`` for every receiver that heard one."""
+    outputs = {v: devices[v].output() for v in receiver_set}
+    return {v: out for v, out in outputs.items() if out is not None}
+
+
 def run_decay_local_broadcast(
     network: Union[nx.Graph, Engine],
     messages: Mapping[Hashable, Message],
@@ -173,34 +215,12 @@ def run_decay_local_broadcast(
     Senders and receivers must be disjoint; all other vertices sleep.
     """
     network = coerce_network(network, engine)
-    receiver_set = set(receivers)
-    sender_set = set(messages)
-    overlap = sender_set & receiver_set
-    if overlap:
-        raise ValueError(f"senders and receivers must be disjoint; overlap={overlap}")
-
+    receiver_set = _round_receivers(messages, receivers)
     params = DecayParameters.for_network(network.max_degree, failure_probability)
-    start_slot = network.slot
-
-    def factory(vertex: Hashable, rng: np.random.Generator) -> Device:
-        if vertex in sender_set:
-            return DecaySender(
-                vertex, rng, messages[vertex], params, start_slot,
-                power=tx_power,
-            )
-        if vertex in receiver_set:
-            return DecayReceiver(vertex, rng, params, start_slot)
-        return _SleepingDevice(vertex, rng)
-
+    factory = _round_factory(messages, receiver_set, params, network.slot, tx_power)
     devices = network.spawn_devices(factory, seed=seed)
     network.run(devices, max_slots=params.total_slots)
-
-    results: Dict[Hashable, Message] = {}
-    for v in receiver_set:
-        out = devices[v].output()
-        if out is not None:
-            results[v] = out
-    return results
+    return _heard(devices, receiver_set)
 
 
 def run_decay_local_broadcast_batch(
@@ -268,53 +288,21 @@ def run_decay_local_broadcast_mega(
             )
         params = params_by_member[member_index]
         messages, receivers = rounds[key]
-        receiver_set = set(receivers)
-        sender_set = set(messages)
-        overlap = sender_set & receiver_set
-        if overlap:
-            raise ValueError(
-                f"senders and receivers must be disjoint; overlap={overlap}"
-            )
-        start_slot = network.lane(key).slot
-
+        receiver_set = _round_receivers(messages, receivers)
         power = (
             tx_power.get(member_index, 0)
             if isinstance(tx_power, Mapping)
             else tx_power
         )
-
-        def factory(
-            vertex: Hashable,
-            rng: np.random.Generator,
-            messages: Mapping[Hashable, Message] = messages,
-            sender_set: Set[Hashable] = sender_set,
-            receiver_set: Set[Hashable] = receiver_set,
-            params: DecayParameters = params,
-            start_slot: int = start_slot,
-            power: int = power,
-        ) -> Device:
-            if vertex in sender_set:
-                return DecaySender(
-                    vertex, rng, messages[vertex], params, start_slot,
-                    power=power,
-                )
-            if vertex in receiver_set:
-                return DecayReceiver(vertex, rng, params, start_slot)
-            return _SleepingDevice(vertex, rng)
-
+        factory = _round_factory(
+            messages, receiver_set, params, network.lane(key).slot, power
+        )
         populations[key] = member.spawn_devices(factory, seed=seeds.get(key))
         budgets[key] = params.total_slots
         receiver_sets[key] = receiver_set
 
     network.run_lockstep(populations, max_slots=budgets)
-
-    results: Dict[Tuple[int, int], Dict[Hashable, Message]] = {}
-    for key, receiver_set in receiver_sets.items():
-        heard: Dict[Hashable, Message] = {}
-        devices = populations[key]
-        for v in receiver_set:
-            out = devices[v].output()
-            if out is not None:
-                heard[v] = out
-        results[key] = heard
-    return results
+    return {
+        key: _heard(populations[key], receiver_set)
+        for key, receiver_set in receiver_sets.items()
+    }

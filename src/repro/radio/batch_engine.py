@@ -13,14 +13,21 @@ counts/codes gather per slot **per seed**.  Two classes amortize that:
   device population, its own :class:`~repro.radio.energy.EnergyLedger`,
   its own fault stream (via
   :class:`~repro.radio.faults.ReplicaFaultRuntimes`), its own collision
-  resolution, and its own slot clock.  It collects and dispatches a
-  slot's actions per lane but owns no slot loop of its own.
+  resolution, and its own slot clock.  It is state only: it owns no
+  device loop and no slot loop.
 - :class:`MegaBatchedNetwork` is the one lockstep executor.  It packs
   one or more such members — the same topology or different ones — into
   a :class:`~repro.radio.kernels.megabatch.MegaBatchPlan`, so every
   running lane of every member joins **one** integer CSR gather per
   slot, each lane in its own column range.  A replica batch is simply a
   one-member mega batch.
+
+Each lane runs its slot through a
+:class:`~repro.radio.fast_engine.SlotLane` — the same collect, charge
+and dispatch steps the serial
+:class:`~repro.radio.fast_engine.FastRadioNetwork` runs on its single
+lane — so the fast tiers share one per-slot device loop and differ only
+in how many lanes join the channel gather.
 
 Bit-identity contract
 ---------------------
@@ -61,24 +68,24 @@ from typing import (
 import networkx as nx
 import numpy as np
 
-from ..errors import ConfigurationError, SimulationError
+from ..errors import ConfigurationError
 from ..rng import SeedLike
-from .channel import CollisionModel, Feedback, Reception
-from .device import ActionKind, Device
+from .channel import CollisionModel
+from .device import Device
 from .energy import EnergyLedger
-from .fast_engine import _NOISE, _NOTHING, _SILENCE, CompiledTopology
+from .fast_engine import CompiledTopology, SlotLane
 from .faults import FaultCounters, FaultModel, ReplicaFaultRuntimes
 from .kernels import MegaBatchPlan
 from .kernels.sinr_csr import SinrCsr, sinr_arbitrate_many
-from .message import Message, MessageSizePolicy
+from .message import MessageSizePolicy
 from .network import (
     coerce_channel,
-    jam_reception_for,
+    silence_and_noise,
     spawn_device_map,
     validate_population,
     validate_topology,
 )
-from .sinr import SinrField, SinrParams, transmit_level
+from .sinr import SinrField, SinrParams
 
 
 @dataclass
@@ -102,37 +109,25 @@ class _LaneRun:
     """Mutable per-lane state for one
     :meth:`MegaBatchedNetwork.run_lockstep` call."""
 
-    __slots__ = ("lane", "live", "executed", "tx_counts", "listen_counts",
-                 "msgs", "tx_idx", "tx_levels", "listeners", "resolved")
+    __slots__ = ("key", "lane", "member", "live", "budget", "executed", "stage")
 
-    def __init__(self, lane: ReplicaLane, live: List[Tuple[Hashable, Device]],
-                 n: int) -> None:
-        self.lane = lane
+    def __init__(self, key: Tuple[int, int], member: "ReplicaBatchedNetwork",
+                 live: List[Tuple[Hashable, Device]], budget: int) -> None:
+        self.key = key
+        self.lane = member.lanes[key[1]]
+        self.member = member
         self.live = live
+        self.budget = budget
         self.executed = 0
-        self.tx_counts = np.zeros(n, dtype=np.int64)
-        self.listen_counts = np.zeros(n, dtype=np.int64)
-        self.msgs: List[Optional[Message]] = [None] * n
-        self.tx_idx: List[int] = []
-        # Power level per live transmitter (aligned with tx_idx); only
-        # populated under the SINR collision model.
-        self.tx_levels: List[int] = []
-        # (index, device, jammed) per listener, rebuilt every slot.
-        self.listeners: List[Tuple[int, Device, bool]] = []
-        # This slot's fused-gather output: a (counts, codes) pair for
-        # the binary models, a (counts, codes, deliver) triple under
-        # SINR arbitration.
-        self.resolved: Optional[Tuple[np.ndarray, ...]] = None
+        self.stage = SlotLane(member._topology.n)
 
 
 class ReplicaBatchedNetwork:
     """R replica lanes of one topology: one mega-batch member.
 
     Holds the shared compiled topology (and SINR gain field), one
-    :class:`ReplicaLane` per replica, and the per-lane fault runtimes;
-    :meth:`_collect_actions` and :meth:`_dispatch` are the per-lane
-    halves of a slot that :class:`MegaBatchedNetwork` drives around its
-    fused gather.
+    :class:`ReplicaLane` per replica, and the per-lane fault runtimes,
+    which :class:`MegaBatchedNetwork` reads when it steps the lanes.
 
     Parameters
     ----------
@@ -218,7 +213,7 @@ class ReplicaBatchedNetwork:
             faults, graph, seeds=list(fault_seeds),
             counters=[lane.fault_counters for lane in self.lanes],
         )
-        self._jam_reception = jam_reception_for(collision_model)
+        self._silent, self._noisy = silence_and_noise(collision_model)
 
     # ------------------------------------------------------------------
     def lane(self, replica: int) -> ReplicaLane:
@@ -267,121 +262,6 @@ class ReplicaBatchedNetwork:
         )
         return {r: slots for (_, r), slots in executed.items()}
 
-    def _collect_actions(self, running: List[_LaneRun]) -> None:
-        """Phase A of a slot: per lane, collect this slot's actions
-        (device callbacks and fault application, exactly as the fast
-        engine).  Fills each lane state's ``tx_idx``/``listeners``/
-        ``msgs`` staging for channel resolution."""
-        index = self._topology.index
-        idle_kind = ActionKind.IDLE
-        transmit_kind = ActionKind.TRANSMIT
-        sinr = self.sinr
-
-        for s in running:
-            lane = s.lane
-            plan = self._fault_runtimes.plan(lane.index, lane.slot)
-            counters = lane.fault_counters
-            slot = lane.slot
-            tx_counts = s.tx_counts
-            listen_counts = s.listen_counts
-            msgs = s.msgs
-            tx_idx = s.tx_idx = []
-            tx_levels = s.tx_levels = []
-            listeners = s.listeners = []
-            for vertex, device in s.live:
-                if device.halted:
-                    continue
-                if plan is not None and vertex in plan.dead:
-                    continue
-                action = device.step(slot)
-                kind = action.kind
-                if kind is idle_kind:
-                    continue
-                i = index[vertex]
-                if kind is transmit_kind:
-                    message = action.message
-                    if message is None:
-                        raise SimulationError(
-                            f"device {vertex!r} transmitted no message"
-                        )
-                    self.size_policy.check(message)
-                    if sinr is None:
-                        cost = 1
-                        level = 0
-                    else:
-                        level = transmit_level(device, action, sinr)
-                        cost = sinr.power_costs[level]
-                    # Dropped transmitters are charged like the serial
-                    # engines but never enter the channel math.
-                    if plan is not None and vertex in plan.dropped:
-                        counters.dropped += 1
-                    else:
-                        tx_idx.append(i)
-                        msgs[i] = message
-                        if sinr is not None:
-                            tx_levels.append(level)
-                    tx_counts[i] += cost
-                else:  # LISTEN
-                    listen_counts[i] += 1
-                    listeners.append(
-                        (i, device, plan is not None and vertex in plan.jammed)
-                    )
-
-    def _dispatch(self, running: List[_LaneRun]) -> None:
-        """Phase C of a slot: per lane, dispatch receptions under its
-        own collision model outcome and fault plan.  Expects each lane
-        needing channel resolution (listeners *and* transmitters) to
-        carry this slot's ``resolved`` arrays."""
-        has_cd = self.collision_model is not CollisionModel.NO_CD
-        silent = _SILENCE if has_cd else _NOTHING
-        noisy = _NOISE if has_cd else _NOTHING
-        jam = self._jam_reception
-        sinr = self._sinr_csr is not None
-
-        for s in running:
-            counters = s.lane.fault_counters
-            if s.listeners:
-                if s.tx_idx:
-                    gather = np.asarray(
-                        [i for i, _, _ in s.listeners], dtype=np.int64
-                    )
-                    if sinr:
-                        counts, codes, deliver = s.resolved
-                        listen_deliver = deliver[gather].tolist()
-                    else:
-                        counts, codes = s.resolved
-                        listen_deliver = (counts[gather] == 1).tolist()
-                    listen_counts_slot = counts[gather].tolist()
-                    listen_codes = codes[gather].tolist()
-                    msgs = s.msgs
-                    slot = s.lane.slot
-                    for (i, device, jammed), c, code, ok in zip(
-                        s.listeners, listen_counts_slot, listen_codes,
-                        listen_deliver,
-                    ):
-                        if jammed:
-                            counters.jammed += 1
-                            device.receive(slot, jam)
-                        elif ok:
-                            counters.delivered += 1
-                            device.receive(
-                                slot, Reception(Feedback.MESSAGE, msgs[code - 1])
-                            )
-                        elif c == 0:
-                            device.receive(slot, silent)
-                        else:
-                            device.receive(slot, noisy)
-                else:
-                    slot = s.lane.slot
-                    for _, device, jammed in s.listeners:
-                        if jammed:
-                            counters.jammed += 1
-                            device.receive(slot, jam)
-                        else:
-                            device.receive(slot, silent)
-            for i in s.tx_idx:
-                s.msgs[i] = None
-
 
 #: A mega lane key: (member index, replica lane index within member).
 MegaLaneKey = Tuple[int, int]
@@ -396,11 +276,12 @@ class MegaBatchedNetwork:
     is a single member — into one
     :class:`~repro.radio.kernels.megabatch.MegaBatchPlan`, so every
     running lane of every member joins the same gather each slot.
-    Per-lane semantics are untouched: device callbacks, fault
-    draws, energy charging, and collision outcomes all run through the
-    member's own machinery (:meth:`ReplicaBatchedNetwork._collect_actions`
-    / :meth:`ReplicaBatchedNetwork._dispatch`), and every lane gets its
-    own column range in the gather (see
+    Per-lane semantics are untouched: every lane steps its devices,
+    draws its member's fault plan, charges its own ledger once per slot
+    and dispatches receptions through its own
+    :class:`~repro.radio.fast_engine.SlotLane`, exactly as the serial
+    fast engine does, and every lane gets its own column range in the
+    gather (see
     :mod:`repro.radio.kernels.megabatch`), so each lane stays
     **byte-identical** to its own serial run, whether the members share
     a topology or not.
@@ -480,81 +361,59 @@ class MegaBatchedNetwork:
                     f"max_slots mapping is missing a budget for lane "
                     f"{exc.args[0]!r}"
                 ) from None
-        # records: (lane key, member index, per-call lane state, budget)
-        records: List[Tuple[MegaLaneKey, int, _LaneRun, int]] = []
+        runs: List[_LaneRun] = []
         for key in sorted(populations):
             self._check_key(key)
-            member_idx, replica = key
-            member = self.members[member_idx]
+            member = self.members[key[0]]
             devices = populations[key]
-            member._check_population(replica, devices)
+            member._check_population(key[1], devices)
             live = [(v, d) for v, d in devices.items() if not d.halted]
-            state = _LaneRun(
-                member.lanes[replica], live, member._topology.n
-            )
-            records.append((key, member_idx, state, budgets[key]))
-        running = [r for r in records if r[2].live and r[3] > 0]
+            runs.append(_LaneRun(key, member, live, budgets[key]))
+        running = [run for run in runs if run.live and run.budget > 0]
         while running:
-            by_member: Dict[int, List[_LaneRun]] = {}
-            for _, member_idx, state, _ in running:
-                by_member.setdefault(member_idx, []).append(state)
-            for member_idx, states in by_member.items():
-                self.members[member_idx]._collect_actions(states)
-            # One gather for every lane, of every member, that has
-            # both transmitters and listeners.  SINR members take the
-            # fused arbitration kernel instead (its own gather over all
-            # such lanes).
-            need = [
-                (member_idx, state)
-                for _, member_idx, state, _ in running
-                if state.listeners and state.tx_idx
-            ]
-            binary_need = [
-                (m, state) for m, state in need
-                if self.members[m]._sinr_csr is None
-            ]
-            sinr_need = [
-                (m, state) for m, state in need
-                if self.members[m]._sinr_csr is not None
-            ]
-            if binary_need:
-                resolved = self._plan.counts_codes_many(
-                    [(m, np.asarray(state.tx_idx, dtype=np.int64))
-                     for m, state in binary_need]
+            for run in running:
+                lane, member, stage = run.lane, run.member, run.stage
+                stage.collect(
+                    run.live, lane.slot,
+                    member._fault_runtimes.plan(lane.index, lane.slot),
+                    lane.fault_counters, member._topology.index,
+                    member.size_policy, member.sinr, None,
                 )
-                for (_, state), pair in zip(binary_need, resolved):
-                    state.resolved = pair
-            if sinr_need:
-                arbitrated = sinr_arbitrate_many(
-                    [
-                        (
-                            self.members[m]._sinr_csr,
-                            np.asarray(state.tx_idx, dtype=np.int64),
-                            np.asarray(state.tx_levels, dtype=np.int64),
-                        )
-                        for m, state in sinr_need
-                    ]
+                lane.ledger.charge_slot_batch(
+                    stage.tx_vertices, stage.listen_vertices,
+                    transmit_costs=stage.tx_costs,
                 )
-                for (_, state), triple in zip(sinr_need, arbitrated):
-                    state.resolved = triple
-            for member_idx, states in by_member.items():
-                self.members[member_idx]._dispatch(states)
-            still_running = []
-            for record in running:
-                _, _, state, budget = record
-                state.executed += 1
-                state.lane.slot += 1
-                state.live = [
-                    (v, d) for v, d in state.live if not d.halted
-                ]
-                if state.live and state.executed < budget:
-                    still_running.append(record)
-            running = still_running
-        for key, member_idx, state, _ in records:
-            member = self.members[member_idx]
-            state.lane.ledger.charge_slot_counts(
-                member._topology.vertices,
-                state.tx_counts, state.listen_counts,
-            )
-            state.lane.ledger.advance_time(state.executed)
-        return {key: state.executed for key, _, state, _ in records}
+            # One gather for every lane, of every member, that needs the
+            # channel.  SINR members take the fused arbitration kernel
+            # instead (its own gather over all such lanes).
+            need = [run for run in running if run.stage.needs_channel]
+            binary = [run for run in need if run.member._sinr_csr is None]
+            sinr = [run for run in need if run.member._sinr_csr is not None]
+            if binary:
+                resolved = self._plan.counts_codes_many([
+                    (run.key[0], np.asarray(run.stage.tx_idx, dtype=np.int64))
+                    for run in binary
+                ])
+                for run, pair in zip(binary, resolved):
+                    run.stage.resolved = pair
+            if sinr:
+                arbitrated = sinr_arbitrate_many([
+                    (run.member._sinr_csr,
+                     np.asarray(run.stage.tx_idx, dtype=np.int64),
+                     np.asarray(run.stage.tx_levels, dtype=np.int64))
+                    for run in sinr
+                ])
+                for run, triple in zip(sinr, arbitrated):
+                    run.stage.resolved = triple
+            for run in running:
+                lane, member = run.lane, run.member
+                run.stage.dispatch(lane.slot, lane.fault_counters,
+                                   member._silent, member._noisy, None)
+                run.executed += 1
+                lane.slot += 1
+                run.live = [(v, d) for v, d in run.live if not d.halted]
+            running = [run for run in running
+                       if run.live and run.executed < run.budget]
+        for run in runs:
+            run.lane.ledger.advance_time(run.executed)
+        return {run.key: run.executed for run in runs}

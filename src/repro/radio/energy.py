@@ -76,7 +76,8 @@ class EnergyLedger:
 
         Equivalent to one :meth:`charge_transmit` per transmitter plus
         one :meth:`charge_listen` per listener; the batch form is used
-        by the vectorized engine so each slot touches the ledger once.
+        by every fast lane (serial or batched) so each slot touches the
+        ledger once.
         ``transmit_costs`` (aligned with ``transmitters``) replaces the
         flat one-unit transmit charge with per-transmitter costs — the
         SINR power ladder, where louder costs more.
@@ -105,9 +106,8 @@ class EnergyLedger:
         :meth:`charge_slot_batch` calls (slot charges are additive and
         commutative); vertices with zero activity are never touched, so
         the set of devices the ledger knows about matches per-slot
-        charging exactly.  Used by the replica-batched engine, which
-        accumulates per-lane counters in NumPy arrays during a lockstep
-        run and flushes them here once per run.
+        charging exactly.  No executor calls it: every fast lane charges
+        once per slot through :meth:`charge_slot_batch`.
         """
         devices = self._devices
         for v, tx, listen in zip(vertices, transmit_counts, listen_counts):

@@ -21,11 +21,16 @@ with the same seed produces bit-for-bit identical slot counts, energy
 ledgers, and event traces on either engine — a guarantee enforced by
 ``tests/radio/test_engine_equivalence.py``.
 
+That control path lives in one place, :class:`SlotLane`: a slot is
+``collect`` (step the devices, apply the fault plan, stage transmitters
+and listeners), a ledger charge, channel resolution into the lane, and
+``dispatch`` (deliver receptions).  :class:`FastRadioNetwork` runs one
+lane per slot; :class:`~repro.radio.batch_engine.MegaBatchedNetwork`
+runs the same steps for each of its lanes around one fused gather.
 The counts/codes arithmetic itself is the one integer CSR gather of
 :mod:`repro.radio.kernels`
-(:func:`~repro.radio.kernels.base.counts_codes_blocks`), which the
-replica- and mega-batched tiers share, so every tier computes the same
-bytes for the same lane.
+(:func:`~repro.radio.kernels.base.counts_codes_blocks`), so every tier
+computes the same bytes for the same lane.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from typing import (
     Dict,
     FrozenSet,
     Hashable,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -51,20 +57,14 @@ from .channel import CollisionModel, Feedback, Reception
 from .device import ActionKind, Device
 from .dynamic import DynamicTopology, TopologyPatch
 from .energy import EnergyLedger
-from .faults import FaultModel
+from .faults import FaultCounters, FaultModel, SlotFaultPlan
 from .engine_registry import register_engine
 from .kernels import CSRAdjacency, counts_codes_blocks
 from .kernels.sinr_csr import SinrCsr, sinr_arbitrate
 from .message import Message, MessageSizePolicy
 from .network import SlotEngineBase
-from .sinr import SinrParams
+from .sinr import SinrParams, transmit_level
 from .trace import EventTrace
-
-# Non-delivery receptions carry no message, so one frozen instance per
-# feedback kind can be shared across all listeners and slots.
-_NOTHING = Reception(Feedback.NOTHING)
-_SILENCE = Reception(Feedback.SILENCE)
-_NOISE = Reception(Feedback.NOISE)
 
 
 class CompiledTopology:
@@ -120,6 +120,148 @@ class CompiledTopology:
             self.adjacency = self.adjacency.with_row_updates(updates)
 
 
+class SlotLane:
+    """One lane's slot, staged between device callbacks and the channel.
+
+    The single per-slot device loop of the fast tiers: the serial
+    :class:`FastRadioNetwork` owns one lane, and every lane of a
+    :class:`~repro.radio.batch_engine.MegaBatchedNetwork` owns one.  A
+    slot is three calls: :meth:`collect` steps the devices and stages
+    the live transmitters and listeners; the caller charges the staged
+    energy, resolves the channel into :attr:`resolved` when
+    :attr:`needs_channel` (alone or in a fused gather), and
+    :meth:`dispatch` delivers the receptions.
+    """
+
+    __slots__ = ("msgs", "tx_idx", "tx_levels", "tx_vertices", "tx_costs",
+                 "listen_idx", "listen_vertices", "listen_devices", "jammed",
+                 "resolved")
+
+    def __init__(self, n: int) -> None:
+        # Message staging by vertex index, reused across slots.
+        self.msgs: List[Optional[Message]] = [None] * n
+        # The channel outcome for this slot: (counts, codes) for the
+        # binary models, (counts, codes, deliver) under SINR.
+        self.resolved: Optional[Tuple[np.ndarray, ...]] = None
+
+    @property
+    def needs_channel(self) -> bool:
+        """Whether this slot has both live transmitters and listeners."""
+        return bool(self.tx_idx) and bool(self.listen_idx)
+
+    def collect(
+        self,
+        devices: Iterable[Tuple[Hashable, Device]],
+        slot: int,
+        plan: Optional[SlotFaultPlan],
+        counters: FaultCounters,
+        index: Mapping[Hashable, int],
+        size_policy: MessageSizePolicy,
+        sinr: Optional[SinrParams],
+        trace: Optional[EventTrace],
+    ) -> None:
+        """Step every live device and stage this slot's actions.
+
+        Crashed devices are skipped.  Dropped transmitters are staged
+        for charging and tracing but never enter the channel.  Fills
+        ``tx_vertices``/``tx_costs`` (``None`` for the binary models)
+        and ``listen_vertices`` for the ledger, and the index, level and
+        message staging for the channel.
+        """
+        msgs = self.msgs
+        self.tx_idx = tx_idx = []
+        self.tx_levels = tx_levels = []
+        self.tx_vertices = tx_vertices = []
+        self.tx_costs = tx_costs = None if sinr is None else []
+        self.listen_idx = listen_idx = []
+        self.listen_vertices = listen_vertices = []
+        self.listen_devices = listen_devices = []
+        self.jammed = () if plan is None else plan.jammed
+        idle_kind = ActionKind.IDLE
+        transmit_kind = ActionKind.TRANSMIT
+
+        for vertex, device in devices:
+            if device.halted:
+                continue
+            if plan is not None and vertex in plan.dead:
+                continue
+            action = device.step(slot)
+            kind = action.kind
+            if kind is idle_kind:
+                continue
+            if kind is transmit_kind:
+                message = action.message
+                if message is None:
+                    raise SimulationError(f"device {vertex!r} transmitted no message")
+                size_policy.check(message)
+                level = 0 if sinr is None else transmit_level(device, action, sinr)
+                if plan is not None and vertex in plan.dropped:
+                    counters.dropped += 1
+                else:
+                    i = index[vertex]
+                    tx_idx.append(i)
+                    tx_levels.append(level)
+                    msgs[i] = message
+                tx_vertices.append(vertex)
+                if tx_costs is None:
+                    detail = message.kind
+                else:
+                    tx_costs.append(sinr.power_costs[level])
+                    detail = f"{message.kind}/p{level}"
+                if trace is not None:
+                    trace.record(slot, "transmit", vertex, detail)
+            else:  # LISTEN
+                listen_idx.append(index[vertex])
+                listen_vertices.append(vertex)
+                listen_devices.append(device)
+
+    def dispatch(
+        self,
+        slot: int,
+        counters: FaultCounters,
+        silent: Reception,
+        noisy: Reception,
+        trace: Optional[EventTrace],
+    ) -> None:
+        """Deliver every staged listener's reception.
+
+        Reads :attr:`resolved` when :attr:`needs_channel`.  A jammed
+        listener perceives ``noisy``, exactly like a collision (see
+        :func:`~repro.radio.network.silence_and_noise`).
+        """
+        k = len(self.listen_idx)
+        if self.needs_channel:
+            gather = np.asarray(self.listen_idx, dtype=np.int64)
+            counts = self.resolved[0][gather]
+            codes = self.resolved[1][gather].tolist()
+            if len(self.resolved) == 3:
+                deliver = self.resolved[2][gather].tolist()
+            else:
+                deliver = (counts == 1).tolist()
+            counts = counts.tolist()
+        else:
+            counts = codes = [0] * k
+            deliver = [False] * k
+        msgs = self.msgs
+        jammed = self.jammed
+        for vertex, device, c, code, ok in zip(
+            self.listen_vertices, self.listen_devices, counts, codes, deliver
+        ):
+            if vertex in jammed:
+                counters.jammed += 1
+                reception = noisy
+            elif ok:
+                counters.delivered += 1
+                reception = Reception(Feedback.MESSAGE, msgs[code - 1])
+            else:
+                reception = silent if c == 0 else noisy
+            device.receive(slot, reception)
+            if trace is not None and reception.received:
+                trace.record(slot, "receive", vertex, reception.message.kind)
+        for i in self.tx_idx:
+            msgs[i] = None
+
+
 @register_engine
 class FastRadioNetwork(SlotEngineBase):
     """Batch slot executor, interchangeable with
@@ -151,8 +293,7 @@ class FastRadioNetwork(SlotEngineBase):
                          sinr=sinr)
         self._topology = CompiledTopology(graph)
         self._index = self._topology.index
-        # Per-slot message staging area, reused across slots.
-        self._msg_buf: List[Optional[Message]] = [None] * self._topology.n
+        self._lane = SlotLane(self._topology.n)
         # Compiled per-edge gains for SINR arbitration (static topology;
         # the base class rejects dynamic + SINR).
         self._sinr_csr: Optional[SinrCsr] = (
@@ -215,129 +356,26 @@ class FastRadioNetwork(SlotEngineBase):
         return table
 
     # ------------------------------------------------------------------
-    def _transmitter_counts(
-        self, tx_idx: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-vertex (transmitting-neighbor count, summed sender codes).
-
-        Delegates to the compiled topology (see
-        :meth:`CompiledTopology.counts_codes`)."""
-        return self._topology.counts_codes(tx_idx)
-
-    # ------------------------------------------------------------------
     def step(self, devices: Mapping[Hashable, Device]) -> None:
         """Execute one synchronous slot for all devices."""
         plan = self._next_fault_plan()
-        counters = self.fault_counters
+        lane = self._lane
         slot = self.slot
-        trace = self.trace
-        index = self._index
-        msg_buf = self._msg_buf
-        sinr = self.sinr
-        # SINR feedback is CD-like: silence and noise are distinguishable.
-        has_cd = self.collision_model is not CollisionModel.NO_CD
-        silent = _SILENCE if has_cd else _NOTHING
-        noisy = _NOISE if has_cd else _NOTHING
-        jam = self._jam_reception
-
-        tx_idx: List[int] = []
-        tx_levels: List[int] = []
-        tx_vertices: List[Hashable] = []
-        tx_costs: List[int] = []
-        listen_idx: List[int] = []
-        listen_vertices: List[Hashable] = []
-        listen_devices: List[Device] = []
-        listen_jammed: List[bool] = []
-        idle_kind = ActionKind.IDLE
-        transmit_kind = ActionKind.TRANSMIT
-
-        for vertex, device in devices.items():
-            if device.halted:
-                continue
-            if plan is not None and vertex in plan.dead:
-                continue
-            action = device.step(slot)
-            kind = action.kind
-            if kind is idle_kind:
-                continue
-            if kind is transmit_kind:
-                message = action.message
-                if message is None:
-                    raise SimulationError(f"device {vertex!r} transmitted no message")
-                self.size_policy.check(message)
-                level = self._transmit_level(device, action)
-                # Dropped transmitters are charged and traced like the
-                # reference engine, but never enter the channel math.
-                if plan is not None and vertex in plan.dropped:
-                    counters.dropped += 1
-                else:
-                    i = index[vertex]
-                    tx_idx.append(i)
-                    tx_levels.append(level)
-                    msg_buf[i] = message
-                tx_vertices.append(vertex)
-                if sinr is None:
-                    detail = message.kind
-                else:
-                    tx_costs.append(sinr.power_costs[level])
-                    detail = f"{message.kind}/p{level}"
-                if trace is not None:
-                    trace.record(slot, "transmit", vertex, detail)
-            else:  # LISTEN
-                listen_idx.append(index[vertex])
-                listen_vertices.append(vertex)
-                listen_devices.append(device)
-                listen_jammed.append(plan is not None and vertex in plan.jammed)
-
+        lane.collect(devices.items(), slot, plan, self.fault_counters,
+                     self._index, self.size_policy, self.sinr, self.trace)
         self.ledger.charge_slot_batch(
-            tx_vertices, listen_vertices,
-            transmit_costs=tx_costs if sinr is not None else None,
+            lane.tx_vertices, lane.listen_vertices, transmit_costs=lane.tx_costs
         )
-
-        if listen_idx:
-            if tx_idx:
-                gather = np.asarray(listen_idx, dtype=np.int64)
-                if sinr is None:
-                    counts, codes = self._transmitter_counts(
-                        np.asarray(tx_idx, dtype=np.int64)
-                    )
-                    listen_deliver = (counts[gather] == 1).tolist()
-                else:
-                    counts, codes, deliver = sinr_arbitrate(
-                        self._sinr_csr,
-                        np.asarray(tx_idx, dtype=np.int64),
-                        np.asarray(tx_levels, dtype=np.int64),
-                    )
-                    listen_deliver = deliver[gather].tolist()
-                listen_counts = counts[gather].tolist()
-                listen_codes = codes[gather].tolist()
-                for vertex, device, c, code, ok, jammed in zip(
-                    listen_vertices, listen_devices, listen_counts,
-                    listen_codes, listen_deliver, listen_jammed,
-                ):
-                    if jammed:
-                        counters.jammed += 1
-                        device.receive(slot, jam)
-                    elif ok:
-                        message = msg_buf[code - 1]
-                        counters.delivered += 1
-                        device.receive(slot, Reception(Feedback.MESSAGE, message))
-                        if trace is not None:
-                            trace.record(slot, "receive", vertex, message.kind)
-                    elif c == 0:
-                        device.receive(slot, silent)
-                    else:
-                        device.receive(slot, noisy)
+        if lane.needs_channel:
+            tx_idx = np.asarray(lane.tx_idx, dtype=np.int64)
+            if self._sinr_csr is None:
+                lane.resolved = self._topology.counts_codes(tx_idx)
             else:
-                for device, jammed in zip(listen_devices, listen_jammed):
-                    if jammed:
-                        counters.jammed += 1
-                        device.receive(slot, jam)
-                    else:
-                        device.receive(slot, silent)
-
-        for i in tx_idx:
-            msg_buf[i] = None
-
+                lane.resolved = sinr_arbitrate(
+                    self._sinr_csr, tx_idx,
+                    np.asarray(lane.tx_levels, dtype=np.int64),
+                )
+        lane.dispatch(slot, self.fault_counters, self._silent, self._noisy,
+                      self.trace)
         self.slot += 1
         self.ledger.advance_time(1)

@@ -77,19 +77,28 @@ def validate_topology(graph: nx.Graph) -> None:
         )
 
 
-def jam_reception_for(collision_model: CollisionModel) -> Reception:
-    """The channel outcome a jammed listener perceives.
+# Non-delivery receptions carry no message, so one frozen instance per
+# feedback kind is shared across all listeners, slots and engines.
+_NOTHING = Reception(Feedback.NOTHING)
+_SILENCE = Reception(Feedback.SILENCE)
+_NOISE = Reception(Feedback.NOISE)
 
-    Indistinguishable from a collision under the active collision model
-    (``NOISE`` with receiver-side CD or SINR, ``NOTHING`` without CD);
-    shared by every executor tier so jam semantics stay
-    engine-independent.
+
+def silence_and_noise(
+    collision_model: CollisionModel,
+) -> Tuple[Reception, Reception]:
+    """The ``(silent, noisy)`` receptions of a non-delivering slot.
+
+    ``silent`` is what a listener with no transmitting neighbor
+    perceives, ``noisy`` what it perceives under a collision *or* when
+    jammed (a jammed slot is indistinguishable from a collision).  With
+    receiver-side CD or SINR these are ``SILENCE``/``NOISE``; without CD
+    both are ``NOTHING``.  Shared by every executor tier so jam and
+    collision semantics stay engine-independent.
     """
-    return Reception(
-        Feedback.NOTHING
-        if collision_model is CollisionModel.NO_CD
-        else Feedback.NOISE
-    )
+    if collision_model is CollisionModel.NO_CD:
+        return _NOTHING, _NOTHING
+    return _SILENCE, _NOISE
 
 
 def coerce_channel(
@@ -267,7 +276,7 @@ class SlotEngineBase:
         self._fault_runtime: Optional[FaultRuntime] = FaultRuntime.build(
             faults, graph, seed=fault_seed, counters=self.fault_counters
         )
-        self._jam_reception = jam_reception_for(collision_model)
+        self._silent, self._noisy = silence_and_noise(collision_model)
 
     def _next_fault_plan(self) -> Optional[SlotFaultPlan]:
         """The fault plan for the current slot (``None`` = no faults).
@@ -325,17 +334,6 @@ class SlotEngineBase:
         if self._sinr_field is None:
             return None
         return self._sinr_field.gain_table()
-
-    def _transmit_level(self, device: Device, action) -> int:
-        """Resolve and validate a transmitter's discrete power level.
-
-        Per-action ``power`` wins over the device's standing
-        ``power_level``; binary collision models always use level 0
-        (the ladder does not exist for them).
-        """
-        if self.sinr is None:
-            return 0
-        return transmit_level(device, action, self.sinr)
 
     # ------------------------------------------------------------------
     def run(
@@ -451,7 +449,7 @@ class RadioNetwork(SlotEngineBase):
         signals: Optional[Dict[Hashable, int]] = (
             {} if self.sinr is not None else None
         )
-        listeners: List[Hashable] = []
+        listeners: List[Tuple[Hashable, Device]] = []
 
         for vertex, device in devices.items():
             if device.halted:
@@ -466,7 +464,8 @@ class RadioNetwork(SlotEngineBase):
                 if message is None:
                     raise SimulationError(f"device {vertex!r} transmitted no message")
                 self.size_policy.check(message)
-                level = self._transmit_level(device, action)
+                level = (0 if self.sinr is None
+                         else transmit_level(device, action, self.sinr))
                 # A dropped transmitter still spends the slot's energy —
                 # the device transmitted; the channel lost the message.
                 if plan is not None and vertex in plan.dropped:
@@ -486,13 +485,13 @@ class RadioNetwork(SlotEngineBase):
                 if self.trace is not None:
                     self.trace.record(self.slot, "transmit", vertex, detail)
             else:  # LISTEN
-                listeners.append(vertex)
+                listeners.append((vertex, device))
                 self.ledger.charge_listen(vertex)
 
-        for vertex in listeners:
+        for vertex, device in listeners:
             if plan is not None and vertex in plan.jammed:
                 counters.jammed += 1
-                reception = self._jam_reception
+                reception = self._noisy
             elif self._sinr_field is None:
                 heard = [
                     transmissions[u]
@@ -510,7 +509,7 @@ class RadioNetwork(SlotEngineBase):
                 reception = resolve_sinr(contributions, self.sinr)
             if reception.received:
                 counters.delivered += 1
-            devices[vertex].receive(self.slot, reception)
+            device.receive(self.slot, reception)
             if self.trace is not None and reception.received:
                 assert reception.message is not None
                 self.trace.record(

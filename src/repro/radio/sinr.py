@@ -46,6 +46,7 @@ exists.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Mapping, Optional, Sequence, Tuple, Union
 
@@ -236,21 +237,22 @@ def transmit_level(device: Any, action: Any, params: SinrParams) -> int:
 
     Per-action ``power`` (``Action.transmit(msg, power=...)``) wins over
     the device's standing :attr:`~repro.radio.device.Device.power_level`.
-    The single implementation every executor tier (serial engines and
+    Any integral level is accepted (numpy integers included, ``bool``
+    excluded) and returned as a Python ``int``.  The single implementation every executor tier (serial engines and
     batched lanes) resolves levels with, so the per-slot validation can
     never drift between them.
     """
     level = action.power
     if level is None:
         level = getattr(device, "power_level", 0)
-    if not isinstance(level, int) or isinstance(level, bool) or not (
+    if not isinstance(level, numbers.Integral) or isinstance(level, bool) or not (
         0 <= level < params.levels
     ):
         raise SimulationError(
             f"device {device.vertex!r} selected transmit power level "
             f"{level!r}; the ladder has levels 0..{params.levels - 1}"
         )
-    return level
+    return int(level)
 
 
 def resolve_sinr(
