@@ -50,11 +50,12 @@ def distributed_mpx(
     members: Dict[Hashable, Set[Hashable]] = {}
     unclustered: Set[Hashable] = set(vertices)
     horizon = params.horizon
+    centers_by_round = shifts.centers_by_round(unclustered)
 
     for round_index in range(1, horizon + 1):
-        for v in sorted(
-            (v for v in unclustered if shifts.start_time[v] == round_index), key=repr
-        ):
+        for v in centers_by_round.get(round_index, ()):
+            if v not in unclustered:
+                continue
             center_of[v] = v
             layer_of[v] = 0
             members[v] = {v}

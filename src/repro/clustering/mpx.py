@@ -10,7 +10,19 @@ This centralized routine is the ground truth against which the
 distributed implementation (``repro.clustering.distributed``) is
 validated, and the fast path used by the charged-cost clustering
 shortcut (DESIGN.md §3.3).
-"""
+
+The output is a function of the seed *and of the order of the random
+draws*: every joining vertex draws one ``rng.integers`` to pick its
+parent, in the iteration order of the ``unclustered`` set.  That set is
+built once from ``graph.nodes`` and only ever shrinks (a set never
+rehashes on ``discard``), so its order is the build order filtered.
+The round loop must keep iterating that very set and drawing for
+exactly the vertices with a clustered neighbour: iterating another
+container, or skipping or adding a draw, reshuffles every later pick
+and changes every clustering, ledger and document built on it.  The
+speed comes from elsewhere — start-time buckets (no per-round scan for
+centers) and a per-vertex count of clustered neighbours (only vertices
+with one build a candidate list)."""
 
 from __future__ import annotations
 
@@ -145,12 +157,26 @@ def mpx_clustering(
     rng = make_rng(seed)
     if shifts is None:
         shifts = Shifts.sample(graph.nodes, params, seed=rng)
+    else:
+        _check_shifts(shifts, params, graph)
 
     center_of: Dict[Hashable, Hashable] = {}
     layer_of: Dict[Hashable, int] = {}
     members: Dict[Hashable, Set[Hashable]] = {}
     unclustered: Set[Hashable] = set(graph.nodes)
     horizon = params.horizon
+    adjacency = {v: list(nbrs) for v, nbrs in graph.adjacency()}
+    centers_by_round = shifts.centers_by_round(unclustered)
+    # Clustered neighbours of each unclustered vertex.
+    clustered_degree = dict.fromkeys(unclustered, 0)
+
+    def settle(v: Hashable, cluster: Hashable, layer: int) -> None:
+        center_of[v] = cluster
+        layer_of[v] = layer
+        unclustered.discard(v)
+        for u in adjacency[v]:
+            if u in unclustered:
+                clustered_degree[u] += 1
 
     rounds_used = 0
     for round_index in range(1, horizon + 1):
@@ -158,28 +184,25 @@ def mpx_clustering(
             break
         rounds_used = round_index
         # New centers.
-        for v in sorted(
-            (v for v in unclustered if shifts.start_time[v] == round_index), key=repr
-        ):
-            center_of[v] = v
-            layer_of[v] = 0
-            members[v] = {v}
-            unclustered.discard(v)
+        for v in centers_by_round.get(round_index, ()):
+            if v in unclustered:
+                members[v] = {v}
+                settle(v, v, 0)
+        if not center_of:
+            continue  # nothing can grow before the first center
         # One hop of growth: each unclustered vertex with clustered
         # neighbors joins one uniformly at random (the arbitrary single
         # delivery of Local-Broadcast).
         joiners: List[Tuple[Hashable, Hashable]] = []
         for v in unclustered:
-            clustered_neighbors = [u for u in graph.neighbors(v) if u in center_of]
-            if clustered_neighbors:
+            if clustered_degree[v]:
+                clustered_neighbors = [u for u in adjacency[v] if u in center_of]
                 pick = clustered_neighbors[int(rng.integers(len(clustered_neighbors)))]
                 joiners.append((v, pick))
         for v, parent in joiners:
             cluster = center_of[parent]
-            center_of[v] = cluster
-            layer_of[v] = layer_of[parent] + 1
             members[cluster].add(v)
-            unclustered.discard(v)
+            settle(v, cluster, layer_of[parent] + 1)
 
     if unclustered:
         # Every vertex starts its own cluster by round start_v <= T, so
@@ -197,3 +220,18 @@ def mpx_clustering(
         shifts=shifts,
         rounds_used=rounds_used,
     )
+
+
+def _check_shifts(shifts: Shifts, params: ShiftParameters, graph: nx.Graph) -> None:
+    """Reject supplied shifts that do not fit this clustering, in one line."""
+    if shifts.params != params:
+        raise ConfigurationError(
+            f"shifts were sampled under {shifts.params}, "
+            f"but this clustering runs under {params}"
+        )
+    missing = [v for v in graph.nodes if v not in shifts.start_time]
+    if missing:
+        raise ConfigurationError(
+            f"shifts give no start time for {len(missing)} of "
+            f"{graph.number_of_nodes()} graph vertices (first: {missing[0]!r})"
+        )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable
+from typing import Dict, Hashable, Iterable, List
 
 
 from ..errors import ConfigurationError
@@ -86,6 +86,20 @@ class Shifts:
             start[v] = max(1, math.ceil(horizon - d))
         return cls(params=params, delta=delta, start_time=start)
 
-    def centers_at(self, round_index: int) -> list:
-        """Vertices whose start time is exactly ``round_index``."""
-        return [v for v, s in self.start_time.items() if s == round_index]
+    def centers_by_round(
+        self, vertices: Iterable[Hashable]
+    ) -> Dict[int, List[Hashable]]:
+        """Bucket ``vertices`` by start time: ``{round: vertices}``.
+
+        Each bucket is sorted by ``repr`` (stably, so ties keep the
+        order of ``vertices``): the order in which MPX makes a round's
+        new centers.  Built once per clustering, so no round rescans the
+        vertex set for its centers.
+        """
+        buckets: Dict[int, List[Hashable]] = {}
+        start = self.start_time
+        for v in vertices:
+            buckets.setdefault(start[v], []).append(v)
+        for bucket in buckets.values():
+            bucket.sort(key=repr)
+        return buckets

@@ -266,6 +266,9 @@ class RecursiveBFS:
         active_star = {cl[u] for u in active}
 
         dist: Dict[Hashable, float] = {s: 0.0 for s in sources}
+        # The vertices at distance d (the sources, then the last hop's
+        # listeners that heard), in ``dist`` order.
+        frontier: Iterable[Hashable] = list(dist)
         stage_count = math.ceil(depth_budget / inv_beta)
         wavefront_alive = True
 
@@ -286,9 +289,7 @@ class RecursiveBFS:
                 d = i * inv_beta + k
                 if d >= depth_budget:
                     break
-                senders = {
-                    u: ("bfs", d) for u, du in dist.items() if du == d
-                }
+                senders = {u: ("bfs", d) for u in frontier}
                 if not senders:
                     wavefront_alive = False
                     break
@@ -305,6 +306,7 @@ class RecursiveBFS:
                         )
                 for v, (_, hop) in heard.items():
                     dist[v] = float(hop) + 1.0
+                frontier = heard
             if not wavefront_alive:
                 break
 
@@ -317,7 +319,9 @@ class RecursiveBFS:
             if i == stage_count - 1 or boundary >= depth_budget:
                 break
 
-            wavefront = {u for u, du in dist.items() if du == boundary}
+            # The stage's last hop ran (d = boundary - 1), so the
+            # frontier holds exactly the vertices at distance boundary.
+            wavefront = set(frontier)
             if not wavefront:
                 break  # no vertex on the new frontier: search exhausted
             wavefront_star = {cl[u] for u in wavefront}

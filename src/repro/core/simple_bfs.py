@@ -74,8 +74,11 @@ def trivial_bfs(
         raise ConfigurationError(f"active vertices not in graph: {list(stray)[:5]}")
 
     dist: Dict[Hashable, float] = {s: 0.0 for s in source_set}
+    # The vertices at distance d, in ``dist`` order: the sources, then
+    # each hop's new labels, which are exactly the vertices that heard.
+    frontier: Iterable[Hashable] = list(dist)
     for d in range(depth_budget):
-        senders = {u: ("bfs", d) for u, du in dist.items() if du == d}
+        senders = {u: ("bfs", d) for u in frontier}
         if not senders:
             break  # wavefront exhausted
         receivers = [v for v in active_set if v not in dist]
@@ -84,6 +87,7 @@ def trivial_bfs(
         heard = lbg.local_broadcast(senders, receivers)
         for v, (_, hop) in heard.items():
             dist[v] = float(hop) + 1.0
+        frontier = heard
 
     for v in active_set:
         dist.setdefault(v, math.inf)

@@ -31,6 +31,7 @@ import networkx as nx
 from ..errors import ConfigurationError
 from ..radio.energy import EnergyLedger
 from ..radio.faults import FaultCounters, FaultModel, FaultRuntime
+from ..radio.network import validate_topology
 from ..rng import SeedLike, make_rng
 
 
@@ -153,8 +154,8 @@ class PhysicalLBGraph(LBGraph):
         faults: Optional[FaultModel] = None,
         fault_seed: SeedLike = None,
     ) -> None:
-        if graph.number_of_nodes() == 0:
-            raise ConfigurationError("PhysicalLBGraph requires a non-empty graph")
+        # Undirected, as the sender-side delivery below relies on.
+        validate_topology(graph)
         if not (0.0 <= failure_probability < 1.0):
             raise ConfigurationError(
                 f"failure_probability must be in [0, 1), got {failure_probability}"
@@ -210,12 +211,13 @@ class PhysicalLBGraph(LBGraph):
     ) -> Dict[Hashable, Any]:
         receiver_list = [v for v in receivers]
         sender_set = set(messages)
-        unknown = (sender_set | set(receiver_list)) - self._vertices
+        receiver_set = set(receiver_list)
+        unknown = (sender_set | receiver_set) - self._vertices
         if unknown:
             raise ConfigurationError(
                 f"local_broadcast participants not in graph: {sorted(map(repr, unknown))[:5]}"
             )
-        overlap = sender_set & set(receiver_list)
+        overlap = sender_set & receiver_set
         if overlap:
             raise ConfigurationError(
                 f"senders and receivers must be disjoint (Local-Broadcast spec); "
@@ -246,14 +248,21 @@ class PhysicalLBGraph(LBGraph):
 
         self._ledger.charge_lb(sender_set, receiver_list)
 
+        # Sender side first: only a receiver next to a heard sender can
+        # hear anything, so only those build a (then non-empty) candidate
+        # list.  The receiver loop keeps its order and its draws.
+        adjacency = self._adjacency
+        in_range: Set[Hashable] = set()
+        for u in heard_from:
+            in_range.update(adjacency[u])
         delivered: Dict[Hashable, Any] = {}
         for v in receiver_list:
             if v in jammed:
                 counters.jammed += 1
                 continue
-            sending_neighbors = [u for u in self._adjacency[v] if u in heard_from]
-            if not sending_neighbors:
+            if v not in in_range:
                 continue
+            sending_neighbors = [u for u in adjacency[v] if u in heard_from]
             if self.failure_probability > 0.0 and (
                 self.rng.random() < self.failure_probability
             ):

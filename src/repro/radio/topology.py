@@ -23,7 +23,7 @@ diverse workloads by name (see :func:`register_scenario` /
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -62,10 +62,31 @@ def cycle_graph(n: int) -> nx.Graph:
 
 
 def grid_graph(rows: int, cols: int) -> nx.Graph:
-    """``rows x cols`` grid — diameter ``rows + cols - 2``."""
+    """``rows x cols`` grid — diameter ``rows + cols - 2``.
+
+    Vertex ``r * cols + c`` sits at row ``r``, column ``c``.  Built on
+    integers directly, in the node, adjacency and edge order of
+    ``_relabel(nx.grid_2d_graph(rows, cols))``: each vertex lists its
+    neighbours in increasing label order (above, left, below, right),
+    and the edges run vertex by vertex, the one below before the one to
+    the right.
+    """
     if rows < 1 or cols < 1:
         raise ConfigurationError("grid dimensions must be >= 1")
-    return _relabel(nx.grid_2d_graph(rows, cols))
+    graph = nx.Graph()
+    graph.add_nodes_from(range(rows * cols))
+    graph.add_edges_from(_grid_edges(rows, cols))
+    return graph
+
+
+def _grid_edges(rows: int, cols: int) -> Iterator[Tuple[int, int]]:
+    """The grid's edges, each vertex's below-edge before its right-edge."""
+    n = rows * cols
+    for v in range(n):
+        if v + cols < n:
+            yield v, v + cols
+        if (v + 1) % cols:
+            yield v, v + 1
 
 
 def complete_graph(n: int) -> nx.Graph:

@@ -5,7 +5,7 @@ import math
 import networkx as nx
 import pytest
 
-from repro.clustering import Clustering, mpx_clustering
+from repro.clustering import Clustering, ShiftParameters, Shifts, mpx_clustering
 from repro.errors import ConfigurationError
 from repro.radio import topology
 
@@ -100,6 +100,37 @@ class TestValidation:
     def test_non_integer_inv_beta_rejected(self, path50):
         with pytest.raises(ConfigurationError):
             mpx_clustering(path50, 0.3)
+
+    def test_shifts_missing_vertices_rejected(self):
+        graph = topology.path_graph(6)
+        shifts = Shifts.sample(range(4), ShiftParameters(beta=1 / 4, n=6), seed=0)
+        with pytest.raises(ConfigurationError) as info:
+            mpx_clustering(graph, 1 / 4, seed=0, shifts=shifts)
+        message = str(info.value)
+        assert "\n" not in message
+        assert "no start time for 2 of 6 graph vertices" in message
+
+    @pytest.mark.parametrize("params", [
+        ShiftParameters(beta=1 / 2, n=6),
+        ShiftParameters(beta=1 / 4, n=100),
+        ShiftParameters(beta=1 / 4, n=6, radius_multiplier=2.0),
+    ])
+    def test_shifts_under_other_parameters_rejected(self, params):
+        graph = topology.path_graph(6)
+        shifts = Shifts.sample(graph.nodes, params, seed=0)
+        with pytest.raises(ConfigurationError) as info:
+            mpx_clustering(graph, 1 / 4, seed=0, shifts=shifts)
+        message = str(info.value)
+        assert "\n" not in message
+        assert "shifts were sampled under" in message
+
+    def test_matching_shifts_accepted(self):
+        graph = topology.path_graph(6)
+        params = ShiftParameters(beta=1 / 4, n=100, radius_multiplier=2.0)
+        shifts = Shifts.sample(graph.nodes, params, seed=0)
+        c = mpx_clustering(graph, 1 / 4, seed=0, n_global=100,
+                           radius_multiplier=2.0, shifts=shifts)
+        assert c.shifts is shifts
 
     def test_inv_beta_property(self, path50):
         c = mpx_clustering(path50, 1 / 8, seed=0)

@@ -59,10 +59,24 @@ class TestSampling:
         b = Shifts.sample(range(30), p, seed=3)
         assert a.start_time == b.start_time
 
-    def test_centers_at(self):
+    def test_centers_by_round(self):
         p = ShiftParameters(beta=1 / 2, n=20)
         s = Shifts.sample(range(20), p, seed=4)
+        buckets = s.centers_by_round(range(20))
+        assert sorted(buckets) == sorted(set(s.start_time.values()))
         for r in range(1, p.horizon + 1):
-            assert set(s.centers_at(r)) == {
-                v for v, t in s.start_time.items() if t == r
-            }
+            assert buckets.get(r, []) == sorted(
+                (v for v, t in s.start_time.items() if t == r), key=repr
+            )
+
+    def test_centers_by_round_sorts_by_repr_stably(self):
+        class Tied:
+            def __repr__(self):
+                return "t"
+
+        first, second = Tied(), Tied()
+        p = ShiftParameters(beta=1 / 2, n=20)
+        s = Shifts(params=p, delta={},
+                   start_time={second: 1, 10: 1, first: 1, 9: 2})
+        assert s.centers_by_round([second, 10, first, 9]) == {
+            1: [10, second, first], 2: [9]}

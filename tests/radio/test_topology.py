@@ -182,6 +182,22 @@ class TestGeometricBuilder:
             topology.dense_geometric(50, seed=1, multiplier=math.nan)
 
 
+class TestGridBuilder:
+    """The integer grid builder against the relabelled networkx grid."""
+
+    @pytest.mark.parametrize("rows, cols", [
+        (1, 1), (1, 2), (1, 9), (2, 1), (9, 1),  # 1 x k and k x 1
+        (2, 2), (5, 5), (16, 16),  # square
+        (2, 3), (3, 2), (4, 7), (7, 4), (16, 32),  # non-square
+    ] + sorted({topology._near_square(n) for n in
+                (1, 2, 3, 5, 8, 16, 24, 32, 63, 64, 100, 256, 512, 1000)}))
+    def test_matches_relabelled_networkx(self, rows, cols):
+        got = topology.grid_graph(rows, cols)
+        want = topology._relabel(nx.grid_2d_graph(rows, cols))
+        _assert_identical(got, want)
+        assert list(got.edges(data=True)) == list(want.edges(data=True))
+
+
 class TestStructuredFamilies:
     def test_caterpillar(self):
         g = topology.caterpillar(10, 3)
