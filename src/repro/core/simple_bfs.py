@@ -39,8 +39,9 @@ from ..primitives.decay import (
     run_decay_local_broadcast_mega,
 )
 from ..primitives.lb_graph import LBGraph
-from ..radio.engine import Engine, coerce_network
+from ..radio.engine import coerce_network
 from ..radio.message import Message, message_of_ints
+from ..radio.network import SlotEngineBase
 from ..rng import SeedLike, make_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -144,7 +145,7 @@ def _settle(dist: Dict[Hashable, float], heard: Mapping[Hashable, Message]) -> N
 
 
 def decay_bfs(
-    network: Union[nx.Graph, Engine],
+    network: Union[nx.Graph, SlotEngineBase],
     sources: Union[Hashable, Iterable[Hashable]],
     depth_budget: int,
     failure_probability: float = 1e-3,

@@ -21,8 +21,9 @@ Seed sweeps over batch-capable cells (``decay_bfs`` on a
 seed-deterministic topology with the ``"fast"`` engine) are fused into
 **replica-batched** engine runs automatically — R seeds advance in
 lockstep over one compiled topology, one fused gather per slot, on the
-same executor as mega batching — without changing a single result byte (``batch_replicas=1`` opts out;
-see EXPERIMENTS.md and ARCHITECTURE.md).
+same executor as mega batching — without changing a single result
+byte (``batch_replicas=1`` opts out; see EXPERIMENTS.md and
+ARCHITECTURE.md).
 
 Sweeps too big for one host shard across a fleet with no coordinator:
 :mod:`repro.experiments.fabric` assigns grid cells to workers by
@@ -47,15 +48,10 @@ from .fabric import (
 )
 from .registry import (
     AlgorithmAdapter,
-    MegaAlgorithmAdapter,
-    MegaRunContext,
     RunContext,
     algorithm_names,
     get_algorithm,
-    get_mega_algorithm,
-    mega_algorithm_names,
     register_algorithm,
-    register_mega_algorithm,
 )
 from .results import (
     FAULT_FIELDS,
@@ -99,8 +95,6 @@ __all__ = [
     "ExperimentSpec",
     "HashRing",
     "FAULT_FIELDS",
-    "MegaAlgorithmAdapter",
-    "MegaRunContext",
     "RESULT_KIND",
     "RESULT_STATUSES",
     "RunContext",
@@ -117,14 +111,11 @@ __all__ = [
     "execution_backends",
     "expand_grid",
     "get_algorithm",
-    "get_mega_algorithm",
     "iter_grid",
-    "mega_algorithm_names",
     "member_name",
     "owned_specs",
     "partition_specs",
     "register_algorithm",
-    "register_mega_algorithm",
     "run_experiment",
     "run_experiment_batch",
     "run_experiment_mega",

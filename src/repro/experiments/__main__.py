@@ -35,20 +35,19 @@ from typing import List, Optional
 
 from ..analysis.aggregate import DEFAULT_GROUP_BY, GROUP_FIELDS, report_table
 from ..errors import ConfigurationError, ReproError
-from ..radio.dynamic import coerce_dynamic_schedule, named_dynamic_schedules
+from ..radio.dynamic import named_dynamic_schedules
 from ..radio.engine import available_engines
-from ..radio.faults import coerce_fault_model, named_fault_models
+from ..radio.faults import named_fault_models
 from ..radio.invariants import invariant_names
-from ..radio.sinr import coerce_sinr_params, named_sinr_params
+from ..radio.sinr import named_sinr_params
 from ..radio.topology import scenario_is_deterministic, scenario_names
 from .fabric import HashRing, member_name, owned_specs
-from .registry import algorithm_names, mega_algorithm_names
+from .registry import algorithm_names
 from .results import spec_hash
 from .runner import (
     DEFAULT_BATCH_REPLICAS,
     iter_grid,
     run_specs,
-    run_sweep,
     validate_file,
 )
 from .spec import COLLISION_MODELS, ExecutionPolicy
@@ -206,49 +205,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_fault_model(text: Optional[str]):
-    """CLI fault-model designation: preset name or inline JSON object."""
-    if text is None:
-        return None
-    if text.lstrip().startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"--fault-model is neither a preset nor valid JSON: {exc}"
-            ) from None
-        return coerce_fault_model(data)
-    return coerce_fault_model(text)
+def _parse_designation(flag: str, text: Optional[str]):
+    """A preset-or-JSON option (``--fault-model``, ``--dynamic``,
+    ``--sinr``): a preset name passes through, an inline JSON object is
+    decoded; :func:`~repro.experiments.runner.iter_grid` coerces either."""
+    if text is None or not text.lstrip().startswith("{"):
+        return text
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(
+            f"{flag} is neither a preset nor valid JSON: {exc}"
+        ) from None
 
 
-def _parse_dynamic(text: Optional[str]):
-    """CLI membership-schedule designation: preset name or inline JSON."""
-    if text is None:
-        return None
-    if text.lstrip().startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"--dynamic is neither a preset nor valid JSON: {exc}"
-            ) from None
-        return coerce_dynamic_schedule(data)
-    return coerce_dynamic_schedule(text)
-
-
-def _parse_sinr(text: Optional[str]):
-    """CLI SINR designation: preset name or inline JSON object."""
-    if text is None:
-        return None
-    if text.lstrip().startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"--sinr is neither a preset nor valid JSON: {exc}"
-            ) from None
-        return coerce_sinr_params(data)
-    return coerce_sinr_params(text)
+def _grid_from_args(args: argparse.Namespace):
+    """The scenario grid a ``run``/``sweep``/``worker`` invocation names."""
+    return iter_grid(
+        args.topologies,
+        args.algorithms,
+        sizes=args.sizes,
+        seeds=args.seeds,
+        base_seed=args.base_seed,
+        engine=args.engine,
+        collision_model=args.collision_model,
+        fault_model=_parse_designation("--fault-model", args.fault_model),
+        dynamic=_parse_designation("--dynamic", args.dynamic),
+        sinr=_parse_designation("--sinr", args.sinr),
+        execution=_execution_from_args(args),
+    )
 
 
 def _execution_from_args(args: argparse.Namespace):
@@ -278,18 +263,8 @@ def _policy_from_args(args: argparse.Namespace) -> Optional[ExecutionPolicy]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    sweep = run_sweep(
-        args.topologies,
-        args.algorithms,
-        sizes=args.sizes,
-        seeds=args.seeds,
-        base_seed=args.base_seed,
-        engine=args.engine,
-        collision_model=args.collision_model,
-        fault_model=_parse_fault_model(args.fault_model),
-        dynamic=_parse_dynamic(args.dynamic),
-        sinr=_parse_sinr(args.sinr),
-        execution=_execution_from_args(args),
+    sweep = run_specs(
+        _grid_from_args(args),
         parallel=not args.serial,
         max_workers=args.max_workers,
         batch_replicas=args.batch_replicas,
@@ -320,19 +295,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if store.torn_records_dropped:
         print(f"recovered store: dropped {store.torn_records_dropped} torn "
               f"trailing record(s) from an interrupted writer")
-    specs = list(iter_grid(
-        args.topologies,
-        args.algorithms,
-        sizes=args.sizes,
-        seeds=args.seeds,
-        base_seed=args.base_seed,
-        engine=args.engine,
-        collision_model=args.collision_model,
-        fault_model=_parse_fault_model(args.fault_model),
-        dynamic=_parse_dynamic(args.dynamic),
-        sinr=_parse_sinr(args.sinr),
-        execution=_execution_from_args(args),
-    ))
+    specs = list(_grid_from_args(args))
     done = store.completed_hashes()
     complete = sum(spec_hash(spec) in done for spec in specs)
     print(f"grid: {len(specs)} cell(s); {complete} already complete; "
@@ -370,19 +333,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     if store.torn_records_dropped:
         print(f"recovered store: dropped {store.torn_records_dropped} torn "
               f"trailing record(s) from an interrupted writer")
-    specs = list(iter_grid(
-        args.topologies,
-        args.algorithms,
-        sizes=args.sizes,
-        seeds=args.seeds,
-        base_seed=args.base_seed,
-        engine=args.engine,
-        collision_model=args.collision_model,
-        fault_model=_parse_fault_model(args.fault_model),
-        dynamic=_parse_dynamic(args.dynamic),
-        sinr=_parse_sinr(args.sinr),
-        execution=_execution_from_args(args),
-    ))
+    specs = list(_grid_from_args(args))
     mine = owned_specs(specs, ring, member)
     done = store.completed_hashes()
     complete = sum(spec_hash(spec) in done for spec in mine)
@@ -459,24 +410,23 @@ def _cmd_list() -> int:
     """Print every registered name on the CLI surface.
 
     Topologies are annotated with ``*`` when seed-deterministic (the
-    precondition for replica batching), algorithms with ``*`` when a
-    lane-fused (mega) adapter exists; fault presets
+    precondition for replica batching), algorithms with ``*`` when
+    their lanes fuse in batched runs (``decay_bfs`` only); fault presets
     are expanded to their layer stacks so ``--fault-model`` values are
     discoverable without reading source.
     """
     def starred(name: str, mark: bool) -> str:
         return f"{name}*" if mark else name
 
-    fused = set(mega_algorithm_names())
     print("topologies:      ", ", ".join(
         starred(name, scenario_is_deterministic(name))
         for name in scenario_names()
     ))
     print("                  (* = seed-deterministic: batch-eligible)")
     print("algorithms:      ", ", ".join(
-        starred(name, name in fused) for name in algorithm_names()
+        starred(name, name == "decay_bfs") for name in algorithm_names()
     ))
-    print("                  (* = has a lane-fused adapter)")
+    print("                  (* = lanes fuse in batched runs)")
     print("engines:         ", ", ".join(available_engines()))
     print("backends:         megabatch")
     print("collision models:", ", ".join(COLLISION_MODELS))

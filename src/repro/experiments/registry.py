@@ -45,9 +45,10 @@ from ..primitives.leader_election import (
 from ..radio.batch_engine import MegaBatchedNetwork, ReplicaBatchedNetwork
 from ..radio.dynamic import build_dynamic_topology
 from ..radio.energy import EnergyLedger
-from ..radio.engine import Engine, SlotExecutorView, make_network
+from ..radio.engine import make_network
 from ..radio.faults import FaultCounters
 from ..radio.invariants import InvariantMonitor
+from ..radio.network import SlotEngineBase
 from ..rng import spawn_streams
 from .results import encode_labels, labels_digest
 from .spec import ExperimentSpec
@@ -55,16 +56,7 @@ from .spec import ExperimentSpec
 #: Adapter protocol: consume a run context, return the output payload.
 AlgorithmAdapter = Callable[["RunContext"], Mapping[str, Any]]
 
-#: Mega-batched adapter protocol: consume a mega context (one or more
-#: cells, each with its own replica set), return one list of payloads
-#: per member cell, in member order — every payload byte-identical to
-#: its replica's serial run.
-MegaAlgorithmAdapter = Callable[
-    ["MegaRunContext"], Sequence[Sequence[Mapping[str, Any]]]
-]
-
 _ALGORITHMS: Dict[str, AlgorithmAdapter] = {}
-_MEGA_ALGORITHMS: Dict[str, MegaAlgorithmAdapter] = {}
 
 
 def register_algorithm(
@@ -104,58 +96,6 @@ def get_algorithm(name: str) -> AlgorithmAdapter:
         ) from None
 
 
-def register_mega_algorithm(
-    name: str, overwrite: bool = False
-) -> Callable[[MegaAlgorithmAdapter], MegaAlgorithmAdapter]:
-    """Decorator registering a *mega-batched* adapter for ``name``.
-
-    A mega adapter executes one or more cells — each a replica group of
-    one (topology, params, channel) signature — in a single fused
-    engine run (see :class:`MegaRunContext`), returning one payload
-    list per member cell.  A replica batch of one cell is a one-member
-    mega batch, so this is the only lane-fused adapter an algorithm
-    needs.  Its contract is strict bit-identity: every replica's
-    payload, ledger, and fault counters must equal what the serial
-    adapter produces for that replica's spec alone (enforced by
-    ``tests/experiments/test_batch_equivalence.py``).  The serial
-    adapter must already be registered under the same name — batching
-    is an execution strategy, never the only implementation.
-    """
-    if not name:
-        raise ConfigurationError("algorithm name must be non-empty")
-
-    def decorator(adapter: MegaAlgorithmAdapter) -> MegaAlgorithmAdapter:
-        if name not in _ALGORITHMS:
-            raise ConfigurationError(
-                f"cannot register mega adapter for {name!r}: no serial "
-                f"adapter under that name (register it first)"
-            )
-        if not overwrite and name in _MEGA_ALGORITHMS:
-            raise ConfigurationError(
-                f"mega algorithm {name!r} is already registered"
-            )
-        _MEGA_ALGORITHMS[name] = adapter
-        return adapter
-
-    return decorator
-
-
-def mega_algorithm_names() -> Tuple[str, ...]:
-    """Algorithms with a mega-batched (lane-fused) adapter, sorted."""
-    return tuple(sorted(_MEGA_ALGORITHMS))
-
-
-def get_mega_algorithm(name: str) -> MegaAlgorithmAdapter:
-    """Look up a mega adapter, failing loudly for unknown names."""
-    try:
-        return _MEGA_ALGORITHMS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"no mega adapter for algorithm {name!r}; available: "
-            f"{', '.join(mega_algorithm_names())}"
-        ) from None
-
-
 @dataclass
 class RunContext:
     """Everything an adapter needs to execute one spec.
@@ -190,11 +130,7 @@ class RunContext:
         default=None, init=False
     )
     _lbg: Optional[PhysicalLBGraph] = field(default=None, init=False)
-    #: The run's slot-level executor: an :class:`Engine` built by
-    #: :meth:`network`, or the accounting view adopted via
-    #: :meth:`adopt_slot_view` when a batched run drives the engine
-    #: externally.
-    _network: Optional[SlotExecutorView] = field(default=None, init=False)
+    _network: Optional[SlotEngineBase] = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         self.params = self.spec.params()
@@ -228,14 +164,8 @@ class RunContext:
             self.setup_time_s += time.perf_counter() - start
         return self._lbg
 
-    def network(self) -> Engine:
-        """The slot-level view on the spec's engine tier (built once).
-
-        Unavailable after :meth:`adopt_slot_view`: a batched run's slot
-        executor lives outside this context, so asking for a drivable
-        engine here is a bug and fails loudly rather than returning an
-        accounting-only view.
-        """
+    def network(self) -> SlotEngineBase:
+        """The slot-level view on the spec's engine tier (built once)."""
         if self._network is None:
             start = time.perf_counter()
             kwargs: Dict[str, Any] = {}
@@ -268,29 +198,7 @@ class RunContext:
                 network.invariant_monitor = self.invariant_monitor
             self._network = network
             self.setup_time_s += time.perf_counter() - start
-        if not isinstance(self._network, Engine):
-            raise ConfigurationError(
-                "this run's slot-level view is an adopted accounting view "
-                "(lane batching); mega adapters drive the "
-                "MegaBatchedNetwork directly, not ctx.network()"
-            )
         return self._network
-
-    def adopt_slot_view(self, view: SlotExecutorView) -> None:
-        """Register an externally driven slot executor for accounting.
-
-        Used by :meth:`MegaRunContext.mega_network` to wire each
-        replica's lane in as that context's slot-level view, so
-        :meth:`fault_totals` (and anything else that only *reads*)
-        works unchanged.  A context has exactly one slot executor:
-        adopting after :meth:`network` (or twice) is refused.
-        """
-        if self._network is not None:
-            raise ConfigurationError(
-                "this run already has a slot-level executor; "
-                "adopt_slot_view must come first and at most once"
-            )
-        self._network = view
 
     def _invariant_period(self) -> Optional[int]:
         """The invariant sampling period from the spec's execution
@@ -340,78 +248,6 @@ class RunContext:
             return None
         beta = float(self.params.get("beta", 0.25))
         return BFSParameters(beta=beta, max_depth=int(self.params.get("max_depth", 1)))
-
-
-@dataclass
-class MegaRunContext:
-    """Everything a mega adapter needs: several cells' replica contexts.
-
-    ``members[m]`` is the list of :class:`RunContext` objects for member
-    cell ``m``'s replicas: the same shared topology (the runner only
-    batches seed-deterministic families), each replica with its own
-    ledger and its own derived random streams, so each replica's
-    randomness is exactly what its serial run would draw.  Different
-    members carry different (topology, params, channel) signatures; a
-    replica batch of one cell is a single member.
-    :meth:`mega_network` builds one
-    :class:`~repro.radio.batch_engine.ReplicaBatchedNetwork` per member
-    plus the :class:`~repro.radio.batch_engine.MegaBatchedNetwork`
-    fusing them, wiring every replica's lane back into its context so
-    the runner's uniform result assembly reads through unchanged.
-    """
-
-    members: List[List[RunContext]]
-    _mega_net: Optional[MegaBatchedNetwork] = field(default=None, init=False)
-
-    def __post_init__(self) -> None:
-        if not self.members or any(not group for group in self.members):
-            raise ConfigurationError(
-                "MegaRunContext requires at least one member, each with "
-                "at least one replica context"
-            )
-
-    @property
-    def params(self) -> Dict[str, Any]:
-        """Member 0's algorithm parameters (the adapter reads per-member
-        parameters via ``ctx.members[m][0].params``)."""
-        return self.members[0][0].params
-
-    def member_params(self, member: int) -> Dict[str, Any]:
-        """Member ``member``'s algorithm parameters (identical across
-        that member's replicas)."""
-        return self.members[member][0].params
-
-    def mega_network(self) -> MegaBatchedNetwork:
-        """The fused heterogeneous slot network (built once).
-
-        One :class:`~repro.radio.batch_engine.ReplicaBatchedNetwork`
-        per member — each lane wired to its context's ledger and
-        dedicated fault stream — packed into a
-        :class:`~repro.radio.batch_engine.MegaBatchedNetwork`;
-        construction time is recorded as setup on every context.
-        """
-        if self._mega_net is None:
-            start = time.perf_counter()
-            member_nets = []
-            for group in self.members:
-                spec = group[0].spec
-                member_nets.append(ReplicaBatchedNetwork(
-                    group[0].graph,
-                    replicas=len(group),
-                    collision_model=spec.collision(),
-                    size_policy=spec.size_policy(),
-                    ledgers=[ctx.ledger for ctx in group],
-                    faults=spec.fault_model,
-                    fault_seeds=[ctx._slot_faults for ctx in group],
-                    sinr=spec.sinr,
-                ))
-            self._mega_net = MegaBatchedNetwork(member_nets)
-            setup = time.perf_counter() - start
-            for group, net in zip(self.members, member_nets):
-                for ctx, lane in zip(group, net.lanes):
-                    ctx.adopt_slot_view(lane)
-                    ctx.setup_time_s += setup
-        return self._mega_net
 
 
 # ---------------------------------------------------------------------------
@@ -474,46 +310,70 @@ def _run_decay_bfs(ctx: RunContext) -> Dict[str, Any]:
     return out
 
 
-@register_mega_algorithm("decay_bfs")
-def _run_decay_bfs_mega(mctx: MegaRunContext) -> List[List[Dict[str, Any]]]:
+def _run_decay_bfs_lanes(
+    members: Sequence[Sequence[RunContext]],
+) -> List[List[Tuple[Dict[str, Any], FaultCounters]]]:
     """Lane-fused ``decay_bfs``: one or more cells, one gather per slot.
 
-    Every member cell keeps its own sources, depth budget, failure
-    probability, and Decay parameters (derived from its own topology's
-    ``Delta``); all members' still-active lanes share each slot's
-    fused gather (see
-    :func:`repro.core.simple_bfs.decay_bfs_mega`).  Each replica's
-    payload is byte-identical to its serial run's.
+    ``members[m]`` holds member cell ``m``'s replica contexts: one
+    shared topology (only seed-deterministic families batch), each
+    replica with its own ledger and derived streams.  Builds one
+    :class:`~repro.radio.batch_engine.ReplicaBatchedNetwork` per member
+    (each lane wired to its context's ledger and slot fault stream),
+    fuses them into one
+    :class:`~repro.radio.batch_engine.MegaBatchedNetwork`, and runs
+    :func:`repro.core.simple_bfs.decay_bfs_mega`; every member keeps
+    its own sources, depth budget, failure probability, and Decay
+    parameters.  Returns, per member and replica, the payload and the
+    lane's fault counters, each byte-identical to the replica's serial
+    run; construction time is recorded as setup on every context.
     """
-    net = mctx.mega_network()
+    start = time.perf_counter()
+    member_nets = []
+    for group in members:
+        spec = group[0].spec
+        member_nets.append(ReplicaBatchedNetwork(
+            group[0].graph,
+            replicas=len(group),
+            collision_model=spec.collision(),
+            size_policy=spec.size_policy(),
+            ledgers=[ctx.ledger for ctx in group],
+            faults=spec.fault_model,
+            fault_seeds=[ctx._slot_faults for ctx in group],
+            sinr=spec.sinr,
+        ))
+    net = MegaBatchedNetwork(member_nets)
+    setup = time.perf_counter() - start
+    for group in members:
+        for ctx in group:
+            ctx.setup_time_s += setup
+    firsts = [group[0] for group in members]
     labels_by_lane = decay_bfs_mega(
         net,
-        sources={m: group[0].sources() for m, group in enumerate(mctx.members)},
-        depth_budgets={
-            m: group[0].depth_budget() for m, group in enumerate(mctx.members)
-        },
+        sources={m: ctx.sources() for m, ctx in enumerate(firsts)},
+        depth_budgets={m: ctx.depth_budget() for m, ctx in enumerate(firsts)},
         failure_probabilities={
-            m: float(group[0].params.get("failure_probability", 1e-3))
-            for m, group in enumerate(mctx.members)
+            m: float(ctx.params.get("failure_probability", 1e-3))
+            for m, ctx in enumerate(firsts)
         },
         seeds={
             (m, r): ctx.rng
-            for m, group in enumerate(mctx.members)
+            for m, group in enumerate(members)
             for r, ctx in enumerate(group)
         },
         tx_power={
-            m: int(group[0].params.get("tx_power", 0))
-            for m, group in enumerate(mctx.members)
+            m: int(ctx.params.get("tx_power", 0))
+            for m, ctx in enumerate(firsts)
         },
     )
-    outputs: List[List[Dict[str, Any]]] = []
-    for m, group in enumerate(mctx.members):
-        member_net = net.member(m)
-        member_outputs: List[Dict[str, Any]] = []
+    outputs: List[List[Tuple[Dict[str, Any], FaultCounters]]] = []
+    for m, (group, member_net) in enumerate(zip(members, member_nets)):
+        member_outputs = []
         for r, ctx in enumerate(group):
+            lane = member_net.lane(r)
             out = _labels_output(ctx, labels_by_lane[(m, r)])
-            out["slots"] = member_net.lane(r).slot
-            member_outputs.append(out)
+            out["slots"] = lane.slot
+            member_outputs.append((out, lane.fault_counters))
         outputs.append(member_outputs)
     return outputs
 

@@ -35,17 +35,11 @@ from ..analysis.reporting import format_table
 from ..errors import ConfigurationError
 from ..radio.dynamic import DynamicSchedule, coerce_dynamic_schedule
 from ..radio.energy import EnergyLedger
-from ..radio.faults import FaultModel, coerce_fault_model
+from ..radio.faults import FaultCounters, FaultModel, coerce_fault_model
 from ..radio.sinr import SinrParams, coerce_sinr_params
 from ..radio.topology import scenario_is_deterministic
 from ..rng import make_rng
-from .registry import (
-    MegaRunContext,
-    RunContext,
-    get_algorithm,
-    get_mega_algorithm,
-    mega_algorithm_names,
-)
+from .registry import RunContext, _run_decay_bfs_lanes, get_algorithm
 from .results import (
     RESULT_KIND,
     SCHEMA_VERSION,
@@ -55,7 +49,12 @@ from .results import (
     spec_hash,
     validate_result_dict,
 )
-from .spec import ExecutionPolicy, ExperimentSpec, validate_batch_replicas
+from .spec import (
+    ExecutionPolicy,
+    ExperimentSpec,
+    canonical_int,
+    validate_batch_replicas,
+)
 from .store import SweepStore
 
 #: Default number of cells per checkpointed chunk when a sweep runs
@@ -89,20 +88,22 @@ def run_experiment(spec: ExperimentSpec) -> RunResult:
     # Engine/LBGraph construction is one-off setup, not algorithm work:
     # exclude it so wall_time_s compares engine tiers on throughput.
     wall = time.perf_counter() - start - ctx.setup_time_s
-    return _assemble_result(spec, ctx, output, wall)
+    return _assemble_result(spec, ctx, output, ctx.fault_totals(), wall)
 
 
 def _assemble_result(
     spec: ExperimentSpec,
     ctx: RunContext,
     output: Mapping[str, Any],
+    faults: FaultCounters,
     wall: float,
 ) -> RunResult:
     """The uniform spec+ledger -> :class:`RunResult` assembly step.
 
     Shared by :func:`run_experiment` and :func:`run_experiment_mega`
     so the two execution paths can never drift in which metrics they
-    report or how.  When the run carried an
+    report or how; each passes the run's fault/delivery tally.  When
+    the run carried an
     :class:`~repro.radio.invariants.InvariantMonitor` (the policy's
     ``invariant_sample`` knob), its counters land in the result's v3
     ``invariants`` block.
@@ -122,7 +123,7 @@ def _assemble_result(
         total_slot_energy=ledger.total_slots(),
         wall_time_s=wall,
         status="partial" if ctx.partial else "ok",
-        faults=ctx.fault_totals().as_dict(),
+        faults=faults.as_dict(),
         invariants=monitor.counters() if monitor is not None else None,
     )
 
@@ -144,8 +145,9 @@ def spec_is_batchable(spec: ExperimentSpec) -> bool:
 
     Four conditions, each load-bearing:
 
-    - the algorithm has a registered mega (lane-fused) adapter
-      (:func:`~repro.experiments.registry.mega_algorithm_names`);
+    - the algorithm is ``decay_bfs``, the one slot-level algorithm
+      whose lanes fuse (the Local-Broadcast-tier algorithms never
+      touch a slot engine);
     - the topology family is seed-deterministic
       (:func:`~repro.radio.topology.scenario_is_deterministic`), so all
       seeds of the cell genuinely share one graph — stochastic families
@@ -161,7 +163,7 @@ def spec_is_batchable(spec: ExperimentSpec) -> bool:
     return (
         spec.engine == "fast"
         and spec.dynamic is None
-        and spec.algorithm in mega_algorithm_names()
+        and spec.algorithm == "decay_bfs"
         and scenario_is_deterministic(spec.topology)
     )
 
@@ -184,8 +186,8 @@ def run_experiment_mega(specs: Sequence[ExperimentSpec]) -> List[RunResult]:
 
     ``specs`` is a concatenation of replica groups — adjacent specs
     equal up to seed form one member cell; consecutive members may
-    differ in topology, size, parameters, and channel, but must share
-    one algorithm with a mega adapter (see :func:`spec_is_batchable`).
+    differ in topology, size, parameters, and channel, but every cell
+    must be batchable (see :func:`spec_is_batchable`).
     A replica batch of one cell is the one-member case.  All members'
     lanes advance on one fused gather per slot
     (:class:`~repro.radio.batch_engine.MegaBatchedNetwork`).  Returns
@@ -218,7 +220,7 @@ def run_experiment_mega(specs: Sequence[ExperimentSpec]) -> List[RunResult]:
             raise ConfigurationError(
                 f"cell (topology={group[0].topology!r}, algorithm="
                 f"{group[0].algorithm!r}, engine={group[0].engine!r}) is "
-                f"not batchable: needs a mega adapter, a static "
+                f"not batchable: needs decay_bfs, a static "
                 f"seed-deterministic topology, and the 'fast' engine"
             )
     member_contexts: List[List[RunContext]] = []
@@ -228,25 +230,18 @@ def run_experiment_mega(specs: Sequence[ExperimentSpec]) -> List[RunResult]:
             RunContext(spec=spec, graph=graph, ledger=EnergyLedger())
             for spec in group
         ])
-    adapter = get_mega_algorithm(spec_list[0].algorithm)
     start = time.perf_counter()
-    outputs = adapter(MegaRunContext(member_contexts))
-    if len(outputs) != len(groups) or any(
-        len(member_out) != len(group)
-        for member_out, group in zip(outputs, groups)
-    ):
-        raise ConfigurationError(
-            f"mega adapter for {spec_list[0].algorithm!r} returned a "
-            f"result shape not matching its {len(groups)} member cells"
-        )
+    outputs = _run_decay_bfs_lanes(member_contexts)
     setup = max(
         ctx.setup_time_s for group in member_contexts for ctx in group
     )
     wall_each = max(0.0, time.perf_counter() - start - setup) / len(spec_list)
     results: List[RunResult] = []
     for group, contexts, member_out in zip(groups, member_contexts, outputs):
-        for spec, ctx, output in zip(group, contexts, member_out):
-            results.append(_assemble_result(spec, ctx, output, wall_each))
+        for spec, ctx, (output, faults) in zip(group, contexts, member_out):
+            results.append(
+                _assemble_result(spec, ctx, output, faults, wall_each)
+            )
     return results
 
 
@@ -292,7 +287,7 @@ def _plan_units(
     batched engine bypasses — fusing would silently skip the checking
     the policy asked for.
     When the effective policy selects ``backend="megabatch"``, adjacent
-    units of batchable cells sharing one algorithm are further
+    units of batchable cells are further
     fused into heterogeneous units of up to ``mega_batch`` lanes total
     (default :data:`DEFAULT_MEGA_BATCH`).  Concatenating the units
     yields the input order unchanged, so downstream result assembly
@@ -341,25 +336,22 @@ def _merge_mega_units(
 
     A unit is mega-eligible when its effective policy asks for
     ``backend="megabatch"`` and its cell is
-    :func:`spec_is_batchable`; adjacent eligible units sharing one
-    algorithm merge until the next unit would push the merged lane
-    count past the effective ``mega_batch`` cap.  Order is preserved,
-    so results and store shards are laid out exactly as without mega
-    fusion.
+    :func:`spec_is_batchable`; adjacent eligible units merge until the
+    next unit would push the merged lane count past the effective
+    ``mega_batch`` cap.  Order is preserved, so results and store
+    shards are laid out exactly as without mega fusion.
     """
     merged: List[ExecutionUnit] = []
     pending: List[ExecutionUnit] = []
     pending_lanes = 0
-    pending_algorithm: Optional[str] = None
     pending_cap = DEFAULT_MEGA_BATCH
 
     def flush_pending() -> None:
-        nonlocal pending_lanes, pending_algorithm
+        nonlocal pending_lanes
         if pending:
             merged.append(tuple(s for unit in pending for s in unit))
             pending.clear()
         pending_lanes = 0
-        pending_algorithm = None
 
     for unit in units:
         eff = _effective_policy(unit[0], policy)
@@ -368,18 +360,32 @@ def _merge_mega_units(
             merged.append(unit)
             continue
         cap = eff.mega_batch or DEFAULT_MEGA_BATCH
-        if pending and (
-            unit[0].algorithm != pending_algorithm
-            or pending_lanes + len(unit) > pending_cap
-        ):
+        if pending and pending_lanes + len(unit) > pending_cap:
             flush_pending()
         if not pending:
-            pending_algorithm = unit[0].algorithm
             pending_cap = cap
         pending.append(unit)
         pending_lanes += len(unit)
     flush_pending()
     return merged
+
+
+def _int_axis(value: Any, axis: str) -> Union[int, List[Any]]:
+    """A grid axis as one int or a list of values.
+
+    Numpy integers (scalars or arrays) become Python ints; bools are
+    refused, and so is anything that is neither an int nor iterable.
+    """
+    value = canonical_int(value, axis)
+    if isinstance(value, int):
+        return value
+    try:
+        items = list(value)
+    except TypeError:
+        raise ConfigurationError(
+            f"{axis} must be an int or a sequence of ints, got {value!r}"
+        ) from None
+    return [canonical_int(item, axis) for item in items]
 
 
 def iter_grid(
@@ -399,7 +405,8 @@ def iter_grid(
 ) -> Iterator[ExperimentSpec]:
     """Lazily expand a scenario grid, one spec per cell, in grid order.
 
-    ``sizes`` may be one size or a sequence (an extra grid axis).
+    ``sizes`` may be one size or a sequence (an extra grid axis);
+    numpy integers and integer arrays count as ints, bools are refused.
     ``seeds`` is either a count — per-cell seeds are then a pure
     function of ``(base_seed, grid position)``: one independent
     seed-sequence child per (instance, seed index) in grid order,
@@ -433,7 +440,8 @@ def iter_grid(
         raise ConfigurationError("expand_grid requires at least one topology")
     if not algorithms:
         raise ConfigurationError("expand_grid requires at least one algorithm")
-    size_list = [sizes] if isinstance(sizes, int) else list(sizes)
+    sizes = _int_axis(sizes, "sizes")
+    size_list = [sizes] if isinstance(sizes, int) else sizes
     if not size_list:
         raise ConfigurationError("expand_grid requires at least one size")
     faults = coerce_fault_model(fault_model)
@@ -456,6 +464,7 @@ def iter_grid(
     # lazily, caching it per (instance, seed index) so the algorithm
     # axis reuses rather than re-derives it.
     instances = [(topo, n) for topo in topologies for n in size_list]
+    seeds = _int_axis(seeds, "seeds")
     if isinstance(seeds, int):
         if seeds < 1:
             raise ConfigurationError(f"seed count must be >= 1, got {seeds}")
@@ -620,15 +629,16 @@ def run_specs(
     """Execute prepared specs, in cell order, optionally on a pool.
 
     Adjacent specs that are replicas of one batchable cell — identical
-    up to seed, seed-deterministic topology, ``"fast"`` engine, batched
-    adapter available — are fused into single replica-batched engine
-    runs of up to ``batch_replicas`` seeds each (default
-    :data:`DEFAULT_BATCH_REPLICAS`; ``batch_replicas=1`` opts out).
+    up to seed, seed-deterministic topology, ``"fast"`` engine,
+    ``decay_bfs`` (see :func:`spec_is_batchable`) — are fused into
+    single replica-batched engine runs of up to ``batch_replicas``
+    seeds each (default :data:`DEFAULT_BATCH_REPLICAS`;
+    ``batch_replicas=1`` opts out).
     ``policy`` (an :class:`~repro.experiments.spec.ExecutionPolicy`)
     sets sweep-wide execution knobs — replica cap and mega batching;
     per-spec ``execution`` hints override it knob by knob.  When the
     effective policy selects ``backend="megabatch"``, adjacent
-    batchable cells of one algorithm fuse further into heterogeneous
+    batchable cells fuse further into heterogeneous
     mega units (:func:`run_experiment_mega`).
     Batching never changes results: every cell's ``RunResult`` is
     byte-identical (timing aside) to its per-seed execution, so result

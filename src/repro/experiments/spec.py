@@ -59,6 +59,22 @@ def from_numpy(value: Any) -> Any:
     return value
 
 
+def canonical_int(value: Any, where: str) -> Any:
+    """A numpy integer as its Python ``int``; a ``bool`` is refused.
+
+    ``True == 1`` (and hashes alike), yet serializes as ``true``: a
+    bool accepted as an integer field would give one cell two
+    ``spec_hash`` values.  Anything else passes through unchanged for
+    the caller's own range check.
+    """
+    value = from_numpy(value)
+    if isinstance(value, bool):
+        raise ConfigurationError(
+            f"{where} must be an int, not a bool ({value!r})"
+        )
+    return value
+
+
 def _canonical_param(value: Any, key: str) -> ParamValue:
     """Coerce one parameter value to the canonical hashable form."""
     value = from_numpy(value)  # floats fall through to the finiteness check
@@ -355,6 +371,10 @@ class ExperimentSpec:
                 f"{self.collision_model!r}"
             )
         object.__setattr__(self, "sinr", sinr)
+        for name in ("n", "seed", "message_limit_bits"):
+            object.__setattr__(
+                self, name, canonical_int(getattr(self, name), name)
+            )
         if self.topology not in topology.scenario_names():
             raise ConfigurationError(
                 f"unknown topology {self.topology!r}; registered: "

@@ -432,12 +432,10 @@ class RegistryDisciplineRule(Rule):
 
     Two checks, one per registry:
 
-    - an ``@register_algorithm`` / ``@register_mega_algorithm``
-      adapter must accept exactly one parameter — the shared run
-      context carrying the ledger and the derived random streams
-      (:class:`~repro.experiments.registry.RunContext`, or
-      :class:`~repro.experiments.registry.MegaRunContext` for the
-      lane-fused adapters); extra
+    - an ``@register_algorithm`` adapter must accept exactly one
+      parameter — the shared run context carrying the ledger and the
+      derived random streams
+      (:class:`~repro.experiments.registry.RunContext`); extra
       parameters mean the adapter is smuggling state around the
       context, exactly what the uniform-cost contract forbids;
     - every ``register_scenario`` call passes an explicit
@@ -449,8 +447,6 @@ class RegistryDisciplineRule(Rule):
     summary = ("adapters take exactly the shared run context; "
                "register_scenario passes an explicit deterministic= flag")
 
-    _ADAPTER_DECORATORS = {"register_algorithm", "register_mega_algorithm"}
-
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -460,15 +456,11 @@ class RegistryDisciplineRule(Rule):
 
     def _check_adapter(self, ctx: ModuleContext,
                        node: ast.FunctionDef) -> Iterator[Finding]:
-        registered = None
-        for decorator in node.decorator_list:
-            if not isinstance(decorator, ast.Call):
-                continue
-            name = self._name_of(decorator.func)
-            if name in self._ADAPTER_DECORATORS:
-                registered = name
-                break
-        if registered is None:
+        if not any(
+            isinstance(decorator, ast.Call)
+            and self._name_of(decorator.func) == "register_algorithm"
+            for decorator in node.decorator_list
+        ):
             return
         args = node.args
         positional = len(args.posonlyargs) + len(args.args)
@@ -481,10 +473,10 @@ class RegistryDisciplineRule(Rule):
         if not clean:
             yield self.finding(
                 ctx, node.lineno, node.col_offset + 1,
-                f"@{registered} adapter {node.name!r} must take exactly one "
-                f"parameter: the shared run context (ledger + derived "
-                f"streams); bespoke extra parameters break the uniform "
-                f"adapter contract",
+                f"@register_algorithm adapter {node.name!r} must take "
+                f"exactly one parameter: the shared run context (ledger + "
+                f"derived streams); bespoke extra parameters break the "
+                f"uniform adapter contract",
             )
 
     def _check_scenario(self, ctx: ModuleContext,

@@ -41,8 +41,9 @@ import numpy as np
 from ..radio.batch_engine import MegaBatchedNetwork, ReplicaBatchedNetwork
 from ..radio.channel import Reception
 from ..radio.device import Action, Device
-from ..radio.engine import Engine, coerce_network
+from ..radio.engine import coerce_network
 from ..radio.message import Message
+from ..radio.network import SlotEngineBase
 from ..rng import SeedLike, geometric_decay_slot
 
 
@@ -194,7 +195,7 @@ def _heard(
 
 
 def run_decay_local_broadcast(
-    network: Union[nx.Graph, Engine],
+    network: Union[nx.Graph, SlotEngineBase],
     messages: Mapping[Hashable, Message],
     receivers: Iterable[Hashable],
     failure_probability: float = 1e-3,

@@ -22,8 +22,9 @@ import networkx as nx
 
 from ..errors import ConfigurationError
 from ..radio.energy import EnergyLedger
-from ..radio.engine import Engine, coerce_network
+from ..radio.engine import coerce_network
 from ..radio.message import Message, id_bits
+from ..radio.network import SlotEngineBase
 from ..rng import SeedLike, make_rng
 from .decay import run_decay_local_broadcast
 from .lb_graph import LBGraph
@@ -36,7 +37,7 @@ class DecayLBGraph(LBGraph):
     ----------
     network:
         The slot-level radio network to run on — any
-        :class:`~repro.radio.engine.Engine`, or a bare ``networkx``
+        :class:`~repro.radio.network.SlotEngineBase`, or a bare ``networkx``
         graph together with an ``engine`` name.  Its ledger accumulates
         true slot energy; this wrapper additionally tracks LB-unit
         participations on the same ledger so both currencies are
@@ -54,7 +55,7 @@ class DecayLBGraph(LBGraph):
 
     def __init__(
         self,
-        network: Union[nx.Graph, Engine],
+        network: Union[nx.Graph, SlotEngineBase],
         failure_probability: float = 1e-3,
         seed: SeedLike = None,
         payload_bits=None,

@@ -1,7 +1,7 @@
 """Slot-level RN[b] radio network simulator (paper Section 1.1).
 
-The simulator ships **two interchangeable engine tiers** behind the
-shared :class:`Engine` protocol:
+The simulator ships **two interchangeable engine tiers**, both
+:class:`SlotEngineBase` subclasses:
 
 - ``"reference"`` (:class:`RadioNetwork`) — a direct per-device Python
   transcription of the model; the semantic ground truth, best for
@@ -12,9 +12,10 @@ shared :class:`Engine` protocol:
   with batched energy charging.  Use it for large or dense
   instances.
 
-Select by name with :func:`make_network`; the two engines are
-bit-for-bit equivalent under identical seeds (slot counts, energy
-ledgers, and event traces — enforced by the differential suite in
+Select by name with :func:`make_network` (the two-entry table is
+:data:`~repro.radio.engine.ENGINES`); the two engines are bit-for-bit
+equivalent under identical seeds (slot counts, energy ledgers, and
+event traces — enforced by the differential suite in
 ``tests/radio/test_engine_equivalence.py``).  :mod:`repro.radio.topology`
 additionally exposes a named scenario registry
 (``topology.scenario(name, n, seed)``) so experiments can sweep diverse
@@ -27,11 +28,8 @@ lane bit-identical to its own serial run.  Its members are
 :class:`ReplicaBatchedNetwork` objects — ``R`` replica lanes sharing
 one compiled topology — so a seed sweep of one cell is a one-member
 mega batch and a heterogeneous grid is a many-member one.  It is the
-engine behind every batched run in :mod:`repro.experiments`.
-
-Engines self-register by name
-(:func:`~repro.radio.engine_registry.register_engine`); the low-level
-counts/codes arithmetic is the one integer CSR gather of
+engine behind every batched run in :mod:`repro.experiments`.  The
+low-level counts/codes arithmetic is the one integer CSR gather of
 :mod:`repro.radio.kernels`, shared by every vectorized tier.
 """
 
@@ -39,12 +37,7 @@ from .batch_engine import MegaBatchedNetwork, ReplicaBatchedNetwork, ReplicaLane
 from .channel import CollisionModel, Feedback, Reception
 from .device import Action, ActionKind, Device
 from .energy import DeviceEnergy, EnergyLedger
-from .engine import (
-    Engine,
-    SlotExecutorView,
-    make_network,
-)
-from .engine_registry import available_engines, get_engine, register_engine
+from .engine import available_engines, make_network
 from .fast_engine import CompiledTopology, FastRadioNetwork
 from .faults import (
     ChurnSchedule,
@@ -86,7 +79,6 @@ __all__ = [
     "CompiledTopology",
     "Device",
     "DeviceEnergy",
-    "Engine",
     "EnergyLedger",
     "Event",
     "EventTrace",
@@ -109,17 +101,14 @@ __all__ = [
     "SinrField",
     "SinrParams",
     "SlotEngineBase",
-    "SlotExecutorView",
     "SlotFaultPlan",
     "UNBOUNDED",
     "available_engines",
     "coerce_fault_model",
     "coerce_sinr_params",
-    "get_engine",
     "id_bits",
     "int_bits",
     "make_network",
-    "register_engine",
     "message_of_ints",
     "named_fault_models",
     "named_sinr_params",

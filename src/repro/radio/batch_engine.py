@@ -93,10 +93,9 @@ class ReplicaLane:
     """The per-replica slice of a :class:`ReplicaBatchedNetwork`.
 
     Everything a single serial engine would own per run lives here:
-    the energy ledger, the fault/delivery counters, and the slot clock.
-    Exposes the same ``slot``/``ledger``/``fault_counters`` attributes
-    the :class:`~repro.radio.engine.Engine` protocol names, so the
-    experiment layer can read a lane exactly like a network.
+    the energy ledger, the fault/delivery counters, and the slot clock,
+    under the same ``slot``/``ledger``/``fault_counters`` names a
+    :class:`~repro.radio.network.SlotEngineBase` uses.
     """
 
     index: int
@@ -156,8 +155,6 @@ class ReplicaBatchedNetwork:
         for the binary models.  The per-edge gain field is compiled once
         and shared by every lane.
     """
-
-    name = "fast-batch"
 
     def __init__(
         self,
@@ -290,8 +287,6 @@ class MegaBatchedNetwork:
     (different max degrees), :meth:`run_lockstep` accepts either a
     single slot budget or one per lane.
     """
-
-    name = "mega-batch"
 
     def __init__(self, members: Sequence[ReplicaBatchedNetwork]) -> None:
         if not members:

@@ -1,9 +1,9 @@
-"""Engine selection: one protocol, interchangeable slot executors.
+"""Engine selection: two interchangeable slot executors, by name.
 
 Every slot-level consumer in the library (the Decay primitives,
 ``DecayLBGraph``, the slot-level BFS baselines, the benchmarks) is
-written against the :class:`Engine` protocol, so any protocol can run
-on any backend unchanged:
+written against :class:`~repro.radio.network.SlotEngineBase`, so any
+protocol runs on either executor unchanged:
 
 - ``"reference"`` — :class:`~repro.radio.network.RadioNetwork`, the
   per-device Python transcription of paper Section 1.1; the semantic
@@ -12,97 +12,33 @@ on any backend unchanged:
   vectorized engine resolving each slot's channel with the integer CSR
   gather of :mod:`repro.radio.kernels`.
 
-Engines self-register by name via
-:func:`~repro.radio.engine_registry.register_engine` (re-exported
-here); :func:`make_network` looks them up with
-:func:`~repro.radio.engine_registry.get_engine`.  All engines are
-bit-for-bit equivalent under identical seeds (enforced by
-``tests/radio/test_engine_equivalence.py``); pick ``"fast"`` for large
-or dense instances and ``"reference"`` when auditing semantics.
+:data:`ENGINES` is the whole set; :func:`make_network` constructs from
+it by name.  Both engines are bit-for-bit equivalent under identical
+seeds (enforced by ``tests/radio/test_engine_equivalence.py``); pick
+``"fast"`` for large or dense instances and ``"reference"`` when
+auditing semantics.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Mapping, Optional, Protocol, Union, runtime_checkable
+from typing import Dict, Optional, Tuple, Type, Union
 
 import networkx as nx
-import numpy as np
 
 from ..errors import ConfigurationError
-from ..rng import SeedLike
-from .channel import CollisionModel
-from .device import Device
-from .engine_registry import (
-    available_engines,
-    get_engine,
-    register_engine,
-)
-from .faults import FaultCounters
-from .message import MessageSizePolicy
-from .energy import EnergyLedger
 from .fast_engine import FastRadioNetwork
 from .network import RadioNetwork, SlotEngineBase
-from .trace import EventTrace
+
+#: The slot executors, keyed by the name specs and the CLI select them by.
+ENGINES: Dict[str, Type[SlotEngineBase]] = {
+    "fast": FastRadioNetwork,
+    "reference": RadioNetwork,
+}
 
 
-@runtime_checkable
-class SlotExecutorView(Protocol):
-    """The minimal read surface any slot executor exposes.
-
-    What the experiment layer needs to *account* for a run — the slot
-    clock and the fault/delivery tally — without being able to drive
-    it.  Every :class:`Engine` satisfies it; so does a replica lane of
-    the batched engine
-    (:class:`~repro.radio.batch_engine.ReplicaLane`), which is exactly
-    why it exists: accounting reads accept either, driving requires a
-    real :class:`Engine`.
-    """
-
-    slot: int
-    fault_counters: FaultCounters
-
-
-@runtime_checkable
-class Engine(Protocol):
-    """Structural interface of a slot-level executor.
-
-    Both engines satisfy this protocol; code that accepts an ``Engine``
-    works with either (and with any future backend that implements it).
-    """
-
-    graph: nx.Graph
-    collision_model: "CollisionModel"
-    size_policy: "MessageSizePolicy"
-    ledger: EnergyLedger
-    trace: Optional[EventTrace]
-    slot: int
-    fault_counters: FaultCounters
-
-    @property
-    def max_degree(self) -> int:
-        """Maximum degree of the topology (the Delta of Lemma 2.4)."""
-        ...
-
-    def run(
-        self,
-        devices: Mapping[Hashable, Device],
-        max_slots: int,
-        stop_when: Optional[Callable[[], bool]] = None,
-    ) -> int:
-        """Run the population for up to ``max_slots`` slots."""
-        ...
-
-    def step(self, devices: Mapping[Hashable, Device]) -> None:
-        """Execute one synchronous slot."""
-        ...
-
-    def spawn_devices(
-        self,
-        factory: Callable[[Hashable, np.random.Generator], Device],
-        seed: SeedLike = None,
-    ) -> Dict[Hashable, Device]:
-        """Instantiate one device per vertex with independent streams."""
-        ...
+def available_engines() -> Tuple[str, ...]:
+    """All engine names, sorted."""
+    return tuple(sorted(ENGINES))
 
 
 def make_network(
@@ -117,13 +53,20 @@ def make_network(
     ``faults``, ``fault_seed``, ``dynamic``, ``sinr``).  Raises
     :class:`~repro.errors.ConfigurationError` for unknown engine names.
     """
-    return get_engine(engine)(graph, **kwargs)
+    try:
+        engine_cls = ENGINES[engine]
+    except (KeyError, TypeError):
+        raise ConfigurationError(
+            f"unknown engine {engine!r}; available: "
+            f"{', '.join(available_engines())}"
+        ) from None
+    return engine_cls(graph, **kwargs)
 
 
 def coerce_network(
-    network: "Union[nx.Graph, Engine]",
+    network: Union[nx.Graph, SlotEngineBase],
     engine: Optional[str] = None,
-) -> "Engine":
+) -> SlotEngineBase:
     """Accept either a bare graph or an already-built engine.
 
     The standard entry-point plumbing for slot-level consumers: a bare

@@ -58,7 +58,6 @@ from .device import ActionKind, Device
 from .dynamic import DynamicTopology, TopologyPatch
 from .energy import EnergyLedger
 from .faults import FaultCounters, FaultModel, SlotFaultPlan
-from .engine_registry import register_engine
 from .kernels import CSRAdjacency, counts_codes_blocks
 from .kernels.sinr_csr import SinrCsr, sinr_arbitrate
 from .message import Message, MessageSizePolicy
@@ -262,7 +261,6 @@ class SlotLane:
             msgs[i] = None
 
 
-@register_engine
 class FastRadioNetwork(SlotEngineBase):
     """Batch slot executor, interchangeable with
     :class:`~repro.radio.network.RadioNetwork`.

@@ -48,7 +48,6 @@ from ..rng import SeedLike, make_rng, spawn_streams
 from .channel import CollisionModel, Feedback, Reception, resolve
 from .device import ActionKind, Device
 from .dynamic import DynamicTopology, TopologyPatch
-from .engine_registry import register_engine
 from .energy import EnergyLedger
 from .faults import FaultCounters, FaultModel, FaultRuntime, SlotFaultPlan
 from .message import Message, MessageSizePolicy
@@ -219,7 +218,8 @@ class SlotEngineBase:
         topology, so it composes with faults but not with ``dynamic``.
     """
 
-    #: Engine-registry name; concrete engines override.
+    #: The engine's key in :data:`~repro.radio.engine.ENGINES`;
+    #: concrete engines override.
     name: str = "abstract"
 
     def __init__(
@@ -394,7 +394,6 @@ class SlotEngineBase:
         return max((d for _, d in self.graph.degree), default=0)
 
 
-@register_engine
 class RadioNetwork(SlotEngineBase):
     """Reference slot-level executor for a population of :class:`Device`.
 

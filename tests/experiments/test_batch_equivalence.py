@@ -28,7 +28,6 @@ from repro.experiments import (
     ExecutionPolicy,
     ExperimentSpec,
     execution_backends,
-    mega_algorithm_names,
     run_experiment,
     run_experiment_batch,
     run_experiment_mega,
@@ -139,7 +138,6 @@ def test_plan_units_groups_only_adjacent_batchable_replicas():
 def test_spec_is_batchable_conditions():
     spec = _cell_specs("none", "no_cd", seeds=[0])[0]
     assert spec_is_batchable(spec)
-    assert "decay_bfs" in mega_algorithm_names()
     assert not spec_is_batchable(dataclasses.replace(spec, engine="reference"))
     assert not spec_is_batchable(dataclasses.replace(spec, topology="geometric"))
     assert not spec_is_batchable(
@@ -235,26 +233,6 @@ def test_runner_batch_replicas_validated():
             run_specs(specs, parallel=False, batch_replicas=bad)
 
 
-def test_adopted_slot_view_is_accounting_only():
-    """After a lane is adopted, ctx.network() fails loudly (no drivable
-    engine exists inside a batched run) and a second adoption is refused."""
-    from repro.experiments.registry import MegaRunContext, RunContext
-    from repro.radio.energy import EnergyLedger
-
-    spec = _cell_specs("none", "no_cd", seeds=[0])[0]
-    graph = spec.build_graph()
-    ctxs = [RunContext(spec=spec, graph=graph, ledger=EnergyLedger())
-            for _ in range(2)]
-    mctx = MegaRunContext([ctxs])
-    net = mctx.mega_network()
-    assert mctx.mega_network() is net  # built once
-    for ctx in ctxs:
-        with pytest.raises(ConfigurationError, match="mega adapters"):
-            ctx.network()
-        with pytest.raises(ConfigurationError, match="at most once"):
-            ctx.adopt_slot_view(net.lane((0, 0)))
-
-
 # ---------------------------------------------------------------------------
 # Store byte-identity: a batched sweep writes the same shards
 # ---------------------------------------------------------------------------
@@ -322,7 +300,6 @@ def test_backend_byte_identical_grid(backend, preset, collision_model):
 
 def test_execution_backends_are_megabatch_only():
     assert execution_backends() == ("megabatch",)
-    assert "decay_bfs" in mega_algorithm_names()
 
 
 @pytest.mark.parametrize("name", ["numba", "scipy", "numpy"])

@@ -82,6 +82,29 @@ class TestExpandGrid:
         with pytest.raises(ConfigurationError):
             iter_grid(["path"], ["trivial_bfs"], seeds=0)
 
+    def test_numpy_integer_axes(self):
+        """Numpy scalars and arrays are valid axes and map onto the same
+        cells (and derived seeds) as the plain-int grid."""
+        import numpy as np
+
+        plain = expand_grid(["path"], ["trivial_bfs"], sizes=8, seeds=2)
+        assert expand_grid(["path"], ["trivial_bfs"], sizes=np.int64(8),
+                           seeds=np.int64(2)) == plain
+        arrays = expand_grid(["path"], ["trivial_bfs"],
+                             sizes=np.array([8, 16]), seeds=np.array([7, 9]))
+        assert [(s.n, s.seed) for s in arrays] == [(8, 7), (8, 9), (16, 7),
+                                                   (16, 9)]
+        assert all(type(s.n) is int for s in arrays)
+
+    @pytest.mark.parametrize("axes", [
+        {"sizes": True}, {"sizes": [8, True]}, {"seeds": True},
+        {"seeds": [1, False]}, {"sizes": 8.5},
+    ])
+    def test_bool_and_non_int_axes_rejected(self, axes):
+        with pytest.raises(ConfigurationError) as info:
+            iter_grid(["path"], ["trivial_bfs"], **axes)
+        assert "\n" not in str(info.value)
+
     def test_iter_grid_matches_expand_grid(self):
         lazy = list(iter_grid(TOPOLOGIES, ALGORITHMS, sizes=[8, 16], seeds=2,
                               base_seed=9))

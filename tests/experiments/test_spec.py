@@ -1,9 +1,10 @@
 """Tests for ExperimentSpec: validation, canonicalization, round-trip."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments import ExperimentSpec
+from repro.experiments import ExperimentSpec, spec_hash
 from repro.radio.channel import CollisionModel
 from repro.radio.message import UNBOUNDED
 
@@ -64,6 +65,33 @@ class TestValidation:
             spec(algorithm_params={"x": np.float64("inf")})
         with pytest.raises(ConfigurationError):
             spec(algorithm_params={"x": np.float64("nan")})
+
+
+class TestIntegerFields:
+    """``n``, ``seed`` and ``message_limit_bits`` take numpy integers
+    as plain ints and refuse bools, which would otherwise share a cell's
+    equality and ``hash`` but not its ``spec_hash``."""
+
+    @pytest.mark.parametrize("field", ["n", "seed", "message_limit_bits"])
+    @pytest.mark.parametrize("value", [True, np.True_])
+    def test_bool_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match="not a bool") as info:
+            spec(**{field: value})
+        assert "\n" not in str(info.value)
+
+    def test_from_dict_rejects_bool_n(self):
+        with pytest.raises(ConfigurationError, match="not a bool"):
+            ExperimentSpec.from_dict(
+                {"topology": "path", "n": True, "algorithm": "trivial_bfs"}
+            )
+
+    def test_numpy_integers_become_ints(self):
+        s = spec(n=np.int64(8), seed=np.uint32(3),
+                 message_limit_bits=np.int16(64))
+        plain = spec(n=8, seed=3, message_limit_bits=64)
+        assert s == plain
+        assert spec_hash(s) == spec_hash(plain)
+        assert all(type(v) is int for v in (s.n, s.seed, s.message_limit_bits))
 
 
 class TestCanonicalization:

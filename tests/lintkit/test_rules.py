@@ -78,14 +78,6 @@ def test_hash001_reports_drift_both_directions(lint_one, fixture_dir):
     assert len(findings) == 3
 
 
-def test_reg001_covers_mega_adapters(lint_one, fixture_dir):
-    findings = lint_one("REG001", fixture_dir / "REG001_mega_trigger.py")
-    assert len(findings) == 1
-    assert "@register_mega_algorithm" in findings[0].message
-    assert "_run_bad_fused" in findings[0].message
-    assert lint_one("REG001", fixture_dir / "REG001_mega_clean.py") == []
-
-
 def test_doc001_reports_unresolved_targets(lint_one, fixture_dir):
     findings = lint_one("DOC001", fixture_dir / "DOC001_trigger.py")
     targets = "\n".join(f.message for f in findings)

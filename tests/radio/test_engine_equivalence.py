@@ -29,10 +29,10 @@ from repro.radio import (
     Action,
     CollisionModel,
     Device,
-    Engine,
     EventTrace,
     FastRadioNetwork,
     RadioNetwork,
+    SlotEngineBase,
     available_engines,
     make_network,
     message_of_ints,
@@ -246,7 +246,7 @@ class TestEngineSelection:
     def test_engines_satisfy_protocol(self):
         g = topology.path_graph(4)
         for engine in ENGINE_NAMES:
-            assert isinstance(make_network(g, engine=engine), Engine)
+            assert isinstance(make_network(g, engine=engine), SlotEngineBase)
 
     def test_engine_kwarg_conflicts_with_network(self):
         from repro.errors import ConfigurationError

@@ -16,12 +16,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.radio import topology
-from repro.radio.engine import make_network
-from repro.radio.engine_registry import (
-    available_engines,
-    get_engine,
-    register_engine,
-)
+from repro.radio.engine import ENGINES, available_engines, make_network
 from repro.radio.fast_engine import CompiledTopology
 from repro.radio.kernels import (
     CSRAdjacency,
@@ -316,39 +311,9 @@ def test_sinr_arbitration_matches_reference_listener(preset):
 def test_engine_registry_surface():
     assert set(available_engines()) >= {"reference", "fast"}
     for name in available_engines():
-        assert get_engine(name).name == name
+        assert ENGINES[name].name == name
     with pytest.raises(ConfigurationError, match="unknown engine"):
-        get_engine("warp")
-
-
-def test_register_engine_validation():
-    class Nameless:
-        pass
-
-    with pytest.raises(ConfigurationError, match="name"):
-        register_engine(Nameless)
-    with pytest.raises(ConfigurationError, match="already registered"):
-
-        @register_engine
-        class Duplicate:
-            name = "fast"
-
-    from repro.radio import engine_registry
-
-    @register_engine
-    class Custom:
-        name = "test-custom-engine"
-
-    try:
-        assert get_engine("test-custom-engine") is Custom
-
-        @register_engine(overwrite=True)
-        class Replacement:
-            name = "test-custom-engine"
-
-        assert get_engine("test-custom-engine") is Replacement
-    finally:
-        engine_registry._ENGINES.pop("test-custom-engine", None)
+        make_network(topology.scenario("path", 6), engine="warp")
 
 
 def test_make_network_uses_registry():
