@@ -293,7 +293,7 @@ def _plan_units(
     yields the input order unchanged, so downstream result assembly
     (and the store's shard append order) is independent of batching.
     """
-    validate_batch_replicas(batch_replicas)
+    batch_replicas = validate_batch_replicas(batch_replicas)
     units: List[ExecutionUnit] = []
     group: List[ExperimentSpec] = []
     group_key: Optional[Tuple[str, ExecutionPolicy]] = None
@@ -662,6 +662,7 @@ def run_specs(
     byte-identical anyway, timing aside.
     """
     spec_list = list(specs)
+    chunk_size = validate_batch_replicas(chunk_size, "chunk_size")
     if store is None:
         units = _plan_units(spec_list, batch_replicas, policy)
         results, execution = _execute_all(
@@ -671,10 +672,6 @@ def run_specs(
 
     if isinstance(store, str):
         store = SweepStore(store)
-    if chunk_size is not None and chunk_size < 1:
-        raise ConfigurationError(
-            f"chunk_size must be a positive int, got {chunk_size!r}"
-        )
     hashes = [spec_hash(s) for s in spec_list]
     done = store.completed_hashes()
     pending: List[ExperimentSpec] = []

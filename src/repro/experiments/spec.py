@@ -115,19 +115,21 @@ def _canonical_params(params: Any) -> Tuple[Tuple[str, ParamValue], ...]:
 
 
 def validate_batch_replicas(value: Any, where: str = "batch_replicas") -> Optional[int]:
-    """Validate a replica-batching cap: ``None`` or a positive int.
+    """Validate a positive execution cap: ``None`` or a positive int,
+    returned as a Python ``int`` (numpy integers are accepted).
 
-    The single check behind every entry point for the knob — the policy
-    field (:attr:`ExecutionPolicy.batch_replicas`) and the runner
-    argument (``run_specs(..., batch_replicas=...)``) — so they can
-    never drift in what they accept.  Booleans are rejected
+    The single check behind every entry point for the caps — the policy
+    fields (:class:`ExecutionPolicy`) and the runner arguments
+    (``run_specs(..., batch_replicas=..., chunk_size=...)``) — so they
+    can never drift in what they accept.  Booleans are rejected
     explicitly: ``batch_replicas=True`` is a plausible "enable
     batching" mistake that would otherwise silently mean "limit 1",
     i.e. the exact opposite.
     """
     if value is None:
         return None
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+    value = canonical_int(value, where)
+    if not isinstance(value, int) or value < 1:
         raise ConfigurationError(
             f"{where} must be a positive int or None, got {value!r}"
         )
@@ -204,9 +206,10 @@ class ExecutionPolicy:
                 f"unknown execution backend {self.backend!r}; the only "
                 "backend is 'megabatch' (or leave it unset)"
             )
-        validate_batch_replicas(self.batch_replicas)
-        validate_batch_replicas(self.mega_batch, where="mega_batch")
-        validate_batch_replicas(self.invariant_sample, where="invariant_sample")
+        for name in ("batch_replicas", "mega_batch", "invariant_sample"):
+            object.__setattr__(
+                self, name, validate_batch_replicas(getattr(self, name), name)
+            )
 
     # ------------------------------------------------------------------
     def wants_mega(self) -> bool:

@@ -104,6 +104,15 @@ class ReplicaLane:
     slot: int = 0
 
 
+def _as_int(value: object, what: str) -> Optional[int]:
+    """``value`` as a Python ``int`` if it is any integral type, else
+    ``None``; a ``bool`` is refused, since ``True == 1`` would silently
+    address lane 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ConfigurationError(f"{what} must be an int, not a bool ({value!r})")
+    return int(value) if isinstance(value, numbers.Integral) else None
+
+
 class _LaneRun:
     """Mutable per-lane state for one
     :meth:`MegaBatchedNetwork.run_lockstep` call."""
@@ -168,12 +177,13 @@ class ReplicaBatchedNetwork:
         sinr: Union[None, str, Mapping, SinrParams] = None,
     ) -> None:
         validate_topology(graph)
-        if not isinstance(replicas, int) or isinstance(replicas, bool) or replicas < 1:
+        count = _as_int(replicas, "replicas")
+        if count is None or count < 1:
             raise ConfigurationError(
                 f"replicas must be a positive int, got {replicas!r}"
             )
         self.graph = graph
-        self.replicas = replicas
+        self.replicas = replicas = count
         collision_model, sinr_params = coerce_channel(collision_model, sinr)
         self.collision_model = collision_model
         self.size_policy = size_policy or MessageSizePolicy.unbounded()
@@ -238,14 +248,17 @@ class ReplicaBatchedNetwork:
         return spawn_device_map(self._topology.vertices, factory, seed)
 
     # ------------------------------------------------------------------
-    def _check_population(self, replica: int, devices: Mapping[Hashable, Device]) -> None:
-        """The same exact-cover validation the serial engines apply."""
-        if not isinstance(replica, int) or not (0 <= replica < self.replicas):
+    def _check_population(self, replica: int, devices: Mapping[Hashable, Device]) -> int:
+        """The same exact-cover validation the serial engines apply;
+        returns the lane index as a Python ``int``."""
+        index = _as_int(replica, "replica lane")
+        if index is None or not 0 <= index < self.replicas:
             raise ConfigurationError(
                 f"unknown replica lane {replica!r}; "
                 f"this network has {self.replicas} lanes"
             )
         validate_population(self._node_set, devices)
+        return index
 
     def run_lockstep(
         self,
@@ -308,19 +321,23 @@ class MegaBatchedNetwork:
         member, replica = key
         return self.members[member].lane(replica)
 
-    def _check_key(self, key: MegaLaneKey) -> None:
-        if (
-            not isinstance(key, tuple) or len(key) != 2
-            or not isinstance(key[0], int) or isinstance(key[0], bool)
-        ):
+    def _check_key(self, key: MegaLaneKey) -> MegaLaneKey:
+        """The key's member index as a Python ``int``, and its replica
+        as given (the member checks that)."""
+        member = (
+            _as_int(key[0], "member")
+            if isinstance(key, tuple) and len(key) == 2 else None
+        )
+        if member is None:
             raise ConfigurationError(
                 f"mega lane keys are (member, replica) int pairs; got {key!r}"
             )
-        if not 0 <= key[0] < len(self.members):
+        if not 0 <= member < len(self.members):
             raise ConfigurationError(
-                f"unknown member {key[0]!r}; "
+                f"unknown member {member!r}; "
                 f"this network has {len(self.members)} members"
             )
+        return member, key[1]
 
     # ------------------------------------------------------------------
     def run_lockstep(
@@ -346,23 +363,24 @@ class MegaBatchedNetwork:
                 f"max_slots must be an int or a per-lane mapping of ints; "
                 f"got {max_slots!r}"
             )
+        lanes: Dict[MegaLaneKey, Mapping[Hashable, Device]] = {}
+        for key, devices in populations.items():
+            m, replica = self._check_key(key)
+            lanes[(m, self.members[m]._check_population(replica, devices))] = devices
         if isinstance(max_slots, numbers.Integral):
-            budgets = {key: int(max_slots) for key in populations}
+            budgets = {key: int(max_slots) for key in lanes}
         else:
             try:
-                budgets = {key: int(max_slots[key]) for key in populations}
+                budgets = {key: int(max_slots[key]) for key in lanes}
             except KeyError as exc:
                 raise ConfigurationError(
                     f"max_slots mapping is missing a budget for lane "
                     f"{exc.args[0]!r}"
                 ) from None
         runs: List[_LaneRun] = []
-        for key in sorted(populations):
-            self._check_key(key)
+        for key in sorted(lanes):
             member = self.members[key[0]]
-            devices = populations[key]
-            member._check_population(key[1], devices)
-            live = [(v, d) for v, d in devices.items() if not d.halted]
+            live = [(v, d) for v, d in lanes[key].items() if not d.halted]
             runs.append(_LaneRun(key, member, live, budgets[key]))
         running = [run for run in runs if run.live and run.budget > 0]
         while running:

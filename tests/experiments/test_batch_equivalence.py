@@ -91,8 +91,10 @@ def test_batched_results_byte_identical(preset, collision_model):
 # Runner-level dispatch
 # ---------------------------------------------------------------------------
 
-def test_run_specs_batched_equals_opt_out():
-    specs = _cell_specs("drop10", "no_cd")
+@pytest.mark.parametrize("topology, n", [("star_of_paths", 24),
+                                         ("complete", 48)])
+def test_run_specs_batched_equals_opt_out(topology, n):
+    specs = _cell_specs("drop10", "no_cd", topology=topology, n=n)
     batched = run_specs(specs, parallel=False)
     serial = run_specs(specs, parallel=False, batch_replicas=1)
     assert tuple(batched.results) == tuple(serial.results)

@@ -206,6 +206,22 @@ class TestRunSweep:
         assert lines[0] == "acceptance"
         assert len(lines) == 3 + len(parallel)
 
+    @pytest.mark.parametrize("knob", ["chunk_size", "batch_replicas"])
+    def test_run_specs_caps_take_numpy_ints_and_refuse_bools(self, knob,
+                                                             tmp_path):
+        import numpy as np
+
+        specs = expand_grid(["path"], ["decay_bfs"], sizes=8, seeds=3)
+        want = [r.to_dict() for r in run_specs(specs, parallel=False)]
+        got = run_specs(specs, parallel=False, store=str(tmp_path / "a"),
+                        **{knob: np.int64(2)})
+        assert [r.to_dict() for r in got] == want
+        for value in (True, np.True_):
+            with pytest.raises(ConfigurationError, match="not a bool") as info:
+                run_specs(specs, parallel=False, store=str(tmp_path / "b"),
+                          **{knob: value})
+            assert "\n" not in str(info.value)
+
     def test_run_sweep_end_to_end(self):
         sweep = run_sweep(["path"], ["trivial_bfs"], sizes=8, seeds=1,
                           parallel=False)

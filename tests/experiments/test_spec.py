@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments import ExperimentSpec, spec_hash
+from repro.experiments import ExecutionPolicy, ExperimentSpec, spec_hash
 from repro.radio.channel import CollisionModel
 from repro.radio.message import UNBOUNDED
 
@@ -92,6 +92,21 @@ class TestIntegerFields:
         assert s == plain
         assert spec_hash(s) == spec_hash(plain)
         assert all(type(v) is int for v in (s.n, s.seed, s.message_limit_bits))
+
+    @pytest.mark.parametrize(
+        "field", ["batch_replicas", "mega_batch", "invariant_sample"])
+    def test_execution_caps_take_numpy_integers(self, field):
+        policy = ExecutionPolicy(**{field: np.int64(8)})
+        assert policy == ExecutionPolicy(**{field: 8})
+        assert type(getattr(policy, field)) is int
+
+    @pytest.mark.parametrize(
+        "field", ["batch_replicas", "mega_batch", "invariant_sample"])
+    @pytest.mark.parametrize("value", [True, np.True_])
+    def test_execution_caps_reject_bools(self, field, value):
+        with pytest.raises(ConfigurationError, match="not a bool") as info:
+            ExecutionPolicy(**{field: value})
+        assert "\n" not in str(info.value)
 
 
 class TestCanonicalization:

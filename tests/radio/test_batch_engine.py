@@ -181,6 +181,41 @@ def test_constructor_validation():
         ReplicaBatchedNetwork(nx.DiGraph([(0, 1)]), 2)
 
 
+def test_lane_indices_take_numpy_ints_and_refuse_bools():
+    """Lane keys and the replica count accept any integer type but
+    ``bool``: ``True == 1`` would silently run (and report) lane 1."""
+    from repro.radio.device import Device
+
+    graph = topology.scenario("path", 6)
+    for replicas in (True, np.True_):
+        with pytest.raises(ConfigurationError, match="not a bool") as info:
+            ReplicaBatchedNetwork(graph, replicas)
+        assert "\n" not in str(info.value)
+    net = ReplicaBatchedNetwork(graph, np.int64(2))
+    assert type(net.replicas) is int and len(net.lanes) == 2
+    mega = MegaBatchedNetwork([net])
+
+    def population():
+        return net.spawn_devices(lambda v, rng: Device(v, rng))
+
+    for key in [(True, 0), (0, True), (0, np.True_)]:
+        with pytest.raises(ConfigurationError, match="not a bool") as info:
+            mega.run_lockstep({key: population()}, 3)
+        assert "\n" not in str(info.value)
+    with pytest.raises(ConfigurationError, match="not a bool"):
+        net.run_lockstep({True: population()}, 3)
+    assert [lane.slot for lane in net.lanes] == [0, 0]
+
+    executed = mega.run_lockstep({(np.int64(0), np.int64(1)): population()},
+                                 np.int64(3))
+    assert executed == {(0, 1): 3}
+    assert all(type(i) is int for key in executed for i in key)
+    assert [lane.slot for lane in net.lanes] == [0, 3]
+    executed = net.run_lockstep({np.int32(0): population()}, 2)
+    assert executed == {0: 2} and type(next(iter(executed))) is int
+    assert [lane.slot for lane in net.lanes] == [2, 3]
+
+
 def test_single_replica_batch_degenerates_to_fast_engine():
     """R=1 is legal and still bit-identical to a serial run."""
     graph = topology.scenario("barbell", 18)

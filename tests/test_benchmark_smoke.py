@@ -42,36 +42,6 @@ def test_bench_bfs_energy_smoke():
     assert engines[0]["metrics"] == engines[1]["metrics"]
 
 
-def test_bench_batch_smoke():
-    module = _load("bench_batch")
-    row = module.smoke(n=48, replicas=4)
-    assert row["replicas"] == 4
-    assert row["topology"] == "complete"
-    # Byte-identity is asserted inside smoke(); here pin the row shape
-    # the committed BENCH_batch.json relies on.
-    assert {"serial_s", "batched_s", "speedup", "time_slots"} <= set(row)
-
-
-def test_bench_backend_smoke():
-    module = _load("bench_backend")
-    row = module.smoke(sizes=(8, 10), seeds=2)
-    assert row["cells"] == 12
-    assert row["seeds_per_cell"] == 2
-    # Byte-identity is asserted inside smoke(); here pin the row shape
-    # the committed BENCH_backend.json relies on.
-    assert {"batched_s", "mega_s", "speedup", "cells"} <= set(row)
-
-
-def test_bench_sinr_smoke():
-    module = _load("bench_sinr")
-    row = module.smoke(sizes=(8, 10), seeds=1)
-    assert row["preset"] == "default"
-    assert row["cells"] == 4
-    # Byte-identity is asserted inside smoke(); here pin the row shape
-    # the committed BENCH_sinr.json relies on.
-    assert {"preset", "serial_s", "mega_s", "speedup", "cells"} <= set(row)
-
-
 def test_bench_diameter_approx_smoke():
     module = _load("bench_diameter_approx")
     two, th = module.smoke()
