@@ -130,11 +130,11 @@ def churn_curves(n=CHURN_BENCH_N, seeds=CHURN_BENCH_SEEDS, rates=CHURN_RATES,
         specs = [
             ExperimentSpec(
                 topology="grid", n=n, algorithm="decay_bfs", seed=seed,
-                dynamic=_leave_schedule(rate), execution=policy,
+                dynamic=_leave_schedule(rate),
             )
             for seed in range(seeds)
         ]
-        sweep = run_specs(specs, parallel=False)
+        sweep = run_specs(specs, parallel=False, policy=policy)
         results = list(sweep)
         for result in results:
             assert result.invariants is not None

@@ -22,8 +22,8 @@ seed-deterministic topology with the ``"fast"`` engine) are fused into
 **replica-batched** engine runs automatically — R seeds advance in
 lockstep over one compiled topology, one fused gather per slot, on the
 same executor as mega batching — without changing a single result
-byte (``batch_replicas=1`` opts out; see EXPERIMENTS.md and
-ARCHITECTURE.md).
+byte (``policy=ExecutionPolicy(batch_replicas=1)`` opts out; see
+EXPERIMENTS.md and ARCHITECTURE.md).
 
 Sweeps too big for one host shard across a fleet with no coordinator:
 :mod:`repro.experiments.fabric` assigns grid cells to workers by

@@ -232,34 +232,21 @@ def _grid_from_args(args: argparse.Namespace):
         fault_model=_parse_designation("--fault-model", args.fault_model),
         dynamic=_parse_designation("--dynamic", args.dynamic),
         sinr=_parse_designation("--sinr", args.sinr),
-        execution=_execution_from_args(args),
     )
 
 
-def _execution_from_args(args: argparse.Namespace):
-    """The per-spec execution hint a CLI invocation implies.
-
-    Only ``--invariant-sample`` lands here: it must travel on each spec
-    (the runner's workers never see the sweep-wide policy object), and
-    it decides whether results carry the v3 ``invariants`` block.
-    """
-    if args.invariant_sample is None:
-        return None
-    return {"invariant_sample": args.invariant_sample}
-
-
-def _policy_from_args(args: argparse.Namespace) -> Optional[ExecutionPolicy]:
+def _policy_from_args(args: argparse.Namespace) -> ExecutionPolicy:
     """The sweep-wide :class:`ExecutionPolicy` a CLI invocation implies.
 
     ``run``, ``sweep``, and ``worker`` share the exact same semantics:
-    ``--backend`` becomes the policy's backend (``--batch-replicas``
-    travels separately, as the runner's replica cap).  ``None`` when no
-    execution knob was given, so defaults stay in one place — the
-    runner.
+    ``--backend``, ``--batch-replicas`` and ``--invariant-sample``
+    become the policy's knobs; unset flags leave the runner defaults.
     """
-    if args.backend is None:
-        return None
-    return ExecutionPolicy(backend=args.backend)
+    return ExecutionPolicy(
+        backend=args.backend,
+        batch_replicas=args.batch_replicas,
+        invariant_sample=args.invariant_sample,
+    )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -267,7 +254,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         _grid_from_args(args),
         parallel=not args.serial,
         max_workers=args.max_workers,
-        batch_replicas=args.batch_replicas,
         policy=_policy_from_args(args),
     )
     print(sweep.table(
@@ -306,7 +292,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         max_workers=args.max_workers,
         store=store,
         chunk_size=args.chunk_size,
-        batch_replicas=args.batch_replicas,
         policy=policy,
     )
     print(sweep.table(
@@ -346,7 +331,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         max_workers=args.max_workers,
         store=store,
         chunk_size=args.chunk_size,
-        batch_replicas=args.batch_replicas,
         policy=policy,
     )
     print(sweep.table(

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError
 from .results import spec_hash
@@ -272,8 +272,7 @@ def run_partition(
     parallel: bool = True,
     max_workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
-    batch_replicas: Optional[int] = None,
-    policy: Optional[ExecutionPolicy] = None,
+    policy: Union[None, Mapping[str, Any], ExecutionPolicy] = None,
 ) -> SweepResult:
     """Run exactly one worker's cells of a grid into its local store.
 
@@ -298,6 +297,5 @@ def run_partition(
         max_workers=max_workers,
         store=store,
         chunk_size=chunk_size,
-        batch_replicas=batch_replicas,
         policy=policy,
     )

@@ -22,7 +22,6 @@ which the runner reads into the uniform ``RunResult`` metrics.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -109,13 +108,11 @@ class RunContext:
     spec: ExperimentSpec
     graph: nx.Graph
     ledger: EnergyLedger
+    #: Online invariant-checking period for the slot-level view
+    #: (the sweep policy's ``invariant_sample``; ``None``: off).
+    invariant_sample: Optional[int] = None
     params: Dict[str, Any] = field(init=False)
     rng: np.random.Generator = field(init=False)
-    #: Seconds spent constructing simulator views; the runner subtracts
-    #: this from the adapter's wall time so ``wall_time_s`` measures
-    #: algorithm execution, not engine compilation (the CSR build of
-    #: the fast tier is one-off setup, not slot throughput).
-    setup_time_s: float = field(default=0.0, init=False)
     #: Set by adapters (via :meth:`mark_partial`) when the algorithm
     #: detectably failed to complete its contract — the runner turns it
     #: into the result's ``"partial"`` status.
@@ -125,7 +122,7 @@ class RunContext:
     _lb_faults: np.random.Generator = field(init=False)
     _dynamic_stream: np.random.Generator = field(init=False)
     #: The monitor the runner reads invariant counters from, attached
-    #: by :meth:`network` when the spec's policy enables checking.
+    #: by :meth:`network` when ``invariant_sample`` is set.
     invariant_monitor: Optional[InvariantMonitor] = field(
         default=None, init=False
     )
@@ -156,18 +153,15 @@ class RunContext:
                 "view, which has no slot clock to index the schedule"
             )
         if self._lbg is None:
-            start = time.perf_counter()
             self._lbg = PhysicalLBGraph(
                 self.graph, ledger=self.ledger, seed=self._wiring,
                 faults=self.spec.fault_model, fault_seed=self._lb_faults,
             )
-            self.setup_time_s += time.perf_counter() - start
         return self._lbg
 
     def network(self) -> SlotEngineBase:
         """The slot-level view on the spec's engine tier (built once)."""
         if self._network is None:
-            start = time.perf_counter()
             kwargs: Dict[str, Any] = {}
             if self.spec.sinr is not None:
                 kwargs["sinr"] = self.spec.sinr
@@ -192,19 +186,13 @@ class RunContext:
                 fault_seed=self._slot_faults,
                 **kwargs,
             )
-            period = self._invariant_period()
-            if period is not None:
-                self.invariant_monitor = InvariantMonitor(period=period)
+            if self.invariant_sample is not None:
+                self.invariant_monitor = InvariantMonitor(
+                    period=self.invariant_sample
+                )
                 network.invariant_monitor = self.invariant_monitor
             self._network = network
-            self.setup_time_s += time.perf_counter() - start
         return self._network
-
-    def _invariant_period(self) -> Optional[int]:
-        """The invariant sampling period from the spec's execution
-        policy (``None``: checking disabled)."""
-        policy = self.spec.execution
-        return None if policy is None else policy.invariant_sample
 
     def mark_partial(self) -> None:
         """Record that the run completed only partially (e.g. a fault
@@ -326,9 +314,8 @@ def _run_decay_bfs_lanes(
     its own sources, depth budget, failure probability, and Decay
     parameters.  Returns, per member and replica, the payload and the
     lane's fault counters, each byte-identical to the replica's serial
-    run; construction time is recorded as setup on every context.
+    run.
     """
-    start = time.perf_counter()
     member_nets = []
     for group in members:
         spec = group[0].spec
@@ -343,10 +330,6 @@ def _run_decay_bfs_lanes(
             sinr=spec.sinr,
         ))
     net = MegaBatchedNetwork(member_nets)
-    setup = time.perf_counter() - start
-    for group in members:
-        for ctx in group:
-            ctx.setup_time_s += setup
     firsts = [group[0] for group in members]
     labels_by_lane = decay_bfs_mega(
         net,

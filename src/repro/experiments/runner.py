@@ -22,6 +22,8 @@ position, skipping cells never shifts the seed of any other cell.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -63,8 +65,8 @@ from .store import SweepStore
 DEFAULT_CHUNK_SIZE = 16
 
 #: Default cap on how many sibling seeds of one cell are fused into a
-#: single replica-batched engine run (``batch_replicas=None``); pass
-#: ``batch_replicas=1`` to opt out of batching entirely.
+#: single replica-batched engine run (``ExecutionPolicy(batch_replicas=
+#: None)``); ``batch_replicas=1`` opts out of batching entirely.
 DEFAULT_BATCH_REPLICAS = 32
 
 #: Default cap on the *total* lane count packed into one mega-batched
@@ -72,22 +74,29 @@ DEFAULT_BATCH_REPLICAS = 32
 DEFAULT_MEGA_BATCH = 64
 
 
-def run_experiment(spec: ExperimentSpec) -> RunResult:
+def run_experiment(
+    spec: ExperimentSpec, invariant_sample: Optional[int] = None
+) -> RunResult:
     """Execute one spec and return its structured result.
 
     Deterministic: the topology, the network wiring, and the algorithm
     each consume their own stream derived from ``spec.seed``, so the
     same spec yields an identical ``RunResult`` (up to wall time) in
     any process, on any engine tier with equivalent semantics.
+    ``invariant_sample`` (a positive int) checks the online safety
+    invariants every that many slots of the run's slot engine; the
+    result then carries the v3 ``invariants`` block.  ``wall_time_s``
+    is the whole call, graph build and engine construction included.
     """
-    graph = spec.build_graph()
-    ctx = RunContext(spec=spec, graph=graph, ledger=EnergyLedger())
-    adapter = get_algorithm(spec.algorithm)
     start = time.perf_counter()
-    output = adapter(ctx)
-    # Engine/LBGraph construction is one-off setup, not algorithm work:
-    # exclude it so wall_time_s compares engine tiers on throughput.
-    wall = time.perf_counter() - start - ctx.setup_time_s
+    invariant_sample = validate_batch_replicas(
+        invariant_sample, "invariant_sample"
+    )
+    graph = spec.build_graph()
+    ctx = RunContext(spec=spec, graph=graph, ledger=EnergyLedger(),
+                     invariant_sample=invariant_sample)
+    output = get_algorithm(spec.algorithm)(ctx)
+    wall = time.perf_counter() - start
     return _assemble_result(spec, ctx, output, ctx.fault_totals(), wall)
 
 
@@ -104,8 +113,8 @@ def _assemble_result(
     so the two execution paths can never drift in which metrics they
     report or how; each passes the run's fault/delivery tally.  When
     the run carried an
-    :class:`~repro.radio.invariants.InvariantMonitor` (the policy's
-    ``invariant_sample`` knob), its counters land in the result's v3
+    :class:`~repro.radio.invariants.InvariantMonitor` (``run_experiment``'s
+    ``invariant_sample``), its counters land in the result's v3
     ``invariants`` block.
     """
     ledger = ctx.ledger
@@ -194,21 +203,20 @@ def run_experiment_mega(specs: Sequence[ExperimentSpec]) -> List[RunResult]:
     one :class:`RunResult` per spec, in order, each **byte-identical**
     (timing aside) to its :func:`run_experiment` run — batching changes
     wall-clock cost, never results, so stores, hashes, and resume
-    semantics are untouched.  A single spec runs on its serial engine.
+    semantics are untouched.  Each result's ``wall_time_s`` is the
+    whole call's time divided by the number of specs.  A single spec
+    runs on its serial engine.
     """
+    start = time.perf_counter()
     spec_list = list(specs)
     if not spec_list:
         return []
     if len(spec_list) == 1:
         return [run_experiment(spec_list[0])]
-    groups: List[List[ExperimentSpec]] = []
-    signature: Optional[str] = None
-    for spec in spec_list:
-        sig = _group_signature(spec)
-        if sig != signature:
-            groups.append([])
-            signature = sig
-        groups[-1].append(spec)
+    groups = [
+        list(group)
+        for _, group in itertools.groupby(spec_list, key=_group_signature)
+    ]
     algorithms = {spec.algorithm for spec in spec_list}
     if len(algorithms) != 1:
         raise ConfigurationError(
@@ -230,12 +238,8 @@ def run_experiment_mega(specs: Sequence[ExperimentSpec]) -> List[RunResult]:
             RunContext(spec=spec, graph=graph, ledger=EnergyLedger())
             for spec in group
         ])
-    start = time.perf_counter()
     outputs = _run_decay_bfs_lanes(member_contexts)
-    setup = max(
-        ctx.setup_time_s for group in member_contexts for ctx in group
-    )
-    wall_each = max(0.0, time.perf_counter() - start - setup) / len(spec_list)
+    wall_each = (time.perf_counter() - start) / len(spec_list)
     results: List[RunResult] = []
     for group, contexts, member_out in zip(groups, member_contexts, outputs):
         for spec, ctx, (output, faults) in zip(group, contexts, member_out):
@@ -252,120 +256,107 @@ def run_experiment_mega(specs: Sequence[ExperimentSpec]) -> List[RunResult]:
 ExecutionUnit = Tuple[ExperimentSpec, ...]
 
 
-def _run_unit(unit: ExecutionUnit) -> List[RunResult]:
-    """Execute one unit (module-level so it pickles to pool workers)."""
+def _run_unit(
+    unit: ExecutionUnit, invariant_sample: Optional[int] = None
+) -> List[RunResult]:
+    """Execute one unit (module-level so it pickles to pool workers).
+
+    Checked specs always plan as singletons, so ``invariant_sample``
+    only ever reaches :func:`run_experiment`.
+    """
     if len(unit) == 1:
-        return [run_experiment(unit[0])]
+        return [run_experiment(unit[0], invariant_sample=invariant_sample)]
     return run_experiment_mega(list(unit))
 
 
-def _effective_policy(
-    spec: ExperimentSpec, policy: Optional[ExecutionPolicy]
+def _coerce_policy(
+    policy: Union[None, Mapping[str, Any], ExecutionPolicy],
 ) -> ExecutionPolicy:
-    """The spec's hint merged knob-by-knob over the sweep-wide policy."""
-    hint = spec.execution
-    if hint is None:
-        return policy or ExecutionPolicy()
-    return hint.merged_over(policy)
+    """The sweep's one policy from an :class:`ExecutionPolicy`, its
+    ``to_dict`` mapping, or ``None`` (every knob at its default)."""
+    if policy is None:
+        return ExecutionPolicy()
+    if isinstance(policy, ExecutionPolicy):
+        return policy
+    return ExecutionPolicy.from_dict(policy)
 
 
 def _plan_units(
-    specs: Sequence[ExperimentSpec],
-    batch_replicas: Optional[int],
-    policy: Optional[ExecutionPolicy] = None,
+    specs: Sequence[ExperimentSpec], policy: ExecutionPolicy
 ) -> List[ExecutionUnit]:
     """Partition specs into execution units, preserving order.
 
     *Adjacent* specs that are replicas of one batchable cell (equal up
     to seed — exactly how :func:`iter_grid` lays out its innermost seed
-    axis) fuse into one unit, capped at the effective replica limit:
-    the specs' own execution hint when set, else the ``batch_replicas``
-    argument, else :data:`DEFAULT_BATCH_REPLICAS`.  Everything else
-    stays a singleton.  Cells whose effective policy enables invariant
-    checking (``invariant_sample``) also stay singletons: the online
+    axis) fuse into one unit of at most ``policy.batch_replicas`` specs
+    (default :data:`DEFAULT_BATCH_REPLICAS`).  Everything else stays a
+    singleton.  A policy that enables invariant checking
+    (``invariant_sample``) keeps every spec a singleton: the online
     checker hooks the serial engine's slot loop, which the shared-CSR
     batched engine bypasses — fusing would silently skip the checking
     the policy asked for.
-    When the effective policy selects ``backend="megabatch"``, adjacent
-    units of batchable cells are further
-    fused into heterogeneous units of up to ``mega_batch`` lanes total
-    (default :data:`DEFAULT_MEGA_BATCH`).  Concatenating the units
-    yields the input order unchanged, so downstream result assembly
-    (and the store's shard append order) is independent of batching.
+    When the policy selects ``backend="megabatch"``, adjacent units of
+    batchable cells are further fused into heterogeneous units of up to
+    ``mega_batch`` lanes total (default :data:`DEFAULT_MEGA_BATCH`).
+    Concatenating the units yields the input order unchanged, so
+    downstream result assembly (and the store's shard append order) is
+    independent of batching.
     """
-    batch_replicas = validate_batch_replicas(batch_replicas)
+    if policy.invariant_sample is not None:
+        return [(spec,) for spec in specs]
+    limit = policy.batch_replicas or DEFAULT_BATCH_REPLICAS
     units: List[ExecutionUnit] = []
     group: List[ExperimentSpec] = []
-    group_key: Optional[Tuple[str, ExecutionPolicy]] = None
+    group_key: Optional[str] = None
 
     def flush() -> None:
-        if not group:
-            return
-        limit = _effective_policy(group[0], policy).batch_replicas
-        if limit is None:
-            limit = batch_replicas
-        if limit is None:
-            limit = DEFAULT_BATCH_REPLICAS
         for start in range(0, len(group), limit):
             units.append(tuple(group[start:start + limit]))
         group.clear()
 
     for spec in specs:
-        if (
-            not spec_is_batchable(spec)
-            or _effective_policy(spec, policy).invariant_sample is not None
-        ):
+        if not spec_is_batchable(spec):
             flush()
             group_key = None
             units.append((spec,))
             continue
-        key = (_group_signature(spec), _effective_policy(spec, policy))
+        key = _group_signature(spec)
         if key != group_key:
             flush()
             group_key = key
         group.append(spec)
     flush()
-    return _merge_mega_units(units, policy)
+    return _merge_mega_units(units, policy) if policy.wants_mega() else units
 
 
 def _merge_mega_units(
-    units: List[ExecutionUnit],
-    policy: Optional[ExecutionPolicy],
+    units: List[ExecutionUnit], policy: ExecutionPolicy
 ) -> List[ExecutionUnit]:
-    """Fuse adjacent mega-eligible units into heterogeneous mega units.
+    """Fuse adjacent units of batchable cells into heterogeneous mega
+    units.
 
-    A unit is mega-eligible when its effective policy asks for
-    ``backend="megabatch"`` and its cell is
-    :func:`spec_is_batchable`; adjacent eligible units merge until the
-    next unit would push the merged lane count past the effective
+    Adjacent units whose cell is :func:`spec_is_batchable` merge until
+    the next unit would push the merged lane count past the policy's
     ``mega_batch`` cap.  Order is preserved, so results and store
     shards are laid out exactly as without mega fusion.
     """
+    cap = policy.mega_batch or DEFAULT_MEGA_BATCH
     merged: List[ExecutionUnit] = []
-    pending: List[ExecutionUnit] = []
-    pending_lanes = 0
-    pending_cap = DEFAULT_MEGA_BATCH
+    pending: List[ExperimentSpec] = []
 
     def flush_pending() -> None:
-        nonlocal pending_lanes
         if pending:
-            merged.append(tuple(s for unit in pending for s in unit))
+            merged.append(tuple(pending))
             pending.clear()
-        pending_lanes = 0
 
     for unit in units:
-        eff = _effective_policy(unit[0], policy)
-        if not (eff.wants_mega() and spec_is_batchable(unit[0])):
+        if not spec_is_batchable(unit[0]):
             flush_pending()
             merged.append(unit)
             continue
-        cap = eff.mega_batch or DEFAULT_MEGA_BATCH
-        if pending and pending_lanes + len(unit) > pending_cap:
+        if pending and len(pending) + len(unit) > cap:
             flush_pending()
-        if not pending:
-            pending_cap = cap
-        pending.append(unit)
-        pending_lanes += len(unit)
+        pending.extend(unit)
     flush_pending()
     return merged
 
@@ -401,7 +392,6 @@ def iter_grid(
     fault_model: Union[None, str, Mapping[str, Any], FaultModel] = None,
     dynamic: Union[None, str, Mapping[str, Any], DynamicSchedule] = None,
     sinr: Union[None, str, Mapping[str, Any], SinrParams] = None,
-    execution: Union[None, Mapping[str, Any], ExecutionPolicy] = None,
 ) -> Iterator[ExperimentSpec]:
     """Lazily expand a scenario grid, one spec per cell, in grid order.
 
@@ -426,11 +416,9 @@ def iter_grid(
     :class:`~repro.radio.sinr.SinrParams`, its dict form, or a preset
     name from :func:`~repro.radio.sinr.named_sinr_params`) sets the
     physical-layer knobs for every cell; it requires
-    ``collision_model="sinr"``.  ``execution`` (an
-    :class:`~repro.experiments.spec.ExecutionPolicy` or its dict form)
-    stamps one execution hint onto every cell — not part of cell
-    identity, but ``invariant_sample`` does decide whether results
-    carry the v3 ``invariants`` block.
+    ``collision_model="sinr"``.  How the cells run is not a grid axis:
+    pass an :class:`~repro.experiments.spec.ExecutionPolicy` to
+    :func:`run_specs`.
 
     Arguments are validated eagerly, at call time; only the spec
     construction (and derived-seed materialization) is deferred to
@@ -447,8 +435,6 @@ def iter_grid(
     faults = coerce_fault_model(fault_model)
     schedule = coerce_dynamic_schedule(dynamic)
     sinr_params = coerce_sinr_params(sinr)
-    if execution is not None and not isinstance(execution, ExecutionPolicy):
-        execution = ExecutionPolicy.from_dict(execution)
     params_by_algorithm = dict(algorithm_params or {})
     unknown = set(params_by_algorithm) - set(algorithms)
     if unknown:
@@ -506,43 +492,16 @@ def iter_grid(
                         fault_model=faults,
                         dynamic=schedule,
                         sinr=sinr_params,
-                        execution=execution,
                     )
 
     return generate()
 
 
 def expand_grid(
-    topologies: Sequence[str],
-    algorithms: Sequence[str],
-    sizes: Union[int, Sequence[int]] = 64,
-    seeds: Union[int, Sequence[int]] = 2,
-    base_seed: int = 0,
-    engine: str = "reference",
-    collision_model: str = "no_cd",
-    message_limit_bits: Optional[int] = None,
-    algorithm_params: Optional[Mapping[str, Mapping[str, Any]]] = None,
-    fault_model: Union[None, str, Mapping[str, Any], FaultModel] = None,
-    dynamic: Union[None, str, Mapping[str, Any], DynamicSchedule] = None,
-    sinr: Union[None, str, Mapping[str, Any], SinrParams] = None,
-    execution: Union[None, Mapping[str, Any], ExecutionPolicy] = None,
+    topologies: Sequence[str], algorithms: Sequence[str], **grid: Any
 ) -> List[ExperimentSpec]:
     """Eager form of :func:`iter_grid` (same arguments and order)."""
-    return list(iter_grid(
-        topologies,
-        algorithms,
-        sizes=sizes,
-        seeds=seeds,
-        base_seed=base_seed,
-        engine=engine,
-        collision_model=collision_model,
-        message_limit_bits=message_limit_bits,
-        algorithm_params=algorithm_params,
-        fault_model=fault_model,
-        dynamic=dynamic,
-        sinr=sinr,
-        execution=execution,
-    ))
+    return list(iter_grid(topologies, algorithms, **grid))
 
 
 @dataclass(frozen=True)
@@ -623,23 +582,24 @@ def run_specs(
     max_workers: Optional[int] = None,
     store: Union[None, str, SweepStore] = None,
     chunk_size: Optional[int] = None,
-    batch_replicas: Optional[int] = None,
-    policy: Optional[ExecutionPolicy] = None,
+    policy: Union[None, Mapping[str, Any], ExecutionPolicy] = None,
 ) -> SweepResult:
     """Execute prepared specs, in cell order, optionally on a pool.
 
-    Adjacent specs that are replicas of one batchable cell — identical
-    up to seed, seed-deterministic topology, ``"fast"`` engine,
-    ``decay_bfs`` (see :func:`spec_is_batchable`) — are fused into
-    single replica-batched engine runs of up to ``batch_replicas``
-    seeds each (default :data:`DEFAULT_BATCH_REPLICAS`;
-    ``batch_replicas=1`` opts out).
-    ``policy`` (an :class:`~repro.experiments.spec.ExecutionPolicy`)
-    sets sweep-wide execution knobs — replica cap and mega batching;
-    per-spec ``execution`` hints override it knob by knob.  When the
-    effective policy selects ``backend="megabatch"``, adjacent
-    batchable cells fuse further into heterogeneous
-    mega units (:func:`run_experiment_mega`).
+    ``policy`` — an :class:`~repro.experiments.spec.ExecutionPolicy`
+    or its ``to_dict`` mapping; ``None`` keeps every default — is the
+    one statement of how the specs run.  Adjacent specs that are
+    replicas of one batchable cell — identical up to seed,
+    seed-deterministic topology, ``"fast"`` engine, ``decay_bfs`` (see
+    :func:`spec_is_batchable`) — are fused into single replica-batched
+    engine runs of up to ``policy.batch_replicas`` seeds each (default
+    :data:`DEFAULT_BATCH_REPLICAS`; ``1`` opts out).  With
+    ``backend="megabatch"``, adjacent batchable cells fuse further into
+    heterogeneous mega units (:func:`run_experiment_mega`).  With
+    ``invariant_sample``, every spec runs alone on its serial engine
+    under the online invariant checker, in-process or pooled alike, and
+    every run that drives a slot engine carries the v3 ``invariants``
+    block.
     Batching never changes results: every cell's ``RunResult`` is
     byte-identical (timing aside) to its per-seed execution, so result
     order, store contents, hashes, and resume semantics are unaffected.
@@ -661,12 +621,16 @@ def run_specs(
     order, mixing stored and freshly-run results — which are
     byte-identical anyway, timing aside.
     """
+    policy = _coerce_policy(policy)
+    task = functools.partial(
+        _run_unit, invariant_sample=policy.invariant_sample
+    )
     spec_list = list(specs)
     chunk_size = validate_batch_replicas(chunk_size, "chunk_size")
     if store is None:
-        units = _plan_units(spec_list, batch_replicas, policy)
+        units = _plan_units(spec_list, policy)
         results, execution = _execute_all(
-            units, parallel, max_workers, chunk=len(spec_list) or 1
+            task, units, parallel, max_workers, chunk=len(spec_list) or 1
         )
         return SweepResult(results=tuple(results), execution=execution)
 
@@ -691,7 +655,7 @@ def run_specs(
             fresh[spec_hash(r.spec)] = r
 
     _, execution = _execute_all(
-        _plan_units(pending, batch_replicas, policy), parallel, max_workers,
+        task, _plan_units(pending, policy), parallel, max_workers,
         chunk=chunk_size or DEFAULT_CHUNK_SIZE,
         on_batch=checkpoint, idle_execution="store",
     )
@@ -723,6 +687,7 @@ def _chunk_units(units: List[ExecutionUnit], chunk: int) -> Iterator[List[Execut
 
 
 def _execute_all(
+    task: Any,
     units: List[ExecutionUnit],
     parallel: bool,
     max_workers: Optional[int],
@@ -730,7 +695,8 @@ def _execute_all(
     on_batch: Any = None,
     idle_execution: str = "serial",
 ):
-    """Run execution units in ~``chunk``-cell batches on one shared pool.
+    """Run ``task`` on execution units in ~``chunk``-cell batches on
+    one shared pool.
 
     The single implementation of the pool-with-serial-fallback policy:
     a pool is attempted when ``parallel`` and there is more than one
@@ -758,14 +724,14 @@ def _execute_all(
             batch_results: Optional[List[List[RunResult]]] = None
             if pool is not None:
                 try:
-                    batch_results = list(pool.map(_run_unit, batch))
+                    batch_results = list(pool.map(task, batch))
                     execution = "process_pool"
                 except (OSError, PermissionError, NotImplementedError,
                         BrokenProcessPool):
                     pool.shutdown(wait=False)
                     pool = None
             if batch_results is None:
-                batch_results = [_run_unit(u) for u in batch]
+                batch_results = [task(u) for u in batch]
                 execution = "serial"
             flat = [r for unit_results in batch_results for r in unit_results]
             if on_batch is not None:
@@ -780,51 +746,26 @@ def _execute_all(
 def run_sweep(
     topologies: Sequence[str],
     algorithms: Sequence[str],
-    sizes: Union[int, Sequence[int]] = 64,
-    seeds: Union[int, Sequence[int]] = 2,
-    base_seed: int = 0,
-    engine: str = "reference",
-    collision_model: str = "no_cd",
-    message_limit_bits: Optional[int] = None,
-    algorithm_params: Optional[Mapping[str, Mapping[str, Any]]] = None,
-    fault_model: Union[None, str, Mapping[str, Any], FaultModel] = None,
-    dynamic: Union[None, str, Mapping[str, Any], DynamicSchedule] = None,
-    sinr: Union[None, str, Mapping[str, Any], SinrParams] = None,
-    execution: Union[None, Mapping[str, Any], ExecutionPolicy] = None,
+    *,
     parallel: bool = True,
     max_workers: Optional[int] = None,
     store: Union[None, str, SweepStore] = None,
     chunk_size: Optional[int] = None,
-    batch_replicas: Optional[int] = None,
-    policy: Optional[ExecutionPolicy] = None,
+    policy: Union[None, Mapping[str, Any], ExecutionPolicy] = None,
+    **grid: Any,
 ) -> SweepResult:
-    """Expand a grid (see :func:`expand_grid`) and execute every cell.
+    """Expand a grid and execute every cell.
 
-    ``store``/``chunk_size`` make the sweep resumable and incrementally
-    checkpointed; ``batch_replicas`` caps (or, set to 1, disables)
-    replica batching of sibling seeds — the grid's seed axis is
-    innermost, so each cell's seeds arrive adjacent and batch-eligible.
-    ``policy`` sets sweep-wide execution knobs (replica cap, mega
-    batching).  See :func:`run_specs` for all three.
+    ``grid`` holds the remaining :func:`iter_grid` axes (``sizes``,
+    ``seeds``, ``engine``, ...).  ``store``/``chunk_size`` make the
+    sweep resumable and incrementally checkpointed; ``policy`` says how
+    the cells run — the grid's seed axis is innermost, so each cell's
+    seeds arrive adjacent and batch-eligible.  See :func:`run_specs`
+    for all three.
     """
-    specs = iter_grid(
-        topologies,
-        algorithms,
-        sizes=sizes,
-        seeds=seeds,
-        base_seed=base_seed,
-        engine=engine,
-        collision_model=collision_model,
-        message_limit_bits=message_limit_bits,
-        algorithm_params=algorithm_params,
-        fault_model=fault_model,
-        dynamic=dynamic,
-        sinr=sinr,
-        execution=execution,
-    )
-    return run_specs(specs, parallel=parallel, max_workers=max_workers,
-                     store=store, chunk_size=chunk_size,
-                     batch_replicas=batch_replicas, policy=policy)
+    return run_specs(iter_grid(topologies, algorithms, **grid),
+                     parallel=parallel, max_workers=max_workers,
+                     store=store, chunk_size=chunk_size, policy=policy)
 
 
 def validate_document(data: Mapping[str, Any]) -> List[RunResult]:

@@ -22,7 +22,7 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 import networkx as nx
@@ -118,10 +118,9 @@ def validate_batch_replicas(value: Any, where: str = "batch_replicas") -> Option
     """Validate a positive execution cap: ``None`` or a positive int,
     returned as a Python ``int`` (numpy integers are accepted).
 
-    The single check behind every entry point for the caps — the policy
-    fields (:class:`ExecutionPolicy`) and the runner arguments
-    (``run_specs(..., batch_replicas=..., chunk_size=...)``) — so they
-    can never drift in what they accept.  Booleans are rejected
+    The single check behind every cap — the policy fields
+    (:class:`ExecutionPolicy`) and ``run_specs(..., chunk_size=...)`` —
+    so they can never drift in what they accept.  Booleans are rejected
     explicitly: ``batch_replicas=True`` is a plausible "enable
     batching" mistake that would otherwise silently mean "limit 1",
     i.e. the exact opposite.
@@ -156,9 +155,11 @@ def execution_backends() -> Tuple[str, ...]:
 class ExecutionPolicy:
     """*How* to execute specs — never part of *what* they compute.
 
-    A frozen bundle of execution hints carried beside
-    :class:`ExperimentSpec` (its ``execution`` field) or passed to the
-    runners (``run_specs(..., policy=...)``).  The performance knobs
+    One sweep-wide bundle of execution knobs, passed to the runners
+    (``run_specs``/``run_sweep``/``run_partition(..., policy=...)``, as
+    the policy or its :meth:`to_dict` mapping) or built by the CLI from
+    ``--backend``, ``--batch-replicas`` and ``--invariant-sample``; it
+    is the only way to say how specs run.  The performance knobs
     (``backend``, ``batch_replicas``, ``mega_batch``) carry a
     bit-identity guarantee: any setting produces byte-identical
     results, ledgers, fault streams, and store shards to the default
@@ -166,9 +167,8 @@ class ExecutionPolicy:
     how often the online invariant checker observes a run, so results
     are byte-identical per fixed sampling policy (which is exactly what
     the CI equivalence grids pin down), and runs without it emit no
-    invariant data at all.  The policy is excluded from spec equality,
-    hashing, and serialization either way (enforced by lintkit's
-    HASH001 rule).
+    invariant data at all.  The policy never enters a spec, so it
+    never touches ``spec_hash`` or a serialized document.
 
     Parameters
     ----------
@@ -215,30 +215,6 @@ class ExecutionPolicy:
     def wants_mega(self) -> bool:
         """Whether this policy asks for cross-cell mega-batch fusion."""
         return self.backend == "megabatch"
-
-    def merged_over(self, base: "Optional[ExecutionPolicy]") -> "ExecutionPolicy":
-        """This policy with ``None`` knobs filled from ``base``.
-
-        The per-spec hint wins knob-by-knob over a sweep-wide policy.
-        """
-        if base is None:
-            return self
-        return ExecutionPolicy(
-            backend=self.backend if self.backend is not None else base.backend,
-            batch_replicas=(
-                self.batch_replicas
-                if self.batch_replicas is not None else base.batch_replicas
-            ),
-            mega_batch=(
-                self.mega_batch
-                if self.mega_batch is not None else base.mega_batch
-            ),
-            invariant_sample=(
-                self.invariant_sample
-                if self.invariant_sample is not None
-                else base.invariant_sample
-            ),
-        )
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -325,14 +301,6 @@ class ExperimentSpec:
         binary-model specs keep their historic hashes because the key
         is only serialized when set.  SINR compiles per-edge gains for
         a static topology, so it cannot combine with ``dynamic``.
-    execution:
-        Optional :class:`ExecutionPolicy` (or its ``to_dict`` mapping)
-        — an execution *hint*, not part of the cell's identity: how to
-        run this cell (mega-batch fusion and its cap, replica-batch
-        cap, invariant sampling), never what it computes.  Excluded
-        from equality, hashing, and serialization — two specs differing
-        only here are the same cell, produce byte-identical results, and
-        share one ``spec_hash``.
     """
 
     topology: str
@@ -346,7 +314,6 @@ class ExperimentSpec:
     fault_model: Optional[FaultModel] = None
     dynamic: Optional[DynamicSchedule] = None
     sinr: Optional[SinrParams] = None
-    execution: Optional[ExecutionPolicy] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -407,12 +374,6 @@ class ExperimentSpec:
             raise ConfigurationError(
                 f"seed must be a non-negative int, got {self.seed!r}"
             )
-        if self.execution is not None and not isinstance(
-            self.execution, ExecutionPolicy
-        ):
-            object.__setattr__(
-                self, "execution", ExecutionPolicy.from_dict(self.execution)
-            )
         # Lazy import: the registry imports this module.
         from .registry import algorithm_names
 
@@ -464,10 +425,6 @@ class ExperimentSpec:
         shape (no ``fault_model`` key) and is only valid for fault-free
         specs — :meth:`~repro.experiments.results.RunResult.to_dict` uses it to re-emit v1
         documents byte-identically.
-
-        The ``execution`` policy is never serialized: it does not
-        affect what a run computes, so the canonical document (and
-        hence ``spec_hash``) must not depend on it.
         """
         doc = {
             "topology": self.topology,

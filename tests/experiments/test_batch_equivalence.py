@@ -31,9 +31,9 @@ from repro.experiments import (
     run_experiment,
     run_experiment_batch,
     run_experiment_mega,
+    run_partition,
     run_specs,
     run_sweep,
-    spec_hash,
     spec_is_batchable,
 )
 from repro.experiments.runner import (
@@ -46,6 +46,8 @@ from repro.radio.faults import named_fault_models
 
 REPLICAS = 8
 PRESETS = sorted(named_fault_models())
+#: Per-seed execution: the reference every batched path must match.
+PER_SEED = ExecutionPolicy(batch_replicas=1)
 
 
 def _cell_specs(preset, collision_model, seeds=range(REPLICAS), **overrides):
@@ -96,7 +98,7 @@ def test_batched_results_byte_identical(preset, collision_model):
 def test_run_specs_batched_equals_opt_out(topology, n):
     specs = _cell_specs("drop10", "no_cd", topology=topology, n=n)
     batched = run_specs(specs, parallel=False)
-    serial = run_specs(specs, parallel=False, batch_replicas=1)
+    serial = run_specs(specs, parallel=False, policy=PER_SEED)
     assert tuple(batched.results) == tuple(serial.results)
     assert [r.spec.seed for r in batched] == list(range(REPLICAS))
 
@@ -107,7 +109,7 @@ def test_run_sweep_batches_the_seed_axis():
                         sizes=16, seeds=4, engine="fast", parallel=False)
     serial = run_sweep(["star_of_paths", "grid"], ["decay_bfs"],
                        sizes=16, seeds=4, engine="fast", parallel=False,
-                       batch_replicas=1)
+                       policy=PER_SEED)
     assert tuple(batched.results) == tuple(serial.results)
 
 
@@ -120,21 +122,15 @@ def test_plan_units_groups_only_adjacent_batchable_replicas():
     lb_level = _cell_specs("none", "no_cd", seeds=range(2),
                            algorithm="trivial_bfs")
     specs = cell + other + reference + stochastic + lb_level
-    units = _plan_units(specs, None)
+    units = _plan_units(specs, ExecutionPolicy())
     assert [len(u) for u in units] == [4, 2, 1, 1, 1, 1, 1, 1]
     assert [s for unit in units for s in unit] == specs
-    # Caps: the argument bounds group size; the per-spec hint wins.
-    assert [len(u) for u in _plan_units(cell, 3)] == [3, 1]
-    hinted = [
-        dataclasses.replace(s, execution=ExecutionPolicy(batch_replicas=2))
-        for s in _cell_specs("none", "no_cd", seeds=range(4))
-    ]
-    assert [len(u) for u in _plan_units(hinted, None)] == [2, 2]
-    # A sweep-wide policy caps too; the per-spec hint wins over it.
+    # The policy's replica cap bounds group size; 1 plans per seed.
     assert [len(u) for u in _plan_units(
-        cell, None, ExecutionPolicy(batch_replicas=3))] == [3, 1]
+        cell, ExecutionPolicy(batch_replicas=3))] == [3, 1]
     assert [len(u) for u in _plan_units(
-        hinted, None, ExecutionPolicy(batch_replicas=3))] == [2, 2]
+        cell, ExecutionPolicy(batch_replicas=2))] == [2, 2]
+    assert [len(u) for u in _plan_units(cell, PER_SEED)] == [1, 1, 1, 1]
 
 
 def test_spec_is_batchable_conditions():
@@ -172,40 +168,13 @@ def test_run_experiment_batch_delegates_to_one_member_mega():
 
 
 # ---------------------------------------------------------------------------
-# The ExecutionPolicy spec hint: execution-only, never identity
+# The ExecutionPolicy: one sweep-wide statement of how specs run
 # ---------------------------------------------------------------------------
-
-def test_execution_policy_hint_excluded_from_identity():
-    plain = ExperimentSpec(topology="path", n=8, algorithm="decay_bfs",
-                           engine="fast", seed=1)
-    hinted = ExperimentSpec(
-        topology="path", n=8, algorithm="decay_bfs", engine="fast", seed=1,
-        execution=ExecutionPolicy(backend="megabatch", batch_replicas=4))
-    assert hinted == plain
-    assert spec_hash(hinted) == spec_hash(plain)
-    assert "execution" not in hinted.to_dict()
-    assert "batch_replicas" not in hinted.to_dict()
-    # Serialization round-trips drop the hint entirely: *what* a spec
-    # computes is hash-covered, *how* never is.
-    assert ExperimentSpec.from_dict(hinted.to_dict()).execution is None
-
-
-def test_execution_policy_coerced_and_merged():
-    hinted = ExperimentSpec(
-        topology="path", n=8, algorithm="decay_bfs", engine="fast", seed=1,
-        execution={"backend": "megabatch"})  # plain mapping coerces
-    assert hinted.execution == ExecutionPolicy(backend="megabatch")
-    merged = ExecutionPolicy(batch_replicas=2).merged_over(
-        ExecutionPolicy(backend="megabatch", mega_batch=8))
-    assert merged == ExecutionPolicy(backend="megabatch", batch_replicas=2,
-                                     mega_batch=8)
-    assert merged.wants_mega()
-
 
 def test_execution_policy_validation():
     with pytest.raises(ConfigurationError, match="backend"):
         ExecutionPolicy(backend="cuda")
-    for bad in (0, -1, True, 2.5):
+    for bad in (0, -1, True, 2.5, "8"):
         with pytest.raises(ConfigurationError, match="batch_replicas"):
             ExecutionPolicy(batch_replicas=bad)
         with pytest.raises(ConfigurationError, match="mega_batch"):
@@ -216,23 +185,81 @@ def test_execution_policy_validation():
     assert ExecutionPolicy.from_dict(round_trip.to_dict()) == round_trip
 
 
-@pytest.mark.parametrize("bad", [0, -1, True, 2.5, "8"])
-def test_batch_replicas_hint_validated(bad):
-    with pytest.raises(ConfigurationError, match="batch_replicas"):
-        ExperimentSpec(topology="path", n=8, algorithm="decay_bfs",
-                       seed=0, execution={"batch_replicas": bad})
+def test_spec_carries_no_execution_policy():
+    doc = _cell_specs("none", "no_cd", seeds=[0])[0].to_dict()
+    with pytest.raises(ConfigurationError, match="unknown spec fields"):
+        ExperimentSpec.from_dict({**doc, "execution": {"batch_replicas": 2}})
+
+
+def _grid_star_specs(seeds):
+    """Fault-free ``decay_bfs`` on grid and star n=16, in grid order."""
+    return [spec for topology in ("grid", "star")
+            for spec in _cell_specs("none", "no_cd", seeds=seeds,
+                                    topology=topology, n=16,
+                                    algorithm_params=None)]
+
+
+def _three_runners(specs, store, policy):
+    """``run_specs``, ``run_sweep`` and ``run_partition`` under one
+    policy, on the same cells (the sweep's grid is ``specs``)."""
+    return [
+        run_specs(specs, parallel=False, policy=policy),
+        run_sweep(["grid", "star"], ["decay_bfs"], sizes=16, seeds=[0, 1],
+                  engine="fast", parallel=False, policy=policy),
+        run_partition(specs, worker=0, ring=1, parallel=False,
+                      store=str(store), policy=policy),
+    ]
+
+
+def test_policy_mapping_accepted_by_every_runner(tmp_path):
+    specs = _grid_star_specs(seeds=[0, 1])
+    mapped = _three_runners(specs, tmp_path / "mapped",
+                            {"backend": "megabatch"})
+    typed = _three_runners(specs, tmp_path / "typed",
+                           ExecutionPolicy(backend="megabatch"))
+    per_seed = run_specs(specs, parallel=False, policy=PER_SEED)
+    for got in mapped + typed:
+        assert [_canonical(r) for r in got] == [_canonical(r) for r in per_seed]
+
+
+@pytest.mark.parametrize(
+    "bad", ["megabatch", 4, ["backend"], {"backend": "cuda"}, {"gpu": True}],
+    ids=["str", "int", "list", "unknown_backend", "unknown_field"])
+def test_bad_policy_is_a_one_line_error_in_every_runner(tmp_path, bad):
+    specs = _cell_specs("none", "no_cd", seeds=[0])
+    calls = [
+        lambda: run_specs(specs, parallel=False, policy=bad),
+        lambda: run_sweep(["grid"], ["decay_bfs"], sizes=16, seeds=1,
+                          parallel=False, policy=bad),
+        lambda: run_partition(specs, worker=0, ring=1, parallel=False,
+                              store=str(tmp_path / "shard"), policy=bad),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigurationError) as info:
+            call()
+        assert "\n" not in str(info.value)
+    # Refused before the store was touched.
+    assert not (tmp_path / "shard").exists()
+
+
+@pytest.mark.parametrize("backend", [None, "megabatch"])
+@pytest.mark.parametrize("parallel", [False, True], ids=["serial", "pooled"])
+def test_sweep_invariant_sample_reaches_every_run(parallel, backend):
+    specs = _grid_star_specs(seeds=range(4))
+    sweep = run_specs(specs, parallel=parallel, max_workers=2,
+                      policy=ExecutionPolicy(backend=backend,
+                                             invariant_sample=2))
+    for spec, result in zip(specs, sweep):
+        assert result.invariants is not None
+        assert result.invariants["checked_slots"] > 0
+        assert result.invariants["violations"] == {}
+        assert _canonical(result) == _canonical(
+            run_experiment(spec, invariant_sample=2))
 
 
 def test_default_batch_replicas_is_sane():
     assert isinstance(DEFAULT_BATCH_REPLICAS, int)
     assert DEFAULT_BATCH_REPLICAS >= 2
-
-
-def test_runner_batch_replicas_validated():
-    specs = _cell_specs("none", "no_cd", seeds=range(2))
-    for bad in (0, -1, True, 2.5):
-        with pytest.raises(ConfigurationError, match="batch_replicas"):
-            run_specs(specs, parallel=False, batch_replicas=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +276,7 @@ def _shard_bytes(store_dir):
 def test_batched_sweep_store_byte_identical(tmp_path):
     specs = _cell_specs("lossy_mixed", "receiver_cd")
     run_specs(specs, parallel=False, store=str(tmp_path / "serial"),
-              batch_replicas=1)
+              policy=PER_SEED)
     run_specs(specs, parallel=False, store=str(tmp_path / "batched"))
     assert _shard_bytes(tmp_path / "serial") == _shard_bytes(tmp_path / "batched")
 
@@ -258,7 +285,7 @@ def test_batched_resume_store_byte_identical(tmp_path):
     """Completed cells drop out of the batch group; bytes still match."""
     specs = _cell_specs("drop30", "no_cd")
     run_specs(specs, parallel=False, store=str(tmp_path / "reference"),
-              batch_replicas=1)
+              policy=PER_SEED)
     resumed = str(tmp_path / "resumed")
     run_specs(specs[:5], parallel=False, store=resumed)
     sweep = run_specs(specs, parallel=False, store=resumed)
@@ -291,7 +318,7 @@ def test_backend_byte_identical_grid(backend, preset, collision_model):
     heterogeneous spec stream.
     """
     specs = _hetero_specs(preset, collision_model, seeds=2)
-    serial = run_specs(specs, parallel=False, batch_replicas=1)
+    serial = run_specs(specs, parallel=False, policy=PER_SEED)
     alt = run_specs(specs, parallel=False,
                     policy=ExecutionPolicy(backend=backend))
     assert len(alt) == len(serial)
@@ -352,19 +379,19 @@ def test_plan_units_mega_merges_adjacent_cells():
     mega = ExecutionPolicy(backend="megabatch")
     specs = _hetero_specs("none", "no_cd", seeds=3)
     # Without the policy: three replica-batched units.
-    assert [len(u) for u in _plan_units(specs, None)] == [3, 3, 3]
+    assert [len(u) for u in _plan_units(specs, ExecutionPolicy())] == [3, 3, 3]
     # With it: one heterogeneous unit spanning all nine lanes.
-    assert [len(u) for u in _plan_units(specs, None, mega)] == [9]
+    assert [len(u) for u in _plan_units(specs, mega)] == [9]
     # The mega_batch cap bounds *total* lanes, at unit granularity.
     capped = ExecutionPolicy(backend="megabatch", mega_batch=6)
-    assert [len(u) for u in _plan_units(specs, None, capped)] == [6, 3]
+    assert [len(u) for u in _plan_units(specs, capped)] == [6, 3]
     # Non-mega-batchable cells break the merged run.
     blocker = _cell_specs("none", "no_cd", seeds=[0],
                           algorithm="trivial_bfs")
     mixed = specs[:3] + blocker + specs[3:]
-    assert [len(u) for u in _plan_units(mixed, None, mega)] == [3, 1, 6]
+    assert [len(u) for u in _plan_units(mixed, mega)] == [3, 1, 6]
     # Order is always preserved exactly.
-    assert [s for u in _plan_units(mixed, None, mega) for s in u] == mixed
+    assert [s for u in _plan_units(mixed, mega) for s in u] == mixed
 
 
 def test_run_experiment_mega_validates_input():
@@ -388,7 +415,7 @@ def test_run_experiment_mega_validates_input():
 def test_mega_sweep_store_byte_identical(tmp_path):
     specs = _hetero_specs("lossy_mixed", "receiver_cd", seeds=2)
     run_specs(specs, parallel=False, store=str(tmp_path / "serial"),
-              batch_replicas=1)
+              policy=PER_SEED)
     run_specs(specs, parallel=False, store=str(tmp_path / "mega"),
               policy=ExecutionPolicy(backend="megabatch"))
     assert _shard_bytes(tmp_path / "serial") == _shard_bytes(tmp_path / "mega")
@@ -398,9 +425,9 @@ def test_mega_resume_store_byte_identical(tmp_path):
     """Cells completed serially drop out of the mega unit; bytes match."""
     specs = _hetero_specs("drop30", "no_cd", seeds=2)
     run_specs(specs, parallel=False, store=str(tmp_path / "reference"),
-              batch_replicas=1)
+              policy=PER_SEED)
     resumed = str(tmp_path / "resumed")
-    run_specs(specs[:4], parallel=False, store=resumed, batch_replicas=1)
+    run_specs(specs[:4], parallel=False, store=resumed, policy=PER_SEED)
     sweep = run_specs(specs, parallel=False, store=resumed,
                       policy=ExecutionPolicy(backend="megabatch"))
     assert len(sweep) == len(specs)
@@ -413,7 +440,8 @@ def test_default_mega_batch_is_sane():
 
 
 # ---------------------------------------------------------------------------
-# CLI surface: --backend / --batch-replicas shared by run, sweep, worker
+# CLI surface: one policy from --backend / --batch-replicas /
+# --invariant-sample, shared by run, sweep, worker
 # ---------------------------------------------------------------------------
 
 def test_cli_backend_flag_uniform_across_subcommands():
@@ -432,9 +460,13 @@ def test_cli_backend_flag_uniform_across_subcommands():
             [command, *common, *args, "--backend", "megabatch",
              "--batch-replicas", "4"])
         assert ns.backend == "megabatch" and ns.batch_replicas == 4
-        assert _policy_from_args(ns) == ExecutionPolicy(backend="megabatch")
+        assert _policy_from_args(ns) == ExecutionPolicy(
+            backend="megabatch", batch_replicas=4)
+        ns = parser.parse_args(
+            [command, *common, *args, "--invariant-sample", "2"])
+        assert _policy_from_args(ns) == ExecutionPolicy(invariant_sample=2)
         ns = parser.parse_args([command, *common, *args])
-        assert _policy_from_args(ns) is None
+        assert _policy_from_args(ns) == ExecutionPolicy()
     ns = parser.parse_args(["run", *common, "--backend", "cuda"])
     with pytest.raises(ConfigurationError, match="megabatch"):
         _policy_from_args(ns)

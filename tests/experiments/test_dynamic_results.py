@@ -31,16 +31,11 @@ from repro.radio.dynamic import named_dynamic_schedules
 
 
 def _spec(dynamic=None, engine="reference", fault_model=None,
-          collision_model="no_cd", invariant_sample=None,
-          algorithm="decay_bfs", n=16, seed=3):
-    execution = (
-        ExecutionPolicy(invariant_sample=invariant_sample)
-        if invariant_sample is not None else None
-    )
+          collision_model="no_cd", algorithm="decay_bfs", n=16, seed=3):
     return ExperimentSpec(
         topology="grid", n=n, algorithm=algorithm, engine=engine,
         collision_model=collision_model, seed=seed,
-        fault_model=fault_model, dynamic=dynamic, execution=execution,
+        fault_model=fault_model, dynamic=dynamic,
     )
 
 
@@ -58,7 +53,7 @@ def _payload(result: RunResult):
 
 class TestSchemaV3:
     def test_checked_run_carries_invariants_block(self):
-        result = run_experiment(_spec(invariant_sample=1))
+        result = run_experiment(_spec(), invariant_sample=1)
         assert result.invariants is not None
         assert result.invariants["checked_slots"] > 0
         assert result.invariants["violations"] == {}
@@ -72,9 +67,8 @@ class TestSchemaV3:
         assert "invariants" not in result.to_dict()
 
     def test_v3_round_trip_with_invariants_and_dynamic(self):
-        spec = _spec(dynamic=named_dynamic_schedules()["churn_mix"],
-                     invariant_sample=2)
-        result = run_experiment(spec)
+        spec = _spec(dynamic=named_dynamic_schedules()["churn_mix"])
+        result = run_experiment(spec, invariant_sample=2)
         doc = result.to_dict()
         assert doc["spec"]["dynamic"] == spec.dynamic.to_dict()
         rebuilt = RunResult.from_dict(json.loads(json.dumps(doc)))
@@ -90,7 +84,7 @@ class TestSchemaV3:
         assert clone.invariants is None
 
     def test_v2_reemission_refuses_invariants(self):
-        result = run_experiment(_spec(invariant_sample=1))
+        result = run_experiment(_spec(), invariant_sample=1)
         with pytest.raises(ConfigurationError, match="v2 schema"):
             result.to_dict(schema_version=2)
 
@@ -151,9 +145,9 @@ class TestDifferentialGrid:
             spec = _spec(
                 dynamic=named_dynamic_schedules()[dynamic],
                 fault_model=fault, collision_model=model,
-                engine=engine, invariant_sample=1,
+                engine=engine,
             )
-            results[engine] = run_experiment(spec)
+            results[engine] = run_experiment(spec, invariant_sample=1)
         ref, fast = results["reference"], results["fast"]
         assert ref.invariants is not None
         assert ref.invariants["violations"] == {}
@@ -166,10 +160,12 @@ class TestDifferentialGrid:
     def test_serial_and_pool_agree(self):
         specs = list(iter_grid(
             ["grid"], ["decay_bfs"], sizes=16, seeds=2, engine="fast",
-            dynamic="churn_mix", execution={"invariant_sample": 2},
+            dynamic="churn_mix",
         ))
-        serial = run_specs(specs, parallel=False)
-        pooled = run_specs(specs, parallel=True, max_workers=2)
+        policy = ExecutionPolicy(invariant_sample=2)
+        serial = run_specs(specs, parallel=False, policy=policy)
+        pooled = run_specs(specs, parallel=True, max_workers=2, policy=policy)
+        assert all(r.invariants is not None for r in serial)
         assert [r.to_dict() for r in serial] == [r.to_dict() for r in pooled]
 
 
@@ -207,23 +203,26 @@ class TestPlanning:
     def test_static_replicas_fuse(self):
         specs = self._replicas()
         assert all(spec_is_batchable(s) for s in specs)
-        assert len(_plan_units(specs, None)) == 1
+        assert len(_plan_units(specs, ExecutionPolicy())) == 1
 
     def test_dynamic_cells_stay_singletons(self):
         specs = self._replicas(
             dynamic=named_dynamic_schedules()["join_wave"]
         )
         assert not any(spec_is_batchable(s) for s in specs)
-        units = _plan_units(specs, None)
+        units = _plan_units(specs, ExecutionPolicy())
         assert [len(u) for u in units] == [1, 1, 1, 1]
 
-    def test_invariant_checked_cells_stay_singletons(self):
-        units = _plan_units(self._replicas(invariant_sample=4), None)
-        assert [len(u) for u in units] == [1, 1, 1, 1]
-
-    def test_sweep_wide_invariant_policy_forces_singletons(self):
+    def test_invariant_policy_forces_singletons(self):
         units = _plan_units(
-            self._replicas(), None, ExecutionPolicy(invariant_sample=4)
+            self._replicas(), ExecutionPolicy(invariant_sample=4)
+        )
+        assert [len(u) for u in units] == [1, 1, 1, 1]
+
+    def test_invariant_policy_forces_singletons_under_megabatch(self):
+        units = _plan_units(
+            self._replicas(),
+            ExecutionPolicy(backend="megabatch", invariant_sample=4),
         )
         assert [len(u) for u in units] == [1, 1, 1, 1]
 

@@ -222,7 +222,7 @@ class TestRunPartition:
         the serial bytes."""
         executed = []
 
-        def cached_run(spec):
+        def cached_run(spec, invariant_sample=None):
             executed.append(spec_hash(spec))
             return ground_truth[spec_hash(spec)]
 

@@ -74,10 +74,11 @@ def _documents(sweep):
 def test_replica_sweep_with_faults_and_sinr_takes_the_mega_path(fused_calls):
     specs = _specs([("grid", 16), ("star_of_paths", 18)], seeds=4,
                    collision_model="sinr", fault_model="drop10")
-    assert [len(u) for u in _plan_units(specs, None)] == [4, 4]
+    assert [len(u) for u in _plan_units(specs, ExecutionPolicy())] == [4, 4]
     batched = run_specs(specs, parallel=False)
     assert fused_calls == [4, 4]
-    serial = run_specs(specs, parallel=False, batch_replicas=1)
+    serial = run_specs(specs, parallel=False,
+                       policy=ExecutionPolicy(batch_replicas=1))
     assert fused_calls == [4, 4]
     assert _documents(batched) == _documents(serial)
 
@@ -88,5 +89,6 @@ def test_megabatch_sweep_takes_the_mega_path(fused_calls):
     fused = run_specs(specs, parallel=False,
                       policy=ExecutionPolicy(backend="megabatch"))
     assert fused_calls == [6]
-    serial = run_specs(specs, parallel=False, batch_replicas=1)
+    serial = run_specs(specs, parallel=False,
+                       policy=ExecutionPolicy(batch_replicas=1))
     assert _documents(fused) == _documents(serial)

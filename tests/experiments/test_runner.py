@@ -211,15 +211,21 @@ class TestRunSweep:
                                                              tmp_path):
         import numpy as np
 
+        def cap(value):
+            # batch_replicas is a policy knob, here as its mapping form.
+            if knob == "chunk_size":
+                return {"chunk_size": value}
+            return {"policy": {"batch_replicas": value}}
+
         specs = expand_grid(["path"], ["decay_bfs"], sizes=8, seeds=3)
         want = [r.to_dict() for r in run_specs(specs, parallel=False)]
         got = run_specs(specs, parallel=False, store=str(tmp_path / "a"),
-                        **{knob: np.int64(2)})
+                        **cap(np.int64(2)))
         assert [r.to_dict() for r in got] == want
         for value in (True, np.True_):
             with pytest.raises(ConfigurationError, match="not a bool") as info:
                 run_specs(specs, parallel=False, store=str(tmp_path / "b"),
-                          **{knob: value})
+                          **cap(value))
             assert "\n" not in str(info.value)
 
     def test_run_sweep_end_to_end(self):

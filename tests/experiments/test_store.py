@@ -211,9 +211,9 @@ class TestRunnerIntegration:
         executed_specs = []
         original = runner_module.run_experiment
 
-        def counting(spec):
+        def counting(spec, invariant_sample=None):
             executed_specs.append(spec)
-            return original(spec)
+            return original(spec, invariant_sample)
 
         monkeypatch.setattr(runner_module, "run_experiment", counting)
         sweep = run_specs(SPECS, parallel=False, store=store)
@@ -228,7 +228,7 @@ class TestRunnerIntegration:
         store = SweepStore(str(tmp_path / "st"))
         store.add_many(list(executed.results))
 
-        def forbidden(spec):
+        def forbidden(spec, invariant_sample=None):
             raise AssertionError(f"re-executed completed cell {spec}")
 
         monkeypatch.setattr(runner_module, "run_experiment", forbidden)
@@ -242,9 +242,9 @@ class TestRunnerIntegration:
         calls = []
         original = runner_module.run_experiment
 
-        def counting(spec):
+        def counting(spec, invariant_sample=None):
             calls.append(spec)
-            return original(spec)
+            return original(spec, invariant_sample)
 
         monkeypatch.setattr(runner_module, "run_experiment", counting)
         doubled = [SPECS[0], SPECS[0], SPECS[1]]

@@ -80,7 +80,7 @@ class TestTruncationAtEveryOffset:
         # per-offset loop fast without weakening the assertions.
         executed = []
 
-        def cached_run(spec):
+        def cached_run(spec, invariant_sample=None):
             executed.append(spec)
             return ground_truth[spec_hash(spec)]
 

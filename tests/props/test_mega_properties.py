@@ -79,6 +79,7 @@ def test_mega_packing_never_changes_store_shard_bytes(order, cap):
     with tempfile.TemporaryDirectory() as tmp:
         serial_dir = str(pathlib.Path(tmp, "serial"))
         mega_dir = str(pathlib.Path(tmp, "mega"))
-        run_specs(specs, parallel=False, store=serial_dir, batch_replicas=1)
+        run_specs(specs, parallel=False, store=serial_dir,
+                  policy=ExecutionPolicy(batch_replicas=1))
         run_specs(specs, parallel=False, store=mega_dir, policy=policy)
         assert _shard_bytes(serial_dir) == _shard_bytes(mega_dir)

@@ -40,7 +40,6 @@ def _spec(engine, fault=None, n=16):
         algorithm_params={"depth_budget": n, "tx_power": 1},
         engine=engine, collision_model="sinr", sinr="high_power",
         seed=7, fault_model=fault,
-        execution={"invariant_sample": 1},
     )
 
 
@@ -81,20 +80,20 @@ def _doc(result):
 class TestInvariantMonitorCatches:
     @pytest.mark.parametrize("engine", ["reference", "fast"])
     def test_clean_run_is_clean(self, engine):
-        r = run_experiment(_spec(engine, fault="jam_hubs"))
+        r = run_experiment(_spec(engine, fault="jam_hubs"), invariant_sample=1)
         assert r.invariants["violations"] == {}
         assert r.invariants["checked_slots"] > 0
 
     @pytest.mark.parametrize("engine", ["reference", "fast"])
     def test_pathloss_off_by_one_caught(self, engine):
         install_test_mutator(_pathloss_off_by_one)
-        r = run_experiment(_spec(engine))
+        r = run_experiment(_spec(engine), invariant_sample=1)
         assert r.invariants["violations"].get("sinr_gain_integrity", 0) > 0
 
     @pytest.mark.parametrize("engine", ["reference", "fast"])
     def test_misordered_fault_application_caught(self, engine):
         install_test_mutator(_late_drop_pass)
-        r = run_experiment(_spec(engine, fault="jam_hubs"))
+        r = run_experiment(_spec(engine, fault="jam_hubs"), invariant_sample=1)
         assert r.invariants["violations"].get(
             "fault_counters_monotone", 0
         ) > 0
@@ -104,8 +103,8 @@ class TestEquivalenceGridCatches:
     """One-sided plants break the reference-vs-fast byte identity."""
 
     def _documents(self, fault=None):
-        ref = run_experiment(_spec("reference", fault=fault))
-        fast = run_experiment(_spec("fast", fault=fault))
+        ref = run_experiment(_spec("reference", fault=fault), invariant_sample=1)
+        fast = run_experiment(_spec("fast", fault=fault), invariant_sample=1)
         a, b = ref.to_dict(), fast.to_dict()
         a["spec"].pop("engine")
         b["spec"].pop("engine")
