@@ -69,7 +69,6 @@ from .results import (
 from .runner import (
     DEFAULT_BATCH_REPLICAS,
     DEFAULT_CHUNK_SIZE,
-    DEFAULT_MEGA_BATCH,
     SweepResult,
     expand_grid,
     iter_grid,
@@ -82,14 +81,13 @@ from .runner import (
     validate_document,
     validate_file,
 )
-from .spec import ExecutionPolicy, ExperimentSpec, execution_backends
+from .spec import ExecutionPolicy, ExperimentSpec
 from .store import STORE_VERSION, SweepStore
 
 __all__ = [
     "AlgorithmAdapter",
     "DEFAULT_BATCH_REPLICAS",
     "DEFAULT_CHUNK_SIZE",
-    "DEFAULT_MEGA_BATCH",
     "DEFAULT_VIRTUAL_NODES",
     "ExecutionPolicy",
     "ExperimentSpec",
@@ -108,7 +106,6 @@ __all__ = [
     "algorithm_names",
     "decode_labels",
     "encode_labels",
-    "execution_backends",
     "expand_grid",
     "get_algorithm",
     "iter_grid",

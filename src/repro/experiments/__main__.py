@@ -42,7 +42,7 @@ from ..radio.invariants import invariant_names
 from ..radio.sinr import named_sinr_params
 from ..radio.topology import scenario_is_deterministic, scenario_names
 from .fabric import HashRing, member_name, owned_specs
-from .registry import algorithm_names
+from .registry import algorithm_names, check_invariant_sample
 from .results import spec_hash
 from .runner import (
     DEFAULT_BATCH_REPLICAS,
@@ -94,16 +94,12 @@ def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-workers", type=int, default=None)
     parser.add_argument("--batch-replicas", type=int, default=None,
                         metavar="R",
-                        help="fuse up to R sibling seeds of a batch-capable "
-                             "cell into one replica-batched engine run "
-                             "(1 disables batching; default: "
-                             f"{DEFAULT_BATCH_REPLICAS}; results are "
+                        help="pack batch-capable cells into fused "
+                             "engine runs of up to R lanes (1 runs every "
+                             "cell alone; default: "
+                             f"{DEFAULT_BATCH_REPLICAS}, fewer on a pool "
+                             "so every worker gets a share; results are "
                              "byte-identical either way)")
-    parser.add_argument("--backend", default=None, metavar="megabatch",
-                        help="'megabatch' fuses adjacent batch-capable "
-                             "cells of different topologies into one "
-                             "engine run (results are byte-identical "
-                             "either way)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -239,11 +235,10 @@ def _policy_from_args(args: argparse.Namespace) -> ExecutionPolicy:
     """The sweep-wide :class:`ExecutionPolicy` a CLI invocation implies.
 
     ``run``, ``sweep``, and ``worker`` share the exact same semantics:
-    ``--backend``, ``--batch-replicas`` and ``--invariant-sample``
-    become the policy's knobs; unset flags leave the runner defaults.
+    ``--batch-replicas`` and ``--invariant-sample`` become the policy's
+    knobs; unset flags leave the runner defaults.
     """
     return ExecutionPolicy(
-        backend=args.backend,
         batch_replicas=args.batch_replicas,
         invariant_sample=args.invariant_sample,
     )
@@ -270,6 +265,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     policy = _policy_from_args(args)  # validate before touching the store
+    specs = list(_grid_from_args(args))
+    check_invariant_sample(specs, policy.invariant_sample)
     # An explicit include_timing makes the store constructor reject a
     # reopen whose record shape disagrees with the index.
     store = SweepStore(args.out, include_timing=args.timing)
@@ -281,7 +278,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if store.torn_records_dropped:
         print(f"recovered store: dropped {store.torn_records_dropped} torn "
               f"trailing record(s) from an interrupted writer")
-    specs = list(_grid_from_args(args))
     done = store.completed_hashes()
     complete = sum(spec_hash(spec) in done for spec in specs)
     print(f"grid: {len(specs)} cell(s); {complete} already complete; "
@@ -303,6 +299,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_worker(args: argparse.Namespace) -> int:
     policy = _policy_from_args(args)  # validate before touching the store
+    specs = list(_grid_from_args(args))
+    check_invariant_sample(specs, policy.invariant_sample)
     ring = HashRing.from_count(args.num_workers)
     if args.exclude:
         ring = ring.without(*{member_name(i) for i in args.exclude})
@@ -318,7 +316,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     if store.torn_records_dropped:
         print(f"recovered store: dropped {store.torn_records_dropped} torn "
               f"trailing record(s) from an interrupted writer")
-    specs = list(_grid_from_args(args))
     mine = owned_specs(specs, ring, member)
     done = store.completed_hashes()
     complete = sum(spec_hash(spec) in done for spec in mine)
@@ -412,7 +409,6 @@ def _cmd_list() -> int:
     ))
     print("                  (* = lanes fuse in batched runs)")
     print("engines:         ", ", ".join(available_engines()))
-    print("backends:         megabatch")
     print("collision models:", ", ".join(COLLISION_MODELS))
     print("sinr presets:")
     for name, params in sorted(named_sinr_params().items()):

@@ -361,6 +361,11 @@ def _run_decay_bfs_lanes(
     return outputs
 
 
+#: The lane-fused runner of each algorithm whose cells may share one
+#: lane-batched engine run (``runner.spec_is_batchable``).
+LANE_RUNNERS = {"decay_bfs": _run_decay_bfs_lanes}
+
+
 @register_algorithm("recursive_bfs")
 def _run_recursive_bfs(ctx: RunContext) -> Dict[str, Any]:
     """The paper's Recursive-BFS (Theorem 4.1), with Claims 1-2 stats."""
@@ -472,3 +477,27 @@ def _run_mpx_clustering(ctx: RunContext) -> Dict[str, Any]:
         "mean_cluster_size": round(sum(sizes) / len(sizes), 6) if sizes else 0,
         "beta": beta,
     }
+
+
+#: The built-in adapters that run on the Local-Broadcast tier: all but
+#: ``decay_bfs``.  An adapter registered later, under a new name or over
+#: a built-in one, is not listed: it may drive :meth:`RunContext.network`.
+_LB_TIER_ADAPTERS = frozenset(
+    adapter for name, adapter in _ALGORITHMS.items() if name != "decay_bfs"
+)
+
+
+def check_invariant_sample(
+    specs: Sequence[ExperimentSpec], invariant_sample: Optional[int]
+) -> None:
+    """Refuse ``invariant_sample`` on a built-in Local-Broadcast-tier
+    algorithm: it never builds a slot engine, so its results would
+    silently carry no ``invariants`` block."""
+    if invariant_sample is None:
+        return
+    for spec in specs:
+        if _ALGORITHMS.get(spec.algorithm) in _LB_TIER_ADAPTERS:
+            raise ConfigurationError(
+                f"invariant_sample needs a slot engine; {spec.algorithm!r} "
+                "runs on the Local-Broadcast tier, which has no slot clock"
+            )

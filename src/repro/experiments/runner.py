@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -41,7 +42,7 @@ from ..radio.faults import FaultCounters, FaultModel, coerce_fault_model
 from ..radio.sinr import SinrParams, coerce_sinr_params
 from ..radio.topology import scenario_is_deterministic
 from ..rng import make_rng
-from .registry import RunContext, _run_decay_bfs_lanes, get_algorithm
+from .registry import LANE_RUNNERS, RunContext, check_invariant_sample, get_algorithm
 from .results import (
     RESULT_KIND,
     SCHEMA_VERSION,
@@ -64,14 +65,15 @@ from .store import SweepStore
 #: large enough to keep a process pool busy.
 DEFAULT_CHUNK_SIZE = 16
 
-#: Default cap on how many sibling seeds of one cell are fused into a
-#: single replica-batched engine run (``ExecutionPolicy(batch_replicas=
-#: None)``); ``batch_replicas=1`` opts out of batching entirely.
-DEFAULT_BATCH_REPLICAS = 32
+#: Default cap on the lanes (specs) of one fused execution unit
+#: (``ExecutionPolicy(batch_replicas=None)``); ``batch_replicas=1``
+#: runs every spec alone.
+DEFAULT_BATCH_REPLICAS = 64
 
-#: Default cap on the *total* lane count packed into one mega-batched
-#: execution unit when a policy selects ``backend="megabatch"``.
-DEFAULT_MEGA_BATCH = 64
+#: A cell joins an open fused unit only while the unit then holds at
+#: most this many devices (the sum of ``spec.n``): fusing cells of a
+#: few hundred devices bought no wall time and cost peak memory.
+UNIT_MAX_DEVICES = 1536
 
 
 def run_experiment(
@@ -92,6 +94,7 @@ def run_experiment(
     invariant_sample = validate_batch_replicas(
         invariant_sample, "invariant_sample"
     )
+    check_invariant_sample([spec], invariant_sample)
     graph = spec.build_graph()
     ctx = RunContext(spec=spec, graph=graph, ledger=EnergyLedger(),
                      invariant_sample=invariant_sample)
@@ -154,9 +157,9 @@ def spec_is_batchable(spec: ExperimentSpec) -> bool:
 
     Four conditions, each load-bearing:
 
-    - the algorithm is ``decay_bfs``, the one slot-level algorithm
-      whose lanes fuse (the Local-Broadcast-tier algorithms never
-      touch a slot engine);
+    - the algorithm has a lane-fused runner in
+      :data:`~repro.experiments.registry.LANE_RUNNERS` (only
+      ``decay_bfs``; the LB-tier algorithms never touch a slot engine);
     - the topology family is seed-deterministic
       (:func:`~repro.radio.topology.scenario_is_deterministic`), so all
       seeds of the cell genuinely share one graph — stochastic families
@@ -172,7 +175,7 @@ def spec_is_batchable(spec: ExperimentSpec) -> bool:
     return (
         spec.engine == "fast"
         and spec.dynamic is None
-        and spec.algorithm == "decay_bfs"
+        and spec.algorithm in LANE_RUNNERS
         and scenario_is_deterministic(spec.topology)
     )
 
@@ -238,7 +241,7 @@ def run_experiment_mega(specs: Sequence[ExperimentSpec]) -> List[RunResult]:
             RunContext(spec=spec, graph=graph, ledger=EnergyLedger())
             for spec in group
         ])
-    outputs = _run_decay_bfs_lanes(member_contexts)
+    outputs = LANE_RUNNERS[spec_list[0].algorithm](member_contexts)
     wall_each = (time.perf_counter() - start) / len(spec_list)
     results: List[RunResult] = []
     for group, contexts, member_out in zip(groups, member_contexts, outputs):
@@ -282,83 +285,62 @@ def _coerce_policy(
 
 
 def _plan_units(
-    specs: Sequence[ExperimentSpec], policy: ExecutionPolicy
+    specs: Sequence[ExperimentSpec],
+    policy: ExecutionPolicy,
+    share: Optional[int] = None,
 ) -> List[ExecutionUnit]:
     """Partition specs into execution units, preserving order.
 
     *Adjacent* specs that are replicas of one batchable cell (equal up
     to seed — exactly how :func:`iter_grid` lays out its innermost seed
-    axis) fuse into one unit of at most ``policy.batch_replicas`` specs
-    (default :data:`DEFAULT_BATCH_REPLICAS`).  Everything else stays a
-    singleton.  A policy that enables invariant checking
-    (``invariant_sample``) keeps every spec a singleton: the online
+    axis) fill units of at most ``policy.batch_replicas`` lanes
+    (default :data:`DEFAULT_BATCH_REPLICAS`; ``share`` lowers it on a
+    pool), and a whole next cell joins the open unit while it stays
+    within that cap and :data:`UNIT_MAX_DEVICES` devices.  Every other
+    spec is a singleton, and so is every spec when the cap is 1 (the
+    per-seed reference) or under ``invariant_sample``: the online
     checker hooks the serial engine's slot loop, which the shared-CSR
-    batched engine bypasses — fusing would silently skip the checking
-    the policy asked for.
-    When the policy selects ``backend="megabatch"``, adjacent units of
-    batchable cells are further fused into heterogeneous units of up to
-    ``mega_batch`` lanes total (default :data:`DEFAULT_MEGA_BATCH`).
+    batched engine bypasses.
     Concatenating the units yields the input order unchanged, so
     downstream result assembly (and the store's shard append order) is
     independent of batching.
     """
-    if policy.invariant_sample is not None:
-        return [(spec,) for spec in specs]
     limit = policy.batch_replicas or DEFAULT_BATCH_REPLICAS
+    if share is not None:
+        limit = min(limit, share)
+    if policy.invariant_sample is not None:
+        limit = 1
     units: List[ExecutionUnit] = []
-    group: List[ExperimentSpec] = []
-    group_key: Optional[str] = None
-
-    def flush() -> None:
-        for start in range(0, len(group), limit):
-            units.append(tuple(group[start:start + limit]))
-        group.clear()
-
-    for spec in specs:
-        if not spec_is_batchable(spec):
-            flush()
-            group_key = None
-            units.append((spec,))
+    unit: List[ExperimentSpec] = []
+    for key, group in itertools.groupby(
+        specs,
+        key=lambda s: _group_signature(s) if spec_is_batchable(s) else None,
+    ):
+        cell = list(group)
+        if unit and (key is None or len(unit) + len(cell) > limit
+                     or sum(s.n for s in unit + cell) > UNIT_MAX_DEVICES):
+            units.append(tuple(unit))
+            unit = []
+        if key is None:
+            units.extend((spec,) for spec in cell)
             continue
-        key = _group_signature(spec)
-        if key != group_key:
-            flush()
-            group_key = key
-        group.append(spec)
-    flush()
-    return _merge_mega_units(units, policy) if policy.wants_mega() else units
+        for spec in cell:
+            if len(unit) == limit:
+                units.append(tuple(unit))
+                unit = []
+            unit.append(spec)
+    if unit:
+        units.append(tuple(unit))
+    return units
 
 
-def _merge_mega_units(
-    units: List[ExecutionUnit], policy: ExecutionPolicy
-) -> List[ExecutionUnit]:
-    """Fuse adjacent units of batchable cells into heterogeneous mega
-    units.
-
-    Adjacent units whose cell is :func:`spec_is_batchable` merge until
-    the next unit would push the merged lane count past the policy's
-    ``mega_batch`` cap.  Order is preserved, so results and store
-    shards are laid out exactly as without mega fusion.
-    """
-    cap = policy.mega_batch or DEFAULT_MEGA_BATCH
-    merged: List[ExecutionUnit] = []
-    pending: List[ExperimentSpec] = []
-
-    def flush_pending() -> None:
-        if pending:
-            merged.append(tuple(pending))
-            pending.clear()
-
-    for unit in units:
-        if not spec_is_batchable(unit[0]):
-            flush_pending()
-            merged.append(unit)
-            continue
-        if pending and len(pending) + len(unit) > cap:
-            flush_pending()
-        pending.extend(unit)
-    flush_pending()
-    return merged
+def _pool_share(
+    parallel: bool, max_workers: Optional[int], cells: int
+) -> Optional[int]:
+    """The lane cap that gives each pool worker about one unit of
+    ``cells`` (``None`` in-process)."""
+    workers = max_workers or os.cpu_count() or 1
+    return max(1, -(-cells // workers)) if parallel else None
 
 
 def _int_axis(value: Any, axis: str) -> Union[int, List[Any]]:
@@ -425,13 +407,13 @@ def iter_grid(
     iteration.
     """
     if not topologies:
-        raise ConfigurationError("expand_grid requires at least one topology")
+        raise ConfigurationError("a grid needs at least one topology")
     if not algorithms:
-        raise ConfigurationError("expand_grid requires at least one algorithm")
+        raise ConfigurationError("a grid needs at least one algorithm")
     sizes = _int_axis(sizes, "sizes")
     size_list = [sizes] if isinstance(sizes, int) else sizes
     if not size_list:
-        raise ConfigurationError("expand_grid requires at least one size")
+        raise ConfigurationError("a grid needs at least one size")
     faults = coerce_fault_model(fault_model)
     schedule = coerce_dynamic_schedule(dynamic)
     sinr_params = coerce_sinr_params(sinr)
@@ -470,7 +452,7 @@ def iter_grid(
     else:
         explicit = [int(s) for s in seeds]
         if not explicit:
-            raise ConfigurationError("expand_grid requires at least one seed")
+            raise ConfigurationError("a grid needs at least one seed")
         seeds_per_instance = len(explicit)
 
         def cell_seed(instance_index: int, seed_index: int) -> int:
@@ -588,18 +570,18 @@ def run_specs(
 
     ``policy`` — an :class:`~repro.experiments.spec.ExecutionPolicy`
     or its ``to_dict`` mapping; ``None`` keeps every default — is the
-    one statement of how the specs run.  Adjacent specs that are
-    replicas of one batchable cell — identical up to seed,
-    seed-deterministic topology, ``"fast"`` engine, ``decay_bfs`` (see
-    :func:`spec_is_batchable`) — are fused into single replica-batched
-    engine runs of up to ``policy.batch_replicas`` seeds each (default
-    :data:`DEFAULT_BATCH_REPLICAS`; ``1`` opts out).  With
-    ``backend="megabatch"``, adjacent batchable cells fuse further into
-    heterogeneous mega units (:func:`run_experiment_mega`).  With
+    one statement of how the specs run.  Adjacent batchable specs —
+    ``decay_bfs`` on the ``"fast"`` engine over a static,
+    seed-deterministic topology (see :func:`spec_is_batchable`) — fuse
+    into lane-batched engine runs (:func:`run_experiment_mega`): the
+    planner packs small cells together up to ``policy.batch_replicas``
+    lanes and a device cap, gives larger cells a unit each, and on a
+    pool keeps about one unit per worker (:func:`_plan_units`;
+    ``policy.batch_replicas=1`` runs every spec alone).  With
     ``invariant_sample``, every spec runs alone on its serial engine
     under the online invariant checker, in-process or pooled alike, and
-    every run that drives a slot engine carries the v3 ``invariants``
-    block.
+    carries the v3 ``invariants`` block; a spec whose algorithm drives
+    no slot engine is refused before anything runs.
     Batching never changes results: every cell's ``RunResult`` is
     byte-identical (timing aside) to its per-seed execution, so result
     order, store contents, hashes, and resume semantics are unaffected.
@@ -627,8 +609,10 @@ def run_specs(
     )
     spec_list = list(specs)
     chunk_size = validate_batch_replicas(chunk_size, "chunk_size")
+    check_invariant_sample(spec_list, policy.invariant_sample)
     if store is None:
-        units = _plan_units(spec_list, policy)
+        units = _plan_units(spec_list, policy, _pool_share(
+            parallel, max_workers, len(spec_list)))
         results, execution = _execute_all(
             task, units, parallel, max_workers, chunk=len(spec_list) or 1
         )
@@ -654,9 +638,11 @@ def run_specs(
         for r in batch_results:
             fresh[spec_hash(r.spec)] = r
 
+    chunk = chunk_size or DEFAULT_CHUNK_SIZE
+    share = _pool_share(parallel, max_workers, min(chunk, len(pending)))
     _, execution = _execute_all(
-        task, _plan_units(pending, policy), parallel, max_workers,
-        chunk=chunk_size or DEFAULT_CHUNK_SIZE,
+        task, _plan_units(pending, policy, share), parallel, max_workers,
+        chunk=chunk,
         on_batch=checkpoint, idle_execution="store",
     )
     assembled = tuple(

@@ -142,15 +142,6 @@ def _listify(value: ParamValue) -> Any:
     return value
 
 
-def execution_backends() -> Tuple[str, ...]:
-    """Names accepted by :attr:`ExecutionPolicy.backend` (besides
-    ``None``): just ``"megabatch"``, the strategy that fuses lanes of
-    heterogeneous cells into one gather per slot.  There is one slot
-    kernel, so no name selects arithmetic.
-    """
-    return ("megabatch",)
-
-
 @dataclass(frozen=True)
 class ExecutionPolicy:
     """*How* to execute specs — never part of *what* they compute.
@@ -158,63 +149,57 @@ class ExecutionPolicy:
     One sweep-wide bundle of execution knobs, passed to the runners
     (``run_specs``/``run_sweep``/``run_partition(..., policy=...)``, as
     the policy or its :meth:`to_dict` mapping) or built by the CLI from
-    ``--backend``, ``--batch-replicas`` and ``--invariant-sample``; it
-    is the only way to say how specs run.  The performance knobs
-    (``backend``, ``batch_replicas``, ``mega_batch``) carry a
-    bit-identity guarantee: any setting produces byte-identical
-    results, ledgers, fault streams, and store shards to the default
-    one.  ``invariant_sample`` is the one *diagnostic* knob: it decides
-    how often the online invariant checker observes a run, so results
-    are byte-identical per fixed sampling policy (which is exactly what
-    the CI equivalence grids pin down), and runs without it emit no
-    invariant data at all.  The policy never enters a spec, so it
-    never touches ``spec_hash`` or a serialized document.
+    ``--batch-replicas`` and ``--invariant-sample``; it is the only way
+    to say how specs run.  Which cells share a fused engine run is not
+    a knob: the runner's planner packs small cells together by itself.
+    ``batch_replicas`` carries a bit-identity guarantee: any setting
+    produces byte-identical results, ledgers, fault streams, and store
+    shards to the default one.  ``invariant_sample`` is the one
+    *diagnostic* knob: it decides how often the online invariant
+    checker observes a run, so results are byte-identical per fixed
+    sampling policy (which is exactly what the CI equivalence grids pin
+    down), and runs without it emit no invariant data at all.  The
+    policy never enters a spec, so it never touches ``spec_hash`` or a
+    serialized document.
 
     Parameters
     ----------
-    backend:
-        ``"megabatch"`` fuses lanes of *different* cells into one
-        gather per slot
-        (:class:`~repro.radio.batch_engine.MegaBatchedNetwork`);
-        ``None`` (the default) runs each cell, or replica group, on its
-        own tier.
     batch_replicas:
-        Cap on sibling seeds of one cell fused into a replica-batched
-        run (``1`` disables replica batching; ``None`` defers to the
-        runner default).
-    mega_batch:
-        Cap on the *total* lane count packed into one mega-batched
-        execution unit (only meaningful with ``backend="megabatch"``;
-        ``None`` defers to the runner default).
+        Cap on the lanes of one fused execution unit (``None`` defers
+        to the runner default; a pool lowers it so every worker gets a
+        share; ``1`` runs every spec alone, the per-seed reference).
+        Lower it for smaller units, which also bounds what a crash
+        loses below a store's ``chunk_size``.
     invariant_sample:
         Online invariant-checking period: check the registered safety
         properties (:mod:`repro.radio.invariants`) every that many
         executed slots (``1`` = every slot, the debug setting).
         ``None`` (the default) disables checking entirely.  Checked
         specs always execute as serial singleton units — sampling is
-        defined on a single engine's slot clock.
+        defined on a single engine's slot clock — and a spec whose
+        algorithm is a built-in Local-Broadcast-tier one is refused.
+    backend:
+        Inert: accepts ``None`` or ``"megabatch"`` and changes nothing.
+        It stays only because the benchmark's workload file still
+        passes ``backend="megabatch"``; the next change to the
+        benchmark deletes it.
     """
 
-    backend: Optional[str] = None
     batch_replicas: Optional[int] = None
-    mega_batch: Optional[int] = None
     invariant_sample: Optional[int] = None
+    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.backend is not None and self.backend not in execution_backends():
+        if self.backend not in (None, "megabatch"):
             raise ConfigurationError(
-                f"unknown execution backend {self.backend!r}; the only "
-                "backend is 'megabatch' (or leave it unset)"
+                f"unknown execution backend {self.backend!r}; backend "
+                "accepts only 'megabatch' or None and changes nothing "
+                "(the planner fuses small cells by itself)"
             )
-        for name in ("batch_replicas", "mega_batch", "invariant_sample"):
+        for name in ("batch_replicas", "invariant_sample"):
             object.__setattr__(
                 self, name, validate_batch_replicas(getattr(self, name), name)
             )
-
-    # ------------------------------------------------------------------
-    def wants_mega(self) -> bool:
-        """Whether this policy asks for cross-cell mega-batch fusion."""
-        return self.backend == "megabatch"
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -224,10 +209,9 @@ class ExecutionPolicy:
         must not influence ``spec_hash`` or any serialized artifact.
         """
         return {
-            "backend": self.backend,
             "batch_replicas": self.batch_replicas,
-            "mega_batch": self.mega_batch,
             "invariant_sample": self.invariant_sample,
+            "backend": self.backend,
         }
 
     @classmethod

@@ -6,14 +6,15 @@ documents **byte-identical** to R per-seed serial runs — and a batched
 sweep writes store shards byte-identical to a serial sweep.  Batching
 must be invisible everywhere except the wall clock.
 
-The same contract extends to every :class:`ExecutionPolicy` backend:
-the default tiers and the heterogeneous mega-batch fusion produce
+The same contract extends to the planner's heterogeneous units: small
+cells of different topologies packed into one fused run produce
 byte-identical results, ledgers, fault streams, and store shards.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 import pathlib
@@ -27,7 +28,6 @@ from repro.errors import ConfigurationError
 from repro.experiments import (
     ExecutionPolicy,
     ExperimentSpec,
-    execution_backends,
     run_experiment,
     run_experiment_batch,
     run_experiment_mega,
@@ -38,8 +38,10 @@ from repro.experiments import (
 )
 from repro.experiments.runner import (
     DEFAULT_BATCH_REPLICAS,
-    DEFAULT_MEGA_BATCH,
+    UNIT_MAX_DEVICES,
+    _group_signature,
     _plan_units,
+    _pool_share,
 )
 from repro.experiments.spec import COLLISION_MODELS
 from repro.radio.faults import named_fault_models
@@ -113,7 +115,7 @@ def test_run_sweep_batches_the_seed_axis():
     assert tuple(batched.results) == tuple(serial.results)
 
 
-def test_plan_units_groups_only_adjacent_batchable_replicas():
+def test_plan_units_fuses_only_adjacent_batchable_cells():
     cell = _cell_specs("none", "no_cd", seeds=range(4))
     other = _cell_specs("none", "no_cd", seeds=range(2), n=16)
     reference = _cell_specs("none", "no_cd", seeds=range(2), engine="reference")
@@ -123,14 +125,72 @@ def test_plan_units_groups_only_adjacent_batchable_replicas():
                            algorithm="trivial_bfs")
     specs = cell + other + reference + stochastic + lb_level
     units = _plan_units(specs, ExecutionPolicy())
-    assert [len(u) for u in units] == [4, 2, 1, 1, 1, 1, 1, 1]
+    assert [len(u) for u in units] == [6, 1, 1, 1, 1, 1, 1]
     assert [s for unit in units for s in unit] == specs
-    # The policy's replica cap bounds group size; 1 plans per seed.
+    # batch_replicas caps the lanes of a unit; 1 plans per seed, and
+    # the inert backend changes nothing.
     assert [len(u) for u in _plan_units(
         cell, ExecutionPolicy(batch_replicas=3))] == [3, 1]
     assert [len(u) for u in _plan_units(
         cell, ExecutionPolicy(batch_replicas=2))] == [2, 2]
-    assert [len(u) for u in _plan_units(cell, PER_SEED)] == [1, 1, 1, 1]
+    assert all(len(u) == 1 for u in _plan_units(specs, PER_SEED))
+    assert _plan_units(specs, ExecutionPolicy(backend="megabatch")) == units
+
+
+def _tiny_cells(cells, seeds, n=8):
+    return [spec for i in range(cells)
+            for spec in _cell_specs("none", "no_cd", seeds=range(seeds),
+                                    topology="path", n=n + i)]
+
+
+def test_plan_units_caps_lanes_and_devices():
+    # A whole cell joins the open unit while it stays within
+    # batch_replicas lanes ...
+    specs = _tiny_cells(3, seeds=DEFAULT_BATCH_REPLICAS // 2 - 2)
+    assert [len(u) for u in _plan_units(specs, ExecutionPolicy())] == [
+        2 * (DEFAULT_BATCH_REPLICAS // 2 - 2), DEFAULT_BATCH_REPLICAS // 2 - 2]
+    # ... and UNIT_MAX_DEVICES devices (the sum of spec.n).
+    n = UNIT_MAX_DEVICES // 4 + 1
+    big = _tiny_cells(3, seeds=2, n=n)
+    assert [len(u) for u in _plan_units(big, ExecutionPolicy())] == [2, 2, 2]
+    # One cell's seeds fill units of batch_replicas lanes whatever their
+    # devices; the tail stays open for the next small cell.
+    many = _tiny_cells(1, seeds=20, n=UNIT_MAX_DEVICES) + _tiny_cells(1, 2)
+    assert [len(u) for u in _plan_units(
+        many, ExecutionPolicy(batch_replicas=8))] == [8, 8, 4, 2]
+    tail = _tiny_cells(1, seeds=10) + _tiny_cells(1, 2, n=9)
+    assert [len(u) for u in _plan_units(
+        tail, ExecutionPolicy(batch_replicas=8))] == [8, 4]
+    # A 64-seed cell under batch_replicas=8 is eight units.
+    wide = _tiny_cells(1, seeds=64, n=16)
+    assert [len(u) for u in _plan_units(
+        wide, ExecutionPolicy(batch_replicas=8))] == [8] * 8
+
+
+def test_plan_units_shares_work_over_a_pool():
+    specs = _tiny_cells(6, seeds=3)
+    assert [len(u) for u in _plan_units(specs, ExecutionPolicy())] == [18]
+    # share caps every unit so each pool worker gets about one.
+    assert [len(u) for u in _plan_units(
+        specs, ExecutionPolicy(), share=9)] == [9, 9]
+    assert [len(u) for u in _plan_units(
+        specs, ExecutionPolicy(batch_replicas=4), share=9)] == [3] * 6
+    # A single cell splits too, one piece per worker.
+    assert [len(u) for u in _plan_units(
+        specs[:3], ExecutionPolicy(), share=2)] == [2, 1]
+    assert _pool_share(False, 2, 18) is None
+    assert _pool_share(True, 2, 18) == 9
+    assert _pool_share(True, 4, 18) == 5
+    assert _pool_share(True, 2, 0) == 1
+
+
+def test_pooled_sweep_reaches_the_pool():
+    specs = _tiny_cells(4, seeds=2)
+    serial = run_specs(specs, parallel=False)
+    pooled = run_specs(specs, parallel=True, max_workers=2)
+    assert [_canonical(r) for r in pooled] == [_canonical(r) for r in serial]
+    if pooled.execution != "serial":  # a sandbox may refuse the pool
+        assert pooled.execution == "process_pool"
 
 
 def test_spec_is_batchable_conditions():
@@ -175,13 +235,14 @@ def test_execution_policy_validation():
     with pytest.raises(ConfigurationError, match="backend"):
         ExecutionPolicy(backend="cuda")
     for bad in (0, -1, True, 2.5, "8"):
-        with pytest.raises(ConfigurationError, match="batch_replicas"):
-            ExecutionPolicy(batch_replicas=bad)
-        with pytest.raises(ConfigurationError, match="mega_batch"):
-            ExecutionPolicy(mega_batch=bad)
+        for name in ("batch_replicas", "invariant_sample"):
+            with pytest.raises(ConfigurationError, match=name):
+                ExecutionPolicy(**{name: bad})
     with pytest.raises(ConfigurationError, match="unknown"):
-        ExecutionPolicy.from_dict({"backend": "megabatch", "gpu": True})
-    round_trip = ExecutionPolicy(backend="megabatch", mega_batch=4)
+        ExecutionPolicy.from_dict({"batch_replicas": 4, "gpu": True})
+    with pytest.raises(ConfigurationError, match="unknown"):
+        ExecutionPolicy.from_dict({"mega_batch": 4})
+    round_trip = ExecutionPolicy(batch_replicas=4, invariant_sample=2)
     assert ExecutionPolicy.from_dict(round_trip.to_dict()) == round_trip
 
 
@@ -214,9 +275,9 @@ def _three_runners(specs, store, policy):
 def test_policy_mapping_accepted_by_every_runner(tmp_path):
     specs = _grid_star_specs(seeds=[0, 1])
     mapped = _three_runners(specs, tmp_path / "mapped",
-                            {"backend": "megabatch"})
+                            {"batch_replicas": 2})
     typed = _three_runners(specs, tmp_path / "typed",
-                           ExecutionPolicy(backend="megabatch"))
+                           ExecutionPolicy(batch_replicas=2))
     per_seed = run_specs(specs, parallel=False, policy=PER_SEED)
     for got in mapped + typed:
         assert [_canonical(r) for r in got] == [_canonical(r) for r in per_seed]
@@ -242,19 +303,71 @@ def test_bad_policy_is_a_one_line_error_in_every_runner(tmp_path, bad):
     assert not (tmp_path / "shard").exists()
 
 
-@pytest.mark.parametrize("backend", [None, "megabatch"])
 @pytest.mark.parametrize("parallel", [False, True], ids=["serial", "pooled"])
-def test_sweep_invariant_sample_reaches_every_run(parallel, backend):
+def test_sweep_invariant_sample_reaches_every_run(parallel):
     specs = _grid_star_specs(seeds=range(4))
     sweep = run_specs(specs, parallel=parallel, max_workers=2,
-                      policy=ExecutionPolicy(backend=backend,
-                                             invariant_sample=2))
+                      policy=ExecutionPolicy(invariant_sample=2))
     for spec, result in zip(specs, sweep):
         assert result.invariants is not None
         assert result.invariants["checked_slots"] > 0
         assert result.invariants["violations"] == {}
         assert _canonical(result) == _canonical(
             run_experiment(spec, invariant_sample=2))
+
+
+def test_invariant_sample_refused_without_a_slot_engine(tmp_path):
+    """An LB-tier algorithm has no slot clock to check: refused in one
+    line before anything runs or any store is opened."""
+    lb = _cell_specs("none", "no_cd", seeds=[0], topology="grid", n=16,
+                     algorithm="trivial_bfs", algorithm_params=None)
+    calls = [
+        lambda: run_sweep(["grid"], ["trivial_bfs", "decay_bfs"], sizes=16,
+                          seeds=1, parallel=False,
+                          policy={"invariant_sample": 1}),
+        lambda: run_specs(lb, parallel=False, store=str(tmp_path / "store"),
+                          policy=ExecutionPolicy(invariant_sample=1)),
+        lambda: run_partition(lb, worker=0, ring=1, parallel=False,
+                              store=str(tmp_path / "shard"),
+                              policy={"invariant_sample": 2}),
+        lambda: run_experiment(lb[0], invariant_sample=1),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigurationError,
+                           match="invariant_sample.*'trivial_bfs'") as info:
+            call()
+        assert "\n" not in str(info.value)
+    assert not (tmp_path / "store").exists()
+    assert not (tmp_path / "shard").exists()
+    # Without the checker the same cells run.
+    assert run_experiment(lb[0]).invariants is None
+
+
+@pytest.mark.parametrize("name", ["_test_slot_bfs", "trivial_bfs"])
+def test_invariant_sample_reaches_a_registered_slot_adapter(name):
+    """Only the built-in LB-tier adapters are refused: an adapter
+    registered under a new name, or over a built-in one, may drive
+    ``ctx.network()`` and gets its invariants block."""
+    from repro.core.simple_bfs import decay_bfs
+    from repro.experiments import registry
+
+    builtin = registry._ALGORITHMS.get(name)
+
+    def _slot_bfs(ctx):
+        labels = decay_bfs(ctx.network(), ctx.sources(), ctx.depth_budget(),
+                           seed=ctx.rng)
+        return {"reached": len(labels)}
+
+    registry.register_algorithm(name, overwrite=True)(_slot_bfs)
+    try:
+        spec = ExperimentSpec(topology="path", n=8, algorithm=name, seed=3)
+        sweep = run_specs([spec], parallel=False,
+                          policy=ExecutionPolicy(invariant_sample=1))
+        assert sweep.results[0].invariants["checked_slots"] > 0
+    finally:
+        registry._ALGORITHMS.pop(name)
+        if builtin is not None:
+            registry._ALGORITHMS[name] = builtin
 
 
 def test_default_batch_replicas_is_sane():
@@ -295,7 +408,8 @@ def test_batched_resume_store_byte_identical(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Backend equivalence: every backend x fault preset x collision model
+# Packed equivalence: fused heterogeneous units x fault preset x
+# collision model
 # ---------------------------------------------------------------------------
 
 def _hetero_specs(preset, collision_model, seeds=3):
@@ -307,28 +421,35 @@ def _hetero_specs(preset, collision_model, seeds=3):
     return specs
 
 
+def _run_per_cell(specs):
+    """Each cell's replicas as their own batched unit, in order."""
+    return [result
+            for _, cell in itertools.groupby(specs, key=_group_signature)
+            for result in run_experiment_batch(list(cell))]
+
+
 @pytest.mark.parametrize("collision_model", COLLISION_MODELS)
 @pytest.mark.parametrize("preset", PRESETS)
-@pytest.mark.parametrize("backend", [None, "megabatch"])
-def test_backend_byte_identical_grid(backend, preset, collision_model):
-    """The headline backend matrix: byte-for-byte against per-seed serial.
+@pytest.mark.parametrize("plan", ["fused", "per_cell"])
+def test_packed_byte_identical_grid(plan, preset, collision_model):
+    """The headline matrix: byte-for-byte against per-seed serial.
 
-    Covers the default tiers (replica batching) and the mega-batch
-    fusion, across every fault preset and collision model, on a
-    heterogeneous spec stream.
+    ``fused``: the default planner packs the heterogeneous spec stream
+    into one unit.  ``per_cell``: each cell runs as its own replica
+    batch, the shape the planner gives cells too large to fuse.  Both
+    are checked across every fault preset and collision model.
     """
     specs = _hetero_specs(preset, collision_model, seeds=2)
     serial = run_specs(specs, parallel=False, policy=PER_SEED)
-    alt = run_specs(specs, parallel=False,
-                    policy=ExecutionPolicy(backend=backend))
+    if plan == "fused":
+        assert len(_plan_units(specs, ExecutionPolicy())) == 1
+        alt = run_specs(specs, parallel=False)
+    else:
+        alt = _run_per_cell(specs)
     assert len(alt) == len(serial)
     for ref, got in zip(serial, alt):
         assert _canonical(got) == _canonical(ref)
         assert got.fault_counts() == ref.fault_counts()
-
-
-def test_execution_backends_are_megabatch_only():
-    assert execution_backends() == ("megabatch",)
 
 
 @pytest.mark.parametrize("name", ["numba", "scipy", "numpy"])
@@ -346,15 +467,15 @@ def _python(args, cwd):
                           capture_output=True, text=True, timeout=120)
 
 
-def test_cli_retired_backend_is_a_one_line_error(tmp_path):
-    proc = _python(["-m", "repro.experiments", "run", "--topologies", "grid",
-                    "--algorithms", "decay_bfs", "--serial",
-                    "--backend", "scipy"], cwd=tmp_path)
-    assert proc.returncode == 2
-    lines = proc.stderr.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "megabatch" in lines[0] and "Traceback" not in proc.stderr
-    assert proc.stdout == ""
+def test_cli_has_no_backend_flag(capsys):
+    from repro.experiments.__main__ import _build_parser
+
+    with pytest.raises(SystemExit) as info:
+        _build_parser().parse_args(
+            ["run", "--topologies", "grid", "--algorithms", "decay_bfs",
+             "--backend", "megabatch"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("work", [
@@ -372,26 +493,21 @@ def test_importing_experiments_leaves_scipy_unloaded(tmp_path, work):
 
 
 # ---------------------------------------------------------------------------
-# Mega batching specifics: planner, dispatcher, stores
+# Heterogeneous units: planner, dispatcher, stores
 # ---------------------------------------------------------------------------
 
-def test_plan_units_mega_merges_adjacent_cells():
-    mega = ExecutionPolicy(backend="megabatch")
+def test_plan_units_fuses_adjacent_small_cells():
     specs = _hetero_specs("none", "no_cd", seeds=3)
-    # Without the policy: three replica-batched units.
-    assert [len(u) for u in _plan_units(specs, ExecutionPolicy())] == [3, 3, 3]
-    # With it: one heterogeneous unit spanning all nine lanes.
-    assert [len(u) for u in _plan_units(specs, mega)] == [9]
-    # The mega_batch cap bounds *total* lanes, at unit granularity.
-    capped = ExecutionPolicy(backend="megabatch", mega_batch=6)
-    assert [len(u) for u in _plan_units(specs, capped)] == [6, 3]
-    # Non-mega-batchable cells break the merged run.
+    # One heterogeneous unit spanning all nine lanes.
+    assert [len(u) for u in _plan_units(specs, ExecutionPolicy())] == [9]
+    # Non-batchable cells break the fused run.
     blocker = _cell_specs("none", "no_cd", seeds=[0],
                           algorithm="trivial_bfs")
     mixed = specs[:3] + blocker + specs[3:]
-    assert [len(u) for u in _plan_units(mixed, mega)] == [3, 1, 6]
+    units = _plan_units(mixed, ExecutionPolicy())
+    assert [len(u) for u in units] == [3, 1, 6]
     # Order is always preserved exactly.
-    assert [s for u in _plan_units(mixed, mega) for s in u] == mixed
+    assert [s for u in units for s in u] == mixed
 
 
 def test_run_experiment_mega_validates_input():
@@ -416,8 +532,7 @@ def test_mega_sweep_store_byte_identical(tmp_path):
     specs = _hetero_specs("lossy_mixed", "receiver_cd", seeds=2)
     run_specs(specs, parallel=False, store=str(tmp_path / "serial"),
               policy=PER_SEED)
-    run_specs(specs, parallel=False, store=str(tmp_path / "mega"),
-              policy=ExecutionPolicy(backend="megabatch"))
+    run_specs(specs, parallel=False, store=str(tmp_path / "mega"))
     assert _shard_bytes(tmp_path / "serial") == _shard_bytes(tmp_path / "mega")
 
 
@@ -428,23 +543,17 @@ def test_mega_resume_store_byte_identical(tmp_path):
               policy=PER_SEED)
     resumed = str(tmp_path / "resumed")
     run_specs(specs[:4], parallel=False, store=resumed, policy=PER_SEED)
-    sweep = run_specs(specs, parallel=False, store=resumed,
-                      policy=ExecutionPolicy(backend="megabatch"))
+    sweep = run_specs(specs, parallel=False, store=resumed)
     assert len(sweep) == len(specs)
     assert _shard_bytes(tmp_path / "reference") == _shard_bytes(resumed)
 
 
-def test_default_mega_batch_is_sane():
-    assert isinstance(DEFAULT_MEGA_BATCH, int)
-    assert DEFAULT_MEGA_BATCH >= DEFAULT_BATCH_REPLICAS
-
-
 # ---------------------------------------------------------------------------
-# CLI surface: one policy from --backend / --batch-replicas /
-# --invariant-sample, shared by run, sweep, worker
+# CLI surface: one policy from --batch-replicas / --invariant-sample,
+# shared by run, sweep, worker
 # ---------------------------------------------------------------------------
 
-def test_cli_backend_flag_uniform_across_subcommands():
+def test_cli_policy_flags_uniform_across_subcommands():
     from repro.experiments.__main__ import _build_parser, _policy_from_args
 
     parser = _build_parser()
@@ -457,22 +566,16 @@ def test_cli_backend_flag_uniform_across_subcommands():
     }
     for command, args in extra.items():
         ns = parser.parse_args(
-            [command, *common, *args, "--backend", "megabatch",
-             "--batch-replicas", "4"])
-        assert ns.backend == "megabatch" and ns.batch_replicas == 4
-        assert _policy_from_args(ns) == ExecutionPolicy(
-            backend="megabatch", batch_replicas=4)
+            [command, *common, *args, "--batch-replicas", "4"])
+        assert _policy_from_args(ns) == ExecutionPolicy(batch_replicas=4)
         ns = parser.parse_args(
             [command, *common, *args, "--invariant-sample", "2"])
         assert _policy_from_args(ns) == ExecutionPolicy(invariant_sample=2)
         ns = parser.parse_args([command, *common, *args])
         assert _policy_from_args(ns) == ExecutionPolicy()
-    ns = parser.parse_args(["run", *common, "--backend", "cuda"])
-    with pytest.raises(ConfigurationError, match="megabatch"):
-        _policy_from_args(ns)
 
 
-def test_cli_run_backend_byte_identical(tmp_path, capsys):
+def test_cli_run_packed_byte_identical(tmp_path, capsys):
     from repro.experiments.__main__ import main
 
     common = ["run", "--topologies", "grid", "star", "--algorithms",
@@ -480,6 +583,6 @@ def test_cli_run_backend_byte_identical(tmp_path, capsys):
               "fast", "--serial"]
     plain, mega = tmp_path / "plain.json", tmp_path / "mega.json"
     assert main([*common, "--batch-replicas", "1", "--json", str(plain)]) == 0
-    assert main([*common, "--backend", "megabatch", "--json", str(mega)]) == 0
+    assert main([*common, "--json", str(mega)]) == 0
     capsys.readouterr()
     assert plain.read_bytes() == mega.read_bytes()

@@ -37,3 +37,24 @@ def test_malformed_inline_json_is_one_error_line(flag, command, tmp_path,
         f"error: {flag} is neither a preset nor valid JSON"
     )
     assert "Traceback" not in captured.err + captured.out
+
+
+def _one_error_line(capsys):
+    captured = capsys.readouterr()
+    lines = [line for line in captured.err.splitlines() if line]
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err + captured.out
+    return lines[0]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "worker"])
+def test_invariant_sample_on_lb_tier_refused_before_the_store(
+        command, tmp_path, capsys):
+    argv = _argv(command, tmp_path)
+    argv[argv.index("decay_bfs")] = "trivial_bfs"
+    status = main(argv + ["--invariant-sample", "1"])
+    assert status == 2
+    line = _one_error_line(capsys)
+    assert "invariant_sample" in line and "'trivial_bfs'" in line
+    assert not (tmp_path / "store").exists()
+

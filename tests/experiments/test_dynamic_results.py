@@ -219,13 +219,6 @@ class TestPlanning:
         )
         assert [len(u) for u in units] == [1, 1, 1, 1]
 
-    def test_invariant_policy_forces_singletons_under_megabatch(self):
-        units = _plan_units(
-            self._replicas(),
-            ExecutionPolicy(backend="megabatch", invariant_sample=4),
-        )
-        assert [len(u) for u in units] == [1, 1, 1, 1]
-
 
 # ---------------------------------------------------------------------------
 # Tier boundaries

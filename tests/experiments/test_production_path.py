@@ -4,8 +4,8 @@ Three replica-only entry points survive as thin delegations to their
 mega counterparts: ``ReplicaBatchedNetwork.run_lockstep``,
 ``run_decay_local_broadcast_batch`` and ``run_experiment_batch``.  No
 sweep may reach them.  Each is replaced by a function that raises, and
-both a replica-batched sweep and a mega-batched sweep must still write
-documents byte-identical to the per-seed serial run.
+a sweep of one cell's replicas and a sweep of several small cells must
+still write documents byte-identical to the per-seed serial run.
 """
 
 from __future__ import annotations
@@ -72,22 +72,21 @@ def _documents(sweep):
 
 
 def test_replica_sweep_with_faults_and_sinr_takes_the_mega_path(fused_calls):
-    specs = _specs([("grid", 16), ("star_of_paths", 18)], seeds=4,
+    specs = _specs([("grid", 16)], seeds=4,
                    collision_model="sinr", fault_model="drop10")
-    assert [len(u) for u in _plan_units(specs, ExecutionPolicy())] == [4, 4]
+    assert [len(u) for u in _plan_units(specs, ExecutionPolicy())] == [4]
     batched = run_specs(specs, parallel=False)
-    assert fused_calls == [4, 4]
+    assert fused_calls == [4]
     serial = run_specs(specs, parallel=False,
                        policy=ExecutionPolicy(batch_replicas=1))
-    assert fused_calls == [4, 4]
+    assert fused_calls == [4]
     assert _documents(batched) == _documents(serial)
 
 
-def test_megabatch_sweep_takes_the_mega_path(fused_calls):
+def test_small_cells_sweep_takes_the_mega_path(fused_calls):
     specs = _specs([("grid", 25), ("star", 17), ("cycle", 24)], seeds=2,
                    collision_model="receiver_cd", fault_model="lossy_mixed")
-    fused = run_specs(specs, parallel=False,
-                      policy=ExecutionPolicy(backend="megabatch"))
+    fused = run_specs(specs, parallel=False)
     assert fused_calls == [6]
     serial = run_specs(specs, parallel=False,
                        policy=ExecutionPolicy(batch_replicas=1))

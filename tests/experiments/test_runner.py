@@ -75,6 +75,20 @@ class TestExpandGrid:
         with pytest.raises(ConfigurationError):
             expand_grid(["path"], ["trivial_bfs"], seeds=0)
 
+    @pytest.mark.parametrize("axes", [
+        ([], ["decay_bfs"], {}), (["path"], [], {}),
+        (["path"], ["decay_bfs"], {"sizes": []}),
+        (["path"], ["decay_bfs"], {"seeds": []}),
+    ], ids=["topologies", "algorithms", "sizes", "seeds"])
+    def test_grid_errors_name_no_other_function(self, axes):
+        """``run_sweep`` reports its grid errors without blaming
+        ``expand_grid`` (or any function it did not call)."""
+        topologies, algorithms, grid = axes
+        with pytest.raises(ConfigurationError,
+                           match="^a grid needs at least one") as info:
+            run_sweep(topologies, algorithms, parallel=False, **grid)
+        assert "expand_grid" not in str(info.value)
+
     def test_iter_grid_validates_eagerly(self):
         """Bad arguments fail at call time, not at first iteration."""
         with pytest.raises(ConfigurationError):

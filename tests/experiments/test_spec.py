@@ -93,15 +93,13 @@ class TestIntegerFields:
         assert spec_hash(s) == spec_hash(plain)
         assert all(type(v) is int for v in (s.n, s.seed, s.message_limit_bits))
 
-    @pytest.mark.parametrize(
-        "field", ["batch_replicas", "mega_batch", "invariant_sample"])
+    @pytest.mark.parametrize("field", ["batch_replicas", "invariant_sample"])
     def test_execution_caps_take_numpy_integers(self, field):
         policy = ExecutionPolicy(**{field: np.int64(8)})
         assert policy == ExecutionPolicy(**{field: 8})
         assert type(getattr(policy, field)) is int
 
-    @pytest.mark.parametrize(
-        "field", ["batch_replicas", "mega_batch", "invariant_sample"])
+    @pytest.mark.parametrize("field", ["batch_replicas", "invariant_sample"])
     @pytest.mark.parametrize("value", [True, np.True_])
     def test_execution_caps_reject_bools(self, field, value):
         with pytest.raises(ConfigurationError, match="not a bool") as info:

@@ -1,10 +1,9 @@
-"""Property-based tests for heterogeneous mega-batch packing.
+"""Property-based tests for heterogeneous lane-batched units.
 
-The property that makes ``backend="megabatch"`` safe to turn on
-anywhere: no matter how cells are ordered and how the lane cap slices
-them into mega units, every cell's result document — and
-every store shard written from it — is byte-identical to per-seed
-serial execution.
+The property that lets the planner fuse cells by itself: no matter how
+cells are ordered and how the spec stream is cut into units, every
+cell's result document — and every store shard written from it — is
+byte-identical to per-seed serial execution.
 """
 
 from __future__ import annotations
@@ -12,6 +11,7 @@ from __future__ import annotations
 import json
 import pathlib
 import tempfile
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +22,7 @@ from repro.experiments import (
     run_specs,
     spec_hash,
 )
+from repro.experiments import runner
 
 _POOL = [
     ExperimentSpec(topology=topology, n=n, algorithm="decay_bfs",
@@ -44,18 +45,24 @@ def _serial_bytes(spec):
     return _SERIAL_CACHE[key]
 
 
-@given(
-    order=st.permutations(range(len(_POOL))),
-    cap=st.integers(min_value=1, max_value=2 * len(_POOL)),
-)
-@settings(max_examples=10, deadline=None)
-def test_mega_packing_order_never_changes_result_bytes(order, cap):
-    """Any spec order x any lane cap: results match serial, in order."""
+def _units(order, cuts):
+    """The permuted pool cut into contiguous units at ``cuts``."""
     specs = [_POOL[i] for i in order]
-    policy = ExecutionPolicy(backend="megabatch", mega_batch=cap)
-    sweep = run_specs(specs, parallel=False, policy=policy)
-    assert [r.spec for r in sweep.results] == specs
-    for spec, result in zip(specs, sweep.results):
+    bounds = [0, *sorted(cuts), len(specs)]
+    return specs, [tuple(specs[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+_CUTS = st.sets(st.integers(min_value=1, max_value=len(_POOL) - 1))
+
+
+@given(order=st.permutations(range(len(_POOL))), cuts=_CUTS)
+@settings(max_examples=10, deadline=None)
+def test_any_partition_never_changes_result_bytes(order, cuts):
+    """Any spec order x any contiguous partition: results match serial."""
+    specs, units = _units(order, cuts)
+    results = [r for unit in units for r in runner._run_unit(unit)]
+    assert [r.spec for r in results] == specs
+    for spec, result in zip(specs, results):
         got = json.dumps(result.to_dict(), sort_keys=True, allow_nan=False)
         assert got == _serial_bytes(spec)
 
@@ -67,19 +74,17 @@ def _shard_bytes(store_dir):
     }
 
 
-@given(
-    order=st.permutations(range(len(_POOL))),
-    cap=st.integers(min_value=1, max_value=len(_POOL)),
-)
+@given(order=st.permutations(range(len(_POOL))), cuts=_CUTS)
 @settings(max_examples=4, deadline=None)
-def test_mega_packing_never_changes_store_shard_bytes(order, cap):
-    """For one spec order, mega vs serial stores are shard-identical."""
-    specs = [_POOL[i] for i in order]
-    policy = ExecutionPolicy(backend="megabatch", mega_batch=cap)
+def test_any_partition_never_changes_store_shard_bytes(order, cuts):
+    """For one spec order, a partitioned sweep's store equals serial."""
+    specs, units = _units(order, cuts)
     with tempfile.TemporaryDirectory() as tmp:
         serial_dir = str(pathlib.Path(tmp, "serial"))
-        mega_dir = str(pathlib.Path(tmp, "mega"))
+        parts_dir = str(pathlib.Path(tmp, "parts"))
         run_specs(specs, parallel=False, store=serial_dir,
                   policy=ExecutionPolicy(batch_replicas=1))
-        run_specs(specs, parallel=False, store=mega_dir, policy=policy)
-        assert _shard_bytes(serial_dir) == _shard_bytes(mega_dir)
+        with mock.patch.object(runner, "_plan_units",
+                               lambda pending, policy, share: units):
+            run_specs(specs, parallel=False, store=parts_dir)
+        assert _shard_bytes(serial_dir) == _shard_bytes(parts_dir)

@@ -19,7 +19,12 @@ import json
 import pytest
 
 from repro.experiments import ExperimentSpec, run_experiment
-from repro.experiments.runner import expand_grid, run_specs
+from repro.experiments.runner import (
+    _plan_units,
+    expand_grid,
+    run_experiment_mega,
+    run_specs,
+)
 from repro.experiments.spec import ExecutionPolicy
 from repro.radio.sinr import named_sinr_params
 
@@ -53,10 +58,11 @@ class TestFourTierByteIdentity:
     def test_grid_cell(self, preset, fault):
         specs = _grid_specs(fault, preset)
         serial = [run_experiment(s) for s in specs]
-        batched = run_specs(specs, parallel=False).results
-        mega = run_specs(
-            specs, parallel=False, policy=ExecutionPolicy(backend="megabatch")
-        ).results
+        # One cell's two replicas per run, then every cell in one unit.
+        batched = [r for i in range(0, len(specs), 2)
+                   for r in run_experiment_mega(specs[i:i + 2])]
+        assert len(_plan_units(specs, ExecutionPolicy())) == 1
+        mega = run_specs(specs, parallel=False).results
         assert [_canonical(r) for r in serial] == [_canonical(r) for r in batched]
         assert [_canonical(r) for r in serial] == [_canonical(r) for r in mega]
         # The audit-grade serial reference engine agrees with all of the
@@ -73,7 +79,10 @@ class TestExecutionModes:
     def test_pool_equals_serial(self):
         specs = _grid_specs("drop10", "default")
         serial = run_specs(specs, parallel=False)
-        pooled = run_specs(specs, parallel=True)
+        # On a pool the planner spreads the cells over the workers.
+        assert len(_plan_units(specs, ExecutionPolicy(),
+                               share=len(specs) // 2)) > 1
+        pooled = run_specs(specs, parallel=True, max_workers=2)
         assert [_canonical(r) for r in serial.results] == [
             _canonical(r) for r in pooled.results
         ]
@@ -92,9 +101,8 @@ class TestExecutionModes:
         )
         mixed = sinr_specs + binary_specs
         serial = [run_experiment(s) for s in mixed]
-        mega = run_specs(
-            mixed, parallel=False, policy=ExecutionPolicy(backend="megabatch")
-        ).results
+        assert len(_plan_units(mixed, ExecutionPolicy())) == 1
+        mega = run_specs(mixed, parallel=False).results
         assert [_canonical(r) for r in serial] == [_canonical(r) for r in mega]
 
     def test_sinr_axis_changes_results(self):
