@@ -42,7 +42,7 @@ from ..primitives.lb_graph import LBGraph
 from ..radio.engine import coerce_network
 from ..radio.message import Message, message_of_ints
 from ..radio.network import SlotEngineBase
-from ..rng import SeedLike, make_rng
+from ..rng import DeviceStreams, SeedLike
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..radio.batch_engine import MegaBatchedNetwork
@@ -167,11 +167,16 @@ def decay_bfs(
     matching :func:`trivial_bfs`.  ``tx_power`` is the frontier
     senders' standing SINR power level (ignored by the binary collision
     models).
+
+    Phase ``p`` gives vertex ``i`` device stream ``p * n + i`` of
+    ``seed`` (one :class:`~repro.rng.DeviceStreams` for the whole run),
+    the stream an eager per-phase spawn would give it.  A Generator
+    passed as ``seed`` does not have its spawn counter advanced.
     """
     network = coerce_network(network, engine)
     source_set = _coerce_sources(network.graph, sources)
     monitor = getattr(network, "invariant_monitor", None)
-    rng = make_rng(seed)
+    streams = DeviceStreams(seed)
     dist: Dict[Hashable, float] = {s: 0.0 for s in source_set}
     if monitor is not None:
         monitor.observe_labels(dist)
@@ -185,7 +190,7 @@ def decay_bfs(
             messages,
             receivers,
             failure_probability=failure_probability,
-            seed=rng,
+            seed=streams,
             tx_power=tx_power,
         )
         _settle(dist, heard)
@@ -220,9 +225,11 @@ def decay_bfs_mega(
     with each member running its own
     :class:`~repro.primitives.decay.DecayParameters`.
 
-    Per lane, the wavefront, randomness, executed slot count, and
-    distance labels are **bit-identical** to a serial :func:`decay_bfs`
-    run of that lane alone; lanes retire individually as their depth
+    Per lane, the wavefront, randomness (one
+    :class:`~repro.rng.DeviceStreams` per lane, as in
+    :func:`decay_bfs`), executed slot count, and distance labels are
+    **bit-identical** to a serial :func:`decay_bfs` run of that lane
+    alone; lanes retire individually as their depth
     budget or wavefront is exhausted.  Returns ``{(member, replica):
     labels}`` covering every lane of every member.
     """
@@ -241,7 +248,7 @@ def decay_bfs_mega(
         for m, member in enumerate(network.members)
         for r in range(member.replicas)
     ]
-    rngs = {key: make_rng(seeds.get(key)) for key in keys}
+    streams = {key: DeviceStreams(seeds.get(key)) for key in keys}
     dist: Dict[Tuple[int, int], Dict[Hashable, float]] = {
         (m, r): {s: 0.0 for s in source_sets[m]} for m, r in keys
     }
@@ -263,7 +270,7 @@ def decay_bfs_mega(
             network,
             rounds,
             failure_probability=failure_probabilities,
-            seeds={key: rngs[key] for key in active},
+            seeds={key: streams[key] for key in active},
             tx_power=tx_power,
         )
         for key, heard in heard_by_lane.items():

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -444,28 +445,42 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     Returns the process exit status (0 success, 1 validation failure,
     2 configuration error) instead of raising, so configuration
-    mistakes print one readable line rather than a traceback.
+    mistakes print one readable line rather than a traceback.  A reader
+    that closes the pipe early (``list | head -1``) already has what it
+    wanted: the command then ends quietly with status 0.
     """
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "worker":
-            return _cmd_worker(args)
-        if args.command == "merge":
-            return _cmd_merge(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        return _cmd_list()
+        status = _dispatch(args)
+        sys.stdout.flush()
+        return status
     except ReproError as exc:
         # Configuration mistakes (bad names, bad --fault-model JSON, …)
         # are user errors: report them readably, not as tracebacks.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Point stdout at the null device so that the interpreter's own
+        # flush at exit does not hit the closed pipe again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    """Run the parsed subcommand; returns its exit status."""
+    if args.command == "run":
+        return _cmd_run(args)
+    if args.command == "sweep":
+        return _cmd_sweep(args)
+    if args.command == "worker":
+        return _cmd_worker(args)
+    if args.command == "merge":
+        return _cmd_merge(args)
+    if args.command == "report":
+        return _cmd_report(args)
+    if args.command == "validate":
+        return _cmd_validate(args)
+    return _cmd_list()
 
 
 if __name__ == "__main__":

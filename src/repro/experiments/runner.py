@@ -40,7 +40,7 @@ from ..radio.dynamic import DynamicSchedule, coerce_dynamic_schedule
 from ..radio.energy import EnergyLedger
 from ..radio.faults import FaultCounters, FaultModel, coerce_fault_model
 from ..radio.sinr import SinrParams, coerce_sinr_params
-from ..radio.topology import scenario_is_deterministic
+from ..radio.topology import degrees, scenario_is_deterministic
 from ..rng import make_rng
 from .registry import LANE_RUNNERS, RunContext, check_invariant_sample, get_algorithm
 from .results import (
@@ -126,7 +126,7 @@ def _assemble_result(
         spec=spec,
         output=dict(output),
         n=ctx.graph.number_of_nodes(),
-        edges=ctx.graph.number_of_edges(),
+        edges=sum(degrees(ctx.graph).values()) // 2,
         lb_rounds=ledger.lb_rounds,
         max_lb_energy=ledger.max_lb(),
         total_lb_energy=ledger.total_lb(),

@@ -24,10 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import (
-    Callable,
     Dict,
     Hashable,
     Iterable,
+    List,
     Mapping,
     Optional,
     Set,
@@ -38,13 +38,17 @@ from typing import (
 import networkx as nx
 import numpy as np
 
-from ..radio.batch_engine import MegaBatchedNetwork, ReplicaBatchedNetwork
+from ..radio.batch_engine import (
+    LaneSchedule,
+    MegaBatchedNetwork,
+    ReplicaBatchedNetwork,
+)
 from ..radio.channel import Reception
 from ..radio.device import Action, Device
 from ..radio.engine import coerce_network
 from ..radio.message import Message
 from ..radio.network import SlotEngineBase
-from ..rng import SeedLike, geometric_decay_slot
+from ..rng import DeviceStreams, SeedLike, device_streams
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,15 @@ class DecayParameters:
         """Wall-clock length of the protocol in slots."""
         return self.window * self.iterations
 
+    def sender_slots(self, rng: np.random.Generator) -> List[int]:
+        """A sender's transmit slots, as offsets from the round's start:
+        one :func:`~repro.rng.geometric_decay_slot` per iteration.  The
+        iterations share one vector draw, which NumPy fills with the
+        scalar sampler in order (values and stream position are pinned
+        equal to the scalar loop by a test)."""
+        draws = np.minimum(rng.geometric(0.5, size=self.iterations), self.window)
+        return (np.arange(0, self.total_slots, self.window) + draws - 1).tolist()
+
 
 class DecaySender(Device):
     """Sender role: transmit at a geometric slot in each iteration.
@@ -101,10 +114,7 @@ class DecaySender(Device):
         self.params = params
         self.start_slot = start_slot
         self._end_slot = start_slot + params.total_slots
-        self._slots: Set[int] = set()
-        for it in range(params.iterations):
-            offset = geometric_decay_slot(rng, params.window) - 1
-            self._slots.add(it * params.window + offset)
+        self._slots: Set[int] = set(params.sender_slots(rng))
 
     def step(self, slot: int) -> Action:
         if slot >= self._end_slot:
@@ -164,36 +174,6 @@ def _round_receivers(
     return receiver_set
 
 
-def _round_factory(
-    messages: Mapping[Hashable, Message],
-    receiver_set: Set[Hashable],
-    params: DecayParameters,
-    start_slot: int,
-    power: int,
-) -> Callable[[Hashable, np.random.Generator], Device]:
-    """The device factory of one round: senders, receivers, and sleepers."""
-    sender_set = set(messages)
-
-    def factory(vertex: Hashable, rng: np.random.Generator) -> Device:
-        if vertex in sender_set:
-            return DecaySender(
-                vertex, rng, messages[vertex], params, start_slot, power=power,
-            )
-        if vertex in receiver_set:
-            return DecayReceiver(vertex, rng, params, start_slot)
-        return _SleepingDevice(vertex, rng)
-
-    return factory
-
-
-def _heard(
-    devices: Mapping[Hashable, Device], receiver_set: Set[Hashable]
-) -> Dict[Hashable, Message]:
-    """``{receiver: message}`` for every receiver that heard one."""
-    outputs = {v: devices[v].output() for v in receiver_set}
-    return {v: out for v, out in outputs.items() if out is not None}
-
-
 def run_decay_local_broadcast(
     network: Union[nx.Graph, SlotEngineBase],
     messages: Mapping[Hashable, Message],
@@ -218,10 +198,21 @@ def run_decay_local_broadcast(
     network = coerce_network(network, engine)
     receiver_set = _round_receivers(messages, receivers)
     params = DecayParameters.for_network(network.max_degree, failure_probability)
-    factory = _round_factory(messages, receiver_set, params, network.slot, tx_power)
+    start = network.slot
+
+    def factory(vertex: Hashable, rng: np.random.Generator) -> Device:
+        if vertex in messages:
+            return DecaySender(
+                vertex, rng, messages[vertex], params, start, power=tx_power,
+            )
+        if vertex in receiver_set:
+            return DecayReceiver(vertex, rng, params, start)
+        return _SleepingDevice(vertex, rng)
+
     devices = network.spawn_devices(factory, seed=seed)
     network.run(devices, max_slots=params.total_slots)
-    return _heard(devices, receiver_set)
+    outputs = {v: devices[v].output() for v in receiver_set}
+    return {v: out for v, out in outputs.items() if out is not None}
 
 
 def run_decay_local_broadcast_batch(
@@ -243,6 +234,36 @@ def run_decay_local_broadcast_batch(
     return {r: lane_heard for (_, r), lane_heard in heard.items()}
 
 
+def _lane_schedule(
+    index: Mapping[Hashable, int],
+    messages: Mapping[Hashable, Message],
+    receiver_set: Set[Hashable],
+    params: DecayParameters,
+    power: int,
+    seed: Union[SeedLike, DeviceStreams],
+) -> LaneSchedule:
+    """One lane's Decay round as a :class:`LaneSchedule`.
+
+    Reserves one device stream per vertex, as the serial round's spawn
+    does, but builds only the senders' Generators: each sender draws
+    its :meth:`DecayParameters.sender_slots` exactly as its
+    :class:`DecaySender` would.
+    """
+    streams, base = device_streams(seed, len(index))
+    transmits: Dict[int, List[int]] = {}
+    sender_messages: Dict[int, Message] = {}
+    for i, v in sorted((index[v], v) for v in messages if v in index):
+        sender_messages[i] = messages[v]
+        for offset in params.sender_slots(streams.generator(base + i)):
+            transmits.setdefault(offset, []).append(i)
+    return LaneSchedule(
+        transmits=transmits,
+        messages=sender_messages,
+        receivers=sorted(index[v] for v in receiver_set),
+        power=power,
+    )
+
+
 def run_decay_local_broadcast_mega(
     network: MegaBatchedNetwork,
     rounds: Mapping[
@@ -250,7 +271,7 @@ def run_decay_local_broadcast_mega(
         Tuple[Mapping[Hashable, Message], Iterable[Hashable]],
     ],
     failure_probability: Union[float, Mapping[int, float]] = 1e-3,
-    seeds: Optional[Mapping[Tuple[int, int], SeedLike]] = None,
+    seeds: Optional[Mapping[Tuple[int, int], Union[SeedLike, DeviceStreams]]] = None,
     tx_power: Union[int, Mapping[int, int]] = 0,
 ) -> Dict[Tuple[int, int], Dict[Hashable, Message]]:
     """One Decay Local-Broadcast per lane, fused across *members*.
@@ -265,6 +286,9 @@ def run_decay_local_broadcast_mega(
     lengths — the per-lane slot budgets passed to
     :meth:`~repro.radio.batch_engine.MegaBatchedNetwork.run_lockstep`
     retire each lane exactly when its own serial protocol would end.
+    Each round runs as a
+    :class:`~repro.radio.batch_engine.LaneSchedule`: no device objects,
+    and only the senders' random streams are built.
 
     Returns ``{(member, replica): {receiver: message}}``, each lane's
     mapping byte-identical to its serial
@@ -272,7 +296,7 @@ def run_decay_local_broadcast_mega(
     """
     seeds = seeds or {}
     params_by_member: Dict[int, DecayParameters] = {}
-    populations: Dict[Tuple[int, int], Dict[Hashable, Device]] = {}
+    schedules: Dict[Tuple[int, int], LaneSchedule] = {}
     budgets: Dict[Tuple[int, int], int] = {}
     receiver_sets: Dict[Tuple[int, int], Set[Hashable]] = {}
     for key in sorted(rounds):
@@ -295,15 +319,18 @@ def run_decay_local_broadcast_mega(
             if isinstance(tx_power, Mapping)
             else tx_power
         )
-        factory = _round_factory(
-            messages, receiver_set, params, network.lane(key).slot, power
+        schedules[key] = _lane_schedule(
+            member.index, messages, receiver_set, params, power, seeds.get(key)
         )
-        populations[key] = member.spawn_devices(factory, seed=seeds.get(key))
         budgets[key] = params.total_slots
         receiver_sets[key] = receiver_set
 
-    network.run_lockstep(populations, max_slots=budgets)
-    return {
-        key: _heard(populations[key], receiver_set)
-        for key, receiver_set in receiver_sets.items()
-    }
+    network.run_lockstep(schedules, max_slots=budgets)
+    heard_by_lane: Dict[Tuple[int, int], Dict[Hashable, Message]] = {}
+    for key, receiver_set in receiver_sets.items():
+        index = network.member(key[0]).index
+        heard = schedules[key].heard
+        heard_by_lane[key] = {
+            v: heard[index[v]] for v in receiver_set if index[v] in heard
+        }
+    return heard_by_lane

@@ -25,7 +25,7 @@ from ..radio.energy import EnergyLedger
 from ..radio.engine import coerce_network
 from ..radio.message import Message, id_bits
 from ..radio.network import SlotEngineBase
-from ..rng import SeedLike, make_rng
+from ..rng import DeviceStreams, SeedLike
 from .decay import run_decay_local_broadcast
 from .lb_graph import LBGraph
 
@@ -64,7 +64,9 @@ class DecayLBGraph(LBGraph):
         network = coerce_network(network, engine)
         self.network = network
         self.failure_probability = failure_probability
-        self.rng = make_rng(seed)
+        # One stream holder for every round: round r gives vertex i
+        # device stream r * n + i of ``seed``.
+        self.streams = DeviceStreams(seed)
         n = network.graph.number_of_nodes()
         default_bits = 4 * id_bits(max(2, n))
         self._payload_bits = payload_bits or (lambda payload: default_bits)
@@ -126,6 +128,6 @@ class DecayLBGraph(LBGraph):
             wire,
             receiver_list,
             failure_probability=self.failure_probability,
-            seed=self.rng,
+            seed=self.streams,
         )
         return {v: msg.payload for v, msg in heard.items()}

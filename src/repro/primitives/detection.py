@@ -26,7 +26,7 @@ from ..radio.channel import CollisionModel, Feedback, Reception
 from ..radio.device import Action, Device
 from ..radio.message import message_of_ints
 from ..radio.network import RadioNetwork
-from ..rng import SeedLike, make_rng
+from ..rng import DeviceStreams, SeedLike
 from .decay import run_decay_local_broadcast
 
 
@@ -124,7 +124,7 @@ def detect_without_cd(
     """
     active_set = set(active)
     prober_set = set(probers) - active_set
-    rng = make_rng(seed)
+    streams = DeviceStreams(seed)
     before = network.slot
     messages = {v: message_of_ints(v, 1, kind="probe") for v in active_set}
     heard = run_decay_local_broadcast(
@@ -132,7 +132,7 @@ def detect_without_cd(
         messages,
         prober_set,
         failure_probability=failure_probability,
-        seed=rng,
+        seed=streams,
     )
     return DetectionReport(
         detected=set(heard), slots_used=network.slot - before

@@ -22,9 +22,10 @@ additionally exposes a named scenario registry
 graph families by name.
 
 A third executor, :class:`MegaBatchedNetwork`
-(:mod:`repro.radio.batch_engine`), advances many lanes in lockstep with
-one fused gather per slot (:mod:`repro.radio.kernels.megabatch`), each
-lane bit-identical to its own serial run.  Its members are
+(:mod:`repro.radio.batch_engine`), advances many Decay lanes in
+lockstep with one fused gather per slot
+(:mod:`repro.radio.kernels.megabatch`), each lane a round held as
+arrays rather than devices and bit-identical to its own serial run.  Its members are
 :class:`ReplicaBatchedNetwork` objects — ``R`` replica lanes sharing
 one compiled topology — so a seed sweep of one cell is a one-member
 mega batch and a heterogeneous grid is a many-member one.  It is the

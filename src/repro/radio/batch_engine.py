@@ -22,12 +22,16 @@ counts/codes gather per slot **per seed**.  Two classes amortize that:
   slot, each lane in its own column range.  A replica batch is simply a
   one-member mega batch.
 
-Each lane runs its slot through a
-:class:`~repro.radio.fast_engine.SlotLane` — the same collect, charge
-and dispatch steps the serial
-:class:`~repro.radio.fast_engine.FastRadioNetwork` runs on its single
-lane — so the fast tiers share one per-slot device loop and differ only
-in how many lanes join the channel gather.
+Lanes hold no devices.  Each runs a :class:`LaneSchedule`, the array
+form of one Decay round (Lemma 2.4): a sender's whole transmit schedule
+is fixed by its geometric draws before the round starts, and a receiver
+listens until its first reception, so per slot a lane's transmitters
+are its scheduled senders that are not dead and its listeners are the
+receivers that have not yet heard and are not dead.  The device-callback
+loop (:class:`~repro.radio.fast_engine.SlotLane`) serves only the
+serial :class:`~repro.radio.fast_engine.FastRadioNetwork`; the two
+serial engines are the oracle the lanes are pinned against
+(``tests/radio/test_decay_lanes.py``).
 
 Bit-identity contract
 ---------------------
@@ -41,7 +45,7 @@ depends on any other lane — batching is purely an execution strategy
 
 Lanes do not all have to run at once:
 :meth:`MegaBatchedNetwork.run_lockstep` advances whichever subset of
-lanes the caller supplies populations for, so a multi-phase protocol
+lanes the caller supplies schedules for, so a multi-phase protocol
 (e.g. the batched Decay-BFS of
 :func:`repro.core.simple_bfs.decay_bfs_mega`) keeps only its
 still-active lanes in the gather as wavefronts finish at different
@@ -55,12 +59,12 @@ from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
+    FrozenSet,
     Hashable,
     List,
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -69,23 +73,18 @@ import networkx as nx
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..rng import SeedLike
+from ..rng import DeviceStreams, SeedLike
 from .channel import CollisionModel
 from .device import Device
 from .energy import EnergyLedger
-from .fast_engine import CompiledTopology, SlotLane
+from .fast_engine import CompiledTopology
 from .faults import FaultCounters, FaultModel, ReplicaFaultRuntimes
 from .kernels import MegaBatchPlan
 from .kernels.sinr_csr import SinrCsr, sinr_arbitrate_many
-from .message import MessageSizePolicy
-from .network import (
-    coerce_channel,
-    silence_and_noise,
-    spawn_device_map,
-    validate_population,
-    validate_topology,
-)
-from .sinr import SinrField, SinrParams
+from .message import Message, MessageSizePolicy
+from .network import coerce_channel, spawn_device_map, validate_topology
+from .sinr import SinrField, SinrParams, check_power_level
+from .topology import degrees
 
 
 @dataclass
@@ -113,21 +112,134 @@ def _as_int(value: object, what: str) -> Optional[int]:
     return int(value) if isinstance(value, numbers.Integral) else None
 
 
-class _LaneRun:
-    """Mutable per-lane state for one
-    :meth:`MegaBatchedNetwork.run_lockstep` call."""
+@dataclass
+class LaneSchedule:
+    """One lane's round as arrays: who transmits when, and who listens.
 
-    __slots__ = ("key", "lane", "member", "live", "budget", "executed", "stage")
+    ``transmits`` maps a slot offset (counted from the lane's clock when
+    :meth:`MegaBatchedNetwork.run_lockstep` starts) to the member vertex
+    indices, ascending, that transmit in that slot; ``messages`` maps
+    each sender index to its message, sent at standing SINR power level
+    ``power``.  Each of ``receivers`` (vertex indices, ascending)
+    listens from the first slot until its first reception.  The
+    executor fills ``heard``: receiver index -> the message it heard.
+    """
+
+    transmits: Mapping[int, Sequence[int]]
+    messages: Mapping[int, Message]
+    receivers: Sequence[int]
+    power: int = 0
+    heard: Dict[int, Message] = field(default_factory=dict)
+
+
+_NO_VERTICES: FrozenSet[Hashable] = frozenset()
+
+
+class _ScheduleRun:
+    """One lane's state for one :meth:`MegaBatchedNetwork.run_lockstep`
+    call: the mask of receivers still listening, this slot's staging,
+    and the lane's transmit and listen totals, flushed to its ledger at
+    the end.
+    """
+
+    __slots__ = ("key", "lane", "member", "schedule", "budget", "executed",
+                 "listening", "tx_counts", "listen_counts", "tx",
+                 "listeners", "jam", "resolved")
 
     def __init__(self, key: Tuple[int, int], member: "ReplicaBatchedNetwork",
-                 live: List[Tuple[Hashable, Device]], budget: int) -> None:
+                 schedule: LaneSchedule, budget: int) -> None:
+        n = member._topology.n
         self.key = key
         self.lane = member.lanes[key[1]]
         self.member = member
-        self.live = live
+        self.schedule = schedule
         self.budget = budget
         self.executed = 0
-        self.stage = SlotLane(member._topology.n)
+        self.listening = np.zeros(n, dtype=bool)
+        self.listening[list(schedule.receivers)] = True
+        self.tx_counts = np.zeros(n, dtype=np.int64)
+        self.listen_counts = np.zeros(n, dtype=np.int64)
+
+    @property
+    def needs_channel(self) -> bool:
+        """Whether this slot has both transmitters and listeners."""
+        return bool(self.tx) and self.listeners.size > 0
+
+    def collect(self) -> None:
+        """Draw the slot's fault plan, stage its transmitters and
+        listeners, and add their energy to the lane's totals.
+
+        Dead senders and receivers sit the slot out; a dropped sender
+        pays for its transmission but never reaches the channel.  The
+        RN[b] and power-level checks run per transmission, in vertex
+        order, exactly where the serial engines run them.
+        """
+        member, lane, schedule = self.member, self.lane, self.schedule
+        plan = member._fault_runtimes.plan(lane.index, lane.slot)
+        dead = dropped = jammed = _NO_VERTICES
+        if plan is not None:
+            dead, dropped, jammed = plan.dead, plan.dropped, plan.jammed
+        vertices = member._topology.vertices
+        sinr = member.sinr
+        self.tx = tx = []
+        for i in schedule.transmits.get(self.executed, ()):
+            vertex = vertices[i]
+            if vertex in dead:
+                continue
+            member.size_policy.check(schedule.messages[i])
+            if sinr is None:
+                self.tx_counts[i] += 1
+            else:
+                level = check_power_level(vertex, schedule.power, sinr)
+                self.tx_counts[i] += sinr.power_costs[level]
+            if vertex in dropped:
+                lane.fault_counters.dropped += 1
+            else:
+                tx.append(i)
+        listening = self.listening
+        if dead:
+            listening = listening & ~member._mask(dead)
+        self.listen_counts += listening
+        self.listeners = listeners = np.flatnonzero(listening)
+        self.jam = member._mask(jammed)[listeners] if jammed else None
+
+    def dispatch(self) -> None:
+        """Deliver this slot's receptions (from :attr:`resolved` when
+        :attr:`needs_channel`) and advance the lane's clock.  A jammed
+        listener hears nothing, like a collision."""
+        counters = self.lane.fault_counters
+        jam = self.jam
+        if jam is not None:
+            counters.jammed += int(np.count_nonzero(jam))
+        if self.needs_channel:
+            resolved, listeners = self.resolved, self.listeners
+            if len(resolved) == 3:
+                deliver = resolved[2][listeners]
+            else:
+                deliver = resolved[0][listeners] == 1
+            if jam is not None:
+                deliver &= ~jam
+            got = listeners[deliver]
+            if len(got):
+                messages, heard = self.schedule.messages, self.schedule.heard
+                for i, code in zip(got.tolist(), resolved[1][got].tolist()):
+                    heard[i] = messages[code - 1]
+                counters.delivered += len(got)
+                self.listening[got] = False
+        self.executed += 1
+        self.lane.slot += 1
+
+    def flush(self) -> None:
+        """Charge the lane's totals to its ledger in one pass."""
+        active = np.flatnonzero(self.tx_counts + self.listen_counts)
+        vertices = self.member._topology.vertices
+        ledger = self.lane.ledger
+        ledger.charge_slot_counts(
+            [vertices[i] for i in active.tolist()],
+            self.tx_counts[active].tolist(),
+            self.listen_counts[active].tolist(),
+        )
+        ledger.advance_time(self.executed)
 
 
 class ReplicaBatchedNetwork:
@@ -135,7 +247,8 @@ class ReplicaBatchedNetwork:
 
     Holds the shared compiled topology (and SINR gain field), one
     :class:`ReplicaLane` per replica, and the per-lane fault runtimes,
-    which :class:`MegaBatchedNetwork` reads when it steps the lanes.
+    which :class:`MegaBatchedNetwork` reads when it runs the lanes'
+    schedules.
 
     Parameters
     ----------
@@ -188,7 +301,11 @@ class ReplicaBatchedNetwork:
         self.collision_model = collision_model
         self.size_policy = size_policy or MessageSizePolicy.unbounded()
         self._topology = CompiledTopology(graph)
-        self._node_set: Set[Hashable] = set(graph.nodes)
+        #: Vertex -> index in the compiled topology (a
+        #: :class:`LaneSchedule` names vertices by these indices).
+        self.index: Dict[Hashable, int] = self._topology.index
+        # Fault vertex sets as index masks; jam regions and dead sets recur.
+        self._masks: Dict[FrozenSet[Hashable], np.ndarray] = {}
         self.sinr = sinr_params
         self._sinr_csr: Optional[SinrCsr] = (
             SinrCsr.compile(
@@ -220,7 +337,6 @@ class ReplicaBatchedNetwork:
             faults, graph, seeds=list(fault_seeds),
             counters=[lane.fault_counters for lane in self.lanes],
         )
-        self._silent, self._noisy = silence_and_noise(collision_model)
 
     # ------------------------------------------------------------------
     def lane(self, replica: int) -> ReplicaLane:
@@ -230,45 +346,48 @@ class ReplicaBatchedNetwork:
     @property
     def max_degree(self) -> int:
         """Maximum degree of the shared topology (the Delta of Lemma 2.4)."""
-        return max((d for _, d in self.graph.degree), default=0)
+        return max(degrees(self.graph).values(), default=0)
 
     def spawn_devices(
         self,
         factory: Callable[[Hashable, np.random.Generator], Device],
-        seed: SeedLike = None,
+        seed: Union[SeedLike, DeviceStreams] = None,
     ) -> Dict[Hashable, Device]:
-        """Instantiate one device per vertex with independent RNG streams.
-
-        Same shared derivation as
-        :meth:`~repro.radio.network.SlotEngineBase.spawn_devices`
-        (:func:`~repro.radio.network.spawn_device_map`): pass a lane's
-        protocol stream as ``seed`` and the lane's devices draw exactly
-        the randomness its serial run would.
-        """
+        """One device per vertex, derived as on the serial engines
+        (:func:`~repro.radio.network.spawn_device_map`).  Lanes run
+        schedules, not devices: nothing in the package calls this, and
+        it stays only because ``perfbench/tracer.py`` wraps it by name."""
         return spawn_device_map(self._topology.vertices, factory, seed)
 
-    # ------------------------------------------------------------------
-    def _check_population(self, replica: int, devices: Mapping[Hashable, Device]) -> int:
-        """The same exact-cover validation the serial engines apply;
-        returns the lane index as a Python ``int``."""
+    def _mask(self, vertices: FrozenSet[Hashable]) -> np.ndarray:
+        """``vertices`` as a boolean mask over vertex indices."""
+        mask = self._masks.get(vertices)
+        if mask is None:
+            mask = np.zeros(self._topology.n, dtype=bool)
+            index = self._topology.index
+            mask[[index[v] for v in vertices]] = True
+            self._masks[vertices] = mask
+        return mask
+
+    def _check_replica(self, replica: int) -> int:
+        """The lane index as a Python ``int``."""
         index = _as_int(replica, "replica lane")
         if index is None or not 0 <= index < self.replicas:
             raise ConfigurationError(
                 f"unknown replica lane {replica!r}; "
                 f"this network has {self.replicas} lanes"
             )
-        validate_population(self._node_set, devices)
         return index
 
     def run_lockstep(
         self,
-        populations: Mapping[int, Mapping[Hashable, Device]],
+        schedules: Mapping[int, LaneSchedule],
         max_slots: int,
     ) -> Dict[int, int]:
-        """Advance the supplied lanes as a one-member
+        """Run the supplied lanes as a one-member
         :class:`MegaBatchedNetwork`; returns executed slots per lane."""
         executed = MegaBatchedNetwork([self]).run_lockstep(
-            {(0, r): devices for r, devices in populations.items()}, max_slots
+            {(0, r): schedule for r, schedule in schedules.items()}, max_slots
         )
         return {r: slots for (_, r), slots in executed.items()}
 
@@ -286,12 +405,10 @@ class MegaBatchedNetwork:
     is a single member — into one
     :class:`~repro.radio.kernels.megabatch.MegaBatchPlan`, so every
     running lane of every member joins the same gather each slot.
-    Per-lane semantics are untouched: every lane steps its devices,
-    draws its member's fault plan, charges its own ledger once per slot
-    and dispatches receptions through its own
-    :class:`~repro.radio.fast_engine.SlotLane`, exactly as the serial
-    fast engine does, and every lane gets its own column range in the
-    gather (see
+    Per-lane semantics are untouched: every lane draws its member's
+    fault plan each slot, stages the transmitters and listeners of its
+    :class:`LaneSchedule`, charges its own ledger and fault counters,
+    and gets its own column range in the gather (see
     :mod:`repro.radio.kernels.megabatch`), so each lane stays
     **byte-identical** to its own serial run, whether the members share
     a topology or not.
@@ -342,19 +459,19 @@ class MegaBatchedNetwork:
     # ------------------------------------------------------------------
     def run_lockstep(
         self,
-        populations: Mapping[MegaLaneKey, Mapping[Hashable, Device]],
+        schedules: Mapping[MegaLaneKey, LaneSchedule],
         max_slots: Union[int, Mapping[MegaLaneKey, int]],
     ) -> Dict[MegaLaneKey, int]:
-        """Advance every supplied lane, fusing all members per slot.
+        """Run every supplied lane's schedule, fusing all members per slot.
 
-        ``populations`` maps ``(member, replica)`` -> that lane's device
-        mapping (exact vertex cover of the member's topology).
-        ``max_slots`` is either one budget for every lane or a mapping
-        with one budget per supplied lane — lanes retire individually
-        when their budget is spent or all their devices halt (the
-        serial ``run`` loop's stop rule, applied per lane), without
-        holding up the others.  Returns the executed slot count per
-        lane key.
+        ``schedules`` maps ``(member, replica)`` -> that lane's
+        :class:`LaneSchedule`.  ``max_slots`` is either one budget for
+        every lane or a mapping with one budget per supplied lane; lanes
+        retire individually when their budget is spent, without holding
+        up the others, and a lane with no sender and no receiver runs no
+        slot (the serial ``run`` loop's stop rule).  Each lane's energy
+        is charged to its ledger once, at the end.  Returns the executed
+        slot count per lane key.
         """
         if isinstance(max_slots, bool) or not isinstance(
             max_slots, (numbers.Integral, Mapping)
@@ -363,10 +480,10 @@ class MegaBatchedNetwork:
                 f"max_slots must be an int or a per-lane mapping of ints; "
                 f"got {max_slots!r}"
             )
-        lanes: Dict[MegaLaneKey, Mapping[Hashable, Device]] = {}
-        for key, devices in populations.items():
+        lanes: Dict[MegaLaneKey, LaneSchedule] = {}
+        for key, schedule in schedules.items():
             m, replica = self._check_key(key)
-            lanes[(m, self.members[m]._check_population(replica, devices))] = devices
+            lanes[(m, self.members[m]._check_replica(replica))] = schedule
         if isinstance(max_slots, numbers.Integral):
             budgets = {key: int(max_slots) for key in lanes}
         else:
@@ -377,56 +494,45 @@ class MegaBatchedNetwork:
                     f"max_slots mapping is missing a budget for lane "
                     f"{exc.args[0]!r}"
                 ) from None
-        runs: List[_LaneRun] = []
-        for key in sorted(lanes):
-            member = self.members[key[0]]
-            live = [(v, d) for v, d in lanes[key].items() if not d.halted]
-            runs.append(_LaneRun(key, member, live, budgets[key]))
-        running = [run for run in runs if run.live and run.budget > 0]
+        runs = [
+            _ScheduleRun(key, self.members[key[0]], lanes[key], budgets[key])
+            for key in sorted(lanes)
+        ]
+        # The serial stop rule: a Decay sender halts only once its round
+        # is over, so a lane with any participant runs its whole budget,
+        # and a lane with none runs no slot.
+        running = [
+            run for run in runs
+            if (run.schedule.messages or run.schedule.receivers) and run.budget > 0
+        ]
         while running:
             for run in running:
-                lane, member, stage = run.lane, run.member, run.stage
-                stage.collect(
-                    run.live, lane.slot,
-                    member._fault_runtimes.plan(lane.index, lane.slot),
-                    lane.fault_counters, member._topology.index,
-                    member.size_policy, member.sinr, None,
-                )
-                lane.ledger.charge_slot_batch(
-                    stage.tx_vertices, stage.listen_vertices,
-                    transmit_costs=stage.tx_costs,
-                )
+                run.collect()
             # One gather for every lane, of every member, that needs the
             # channel.  SINR members take the fused arbitration kernel
             # instead (its own gather over all such lanes).
-            need = [run for run in running if run.stage.needs_channel]
+            need = [run for run in running if run.needs_channel]
             binary = [run for run in need if run.member._sinr_csr is None]
             sinr = [run for run in need if run.member._sinr_csr is not None]
             if binary:
                 resolved = self._plan.counts_codes_many([
-                    (run.key[0], np.asarray(run.stage.tx_idx, dtype=np.int64))
+                    (run.key[0], np.asarray(run.tx, dtype=np.int64))
                     for run in binary
                 ])
                 for run, pair in zip(binary, resolved):
-                    run.stage.resolved = pair
+                    run.resolved = pair
             if sinr:
                 arbitrated = sinr_arbitrate_many([
                     (run.member._sinr_csr,
-                     np.asarray(run.stage.tx_idx, dtype=np.int64),
-                     np.asarray(run.stage.tx_levels, dtype=np.int64))
+                     np.asarray(run.tx, dtype=np.int64),
+                     np.full(len(run.tx), run.schedule.power, dtype=np.int64))
                     for run in sinr
                 ])
                 for run, triple in zip(sinr, arbitrated):
-                    run.stage.resolved = triple
+                    run.resolved = triple
             for run in running:
-                lane, member = run.lane, run.member
-                run.stage.dispatch(lane.slot, lane.fault_counters,
-                                   member._silent, member._noisy, None)
-                run.executed += 1
-                lane.slot += 1
-                run.live = [(v, d) for v, d in run.live if not d.halted]
-            running = [run for run in running
-                       if run.live and run.executed < run.budget]
+                run.dispatch()
+            running = [run for run in running if run.executed < run.budget]
         for run in runs:
-            run.lane.ledger.advance_time(run.executed)
+            run.flush()
         return {run.key: run.executed for run in runs}

@@ -75,9 +75,8 @@ class EnergyLedger:
         """Charge one slot to every transmitter and listener at once.
 
         Equivalent to one :meth:`charge_transmit` per transmitter plus
-        one :meth:`charge_listen` per listener; the batch form is used
-        by every fast lane (serial or batched) so each slot touches the
-        ledger once.
+        one :meth:`charge_listen` per listener; the serial fast engine
+        uses the batch form so each slot touches the ledger once.
         ``transmit_costs`` (aligned with ``transmitters``) replaces the
         flat one-unit transmit charge with per-transmitter costs — the
         SINR power ladder, where louder costs more.
@@ -106,8 +105,9 @@ class EnergyLedger:
         :meth:`charge_slot_batch` calls (slot charges are additive and
         commutative); vertices with zero activity are never touched, so
         the set of devices the ledger knows about matches per-slot
-        charging exactly.  No executor calls it: every fast lane charges
-        once per slot through :meth:`charge_slot_batch`.
+        charging exactly.  Every batched lane flushes its totals through
+        it once per :meth:`~repro.radio.batch_engine.MegaBatchedNetwork.run_lockstep`
+        call.
         """
         devices = self._devices
         for v, tx, listen in zip(vertices, transmit_counts, listen_counts):

@@ -21,14 +21,14 @@ with the same seed produces bit-for-bit identical slot counts, energy
 ledgers, and event traces on either engine — a guarantee enforced by
 ``tests/radio/test_engine_equivalence.py``.
 
-That control path lives in one place, :class:`SlotLane`: a slot is
-``collect`` (step the devices, apply the fault plan, stage transmitters
-and listeners), a ledger charge, channel resolution into the lane, and
-``dispatch`` (deliver receptions).  :class:`FastRadioNetwork` runs one
-lane per slot; :class:`~repro.radio.batch_engine.MegaBatchedNetwork`
-runs the same steps for each of its lanes around one fused gather.
-The counts/codes arithmetic itself is the one integer CSR gather of
-:mod:`repro.radio.kernels`
+That control path lives in :class:`SlotLane`: a slot is ``collect``
+(step the devices, apply the fault plan, stage transmitters and
+listeners), a ledger charge, channel resolution into the lane, and
+``dispatch`` (deliver receptions).  The batched tier
+(:class:`~repro.radio.batch_engine.MegaBatchedNetwork`) runs no devices:
+its lanes are Decay rounds as arrays, pinned against this engine and
+the reference one.  The counts/codes arithmetic itself is the one
+integer CSR gather of :mod:`repro.radio.kernels`
 (:func:`~repro.radio.kernels.base.counts_codes_blocks`), so every tier
 computes the same bytes for the same lane.
 """
@@ -122,14 +122,11 @@ class CompiledTopology:
 class SlotLane:
     """One lane's slot, staged between device callbacks and the channel.
 
-    The single per-slot device loop of the fast tiers: the serial
-    :class:`FastRadioNetwork` owns one lane, and every lane of a
-    :class:`~repro.radio.batch_engine.MegaBatchedNetwork` owns one.  A
-    slot is three calls: :meth:`collect` steps the devices and stages
+    The per-slot device loop of the serial :class:`FastRadioNetwork`.
+    A slot is three calls: :meth:`collect` steps the devices and stages
     the live transmitters and listeners; the caller charges the staged
     energy, resolves the channel into :attr:`resolved` when
-    :attr:`needs_channel` (alone or in a fused gather), and
-    :meth:`dispatch` delivers the receptions.
+    :attr:`needs_channel`, and :meth:`dispatch` delivers the receptions.
     """
 
     __slots__ = ("msgs", "tx_idx", "tx_levels", "tx_vertices", "tx_costs",

@@ -59,6 +59,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, SimulationError
 from ..rng import SeedLike, make_rng
+from .topology import degrees
 
 #: Churn operations accepted in :class:`ChurnSchedule` events.
 CHURN_OPS: Tuple[str, ...] = ("crash", "revive")
@@ -502,7 +503,7 @@ class FaultRuntime:
         self._jammers: List[Tuple[Jammer, FrozenSet[Hashable]]] = []
         self._churn: Dict[int, List[Tuple[str, int]]] = {}
         self._stochastic: List[Tuple[str, int]] = []  # (kind, compiled index)
-        degree = dict(graph.degree)
+        degree = degrees(graph)
         for layer in model.layers:
             if isinstance(layer, IIDDrop):
                 self._stochastic.append(("iid", len(self._iid_ps)))

@@ -38,13 +38,14 @@ from typing import (
     Optional,
     Set,
     Tuple,
+    Union,
 )
 
 import networkx as nx
 import numpy as np
 
 from ..errors import ConfigurationError, SimulationError
-from ..rng import SeedLike, make_rng, spawn_streams
+from ..rng import DeviceStreams, LazyGenerator, SeedLike, device_streams
 from .channel import CollisionModel, Feedback, Reception, resolve
 from .device import ActionKind, Device
 from .dynamic import DynamicTopology, TopologyPatch
@@ -58,6 +59,7 @@ from .sinr import (
     resolve_sinr,
     transmit_level,
 )
+from .topology import degrees
 from .trace import EventTrace
 
 
@@ -92,8 +94,9 @@ def silence_and_noise(
     perceives, ``noisy`` what it perceives under a collision *or* when
     jammed (a jammed slot is indistinguishable from a collision).  With
     receiver-side CD or SINR these are ``SILENCE``/``NOISE``; without CD
-    both are ``NOTHING``.  Shared by every executor tier so jam and
-    collision semantics stay engine-independent.
+    both are ``NOTHING``.  Shared by both serial engines so jam and
+    collision semantics stay engine-independent (a batched lane's
+    receivers only ever act on a delivered message).
     """
     if collision_model is CollisionModel.NO_CD:
         return _NOTHING, _NOTHING
@@ -131,46 +134,27 @@ def coerce_channel(
     return collision_model, sinr_params
 
 
-def validate_population(
-    node_set: Set[Hashable], devices: Mapping[Hashable, Device]
-) -> None:
-    """Reject a device mapping that is not an exact vertex cover.
-
-    A missing device would silently never act, and a device keyed by a
-    vertex absent from the graph could never transmit to or hear anyone
-    — both are configuration bugs.  Shared by every executor (serial
-    engines and the replica-batched lanes) so the validation can never
-    drift between them.
-    """
-    missing = node_set - set(devices)
-    if missing:
-        raise ConfigurationError(
-            f"devices missing for {len(missing)} vertices (e.g. {next(iter(missing))!r})"
-        )
-    extra = set(devices) - node_set
-    if extra:
-        raise ConfigurationError(
-            f"devices supplied for {len(extra)} vertices absent from the "
-            f"graph (e.g. {next(iter(extra))!r})"
-        )
-
-
 def spawn_device_map(
     vertices: List[Hashable],
     factory: Callable[[Hashable, np.random.Generator], Device],
-    seed: SeedLike = None,
+    seed: Union[SeedLike, DeviceStreams] = None,
 ) -> Dict[Hashable, Device]:
     """One device per vertex, each with an independent derived stream.
 
-    The single implementation of the determinism-critical derivation
-    (``make_rng`` then one ``spawn_streams`` child per vertex, in vertex
-    order) that both the serial engines and the batched lanes build
-    populations with — the engines' bit-identity contract depends on
-    every executor deriving device randomness identically.
+    The single implementation of the determinism-critical derivation:
+    vertex ``i`` (in vertex order) gets child ``base + i`` of the block
+    :func:`~repro.rng.device_streams` reserves for ``seed``, which is
+    the child an eager ``spawn`` would give it.  The factory receives a
+    :class:`~repro.rng.LazyGenerator`, built on first draw, so devices
+    that never draw (Decay receivers, sleepers) cost no Generator.  A
+    multi-phase protocol passes one :class:`~repro.rng.DeviceStreams` for
+    all its phases.
     """
-    rng = make_rng(seed)
-    streams = spawn_streams(rng, len(vertices))
-    return {v: factory(v, s) for v, s in zip(vertices, streams)}
+    streams, base = device_streams(seed, len(vertices))
+    return {
+        v: factory(v, LazyGenerator(streams, base + i))
+        for i, v in enumerate(vertices)
+    }
 
 
 class SlotEngineBase:
@@ -353,7 +337,17 @@ class SlotEngineBase:
         ``stop_when()`` returns True (checked once per slot).  Returns
         the number of slots executed.
         """
-        validate_population(self._node_set, devices)
+        missing = self._node_set - set(devices)
+        if missing:
+            raise ConfigurationError(
+                f"devices missing for {len(missing)} vertices (e.g. {next(iter(missing))!r})"
+            )
+        extra = set(devices) - self._node_set
+        if extra:
+            raise ConfigurationError(
+                f"devices supplied for {len(extra)} vertices absent from the "
+                f"graph (e.g. {next(iter(extra))!r})"
+            )
         executed = 0
         for _ in range(max_slots):
             if all(d.halted for d in devices.values()):
@@ -374,9 +368,10 @@ class SlotEngineBase:
     def spawn_devices(
         self,
         factory: Callable[[Hashable, np.random.Generator], Device],
-        seed: SeedLike = None,
+        seed: Union[SeedLike, DeviceStreams] = None,
     ) -> Dict[Hashable, Device]:
-        """Instantiate one device per vertex with independent RNG streams."""
+        """Instantiate one device per vertex with independent RNG streams
+        (see :func:`spawn_device_map`)."""
         return spawn_device_map(list(self.graph.nodes), factory, seed)
 
     @property
@@ -391,7 +386,7 @@ class SlotEngineBase:
         """
         if self._dynamic is not None:
             return self._dynamic.max_degree_bound
-        return max((d for _, d in self.graph.degree), default=0)
+        return max(degrees(self.graph).values(), default=0)
 
 
 class RadioNetwork(SlotEngineBase):

@@ -238,18 +238,25 @@ def transmit_level(device: Any, action: Any, params: SinrParams) -> int:
     Per-action ``power`` (``Action.transmit(msg, power=...)``) wins over
     the device's standing :attr:`~repro.radio.device.Device.power_level`.
     Any integral level is accepted (numpy integers included, ``bool``
-    excluded) and returned as a Python ``int``.  The single implementation every executor tier (serial engines and
-    batched lanes) resolves levels with, so the per-slot validation can
-    never drift between them.
+    excluded) and returned as a Python ``int``.  The serial engines
+    resolve levels here and the batched lanes check their standing level
+    with :func:`check_power_level`, so the per-transmission validation
+    can never drift between them.
     """
     level = action.power
     if level is None:
         level = getattr(device, "power_level", 0)
+    return check_power_level(getattr(device, "vertex", None), level, params)
+
+
+def check_power_level(vertex: Any, level: Any, params: SinrParams) -> int:
+    """``level`` as a Python ``int`` if it is a rung of the ladder; a
+    :class:`~repro.errors.SimulationError` naming ``vertex`` otherwise."""
     if not isinstance(level, numbers.Integral) or isinstance(level, bool) or not (
         0 <= level < params.levels
     ):
         raise SimulationError(
-            f"device {device.vertex!r} selected transmit power level "
+            f"device {vertex!r} selected transmit power level "
             f"{level!r}; the ladder has levels 0..{params.levels - 1}"
         )
     return int(level)

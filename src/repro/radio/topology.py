@@ -23,7 +23,7 @@ diverse workloads by name (see :func:`register_scenario` /
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterator, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -31,6 +31,16 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..rng import SeedLike, make_rng
 from .sinr import GRID
+
+
+def degrees(graph: nx.Graph) -> Dict[Hashable, int]:
+    """Each vertex's degree as ``graph.degree`` counts it (a self-loop
+    counts twice), read from the adjacency.  networkx caches the
+    ``graph.degree`` view on the graph and the view points back at it,
+    so a graph whose ``degree`` was read is freed only by the cyclic
+    garbage collector, and a sweep can then hold the last cell's graph
+    while it builds the next."""
+    return {v: len(nbrs) + (v in nbrs) for v, nbrs in graph.adjacency()}
 
 
 def _relabel(graph: nx.Graph) -> nx.Graph:

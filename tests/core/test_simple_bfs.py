@@ -132,3 +132,33 @@ class TestDecayBFS:
         net = RadioNetwork(g)
         with pytest.raises(ConfigurationError):
             decay_bfs(net, 99, 5)
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_one_stream_holder_equals_an_eager_spawn_per_phase(self, engine):
+        """``decay_bfs`` derives phase ``p``'s device streams lazily from
+        one holder; that is byte-identical to handing the protocol
+        Generator to every phase, which spawns ``n`` children eagerly."""
+        from repro.core.simple_bfs import _settle, _wavefront_round
+        from repro.primitives.decay import run_decay_local_broadcast
+        from repro.radio import make_network
+        from repro.rng import make_rng
+
+        g = topology.scenario("grid", 36)
+        lazy_net = make_network(g, engine=engine)
+        lazy = decay_bfs(lazy_net, 0, 12, failure_probability=1e-2, seed=7)
+
+        eager_net = make_network(g, engine=engine)
+        rng = make_rng(7)
+        eager = {0: 0.0}
+        for d in range(12):
+            round_ = _wavefront_round(eager, d, g.nodes)
+            if round_ is None:
+                break
+            _settle(eager, run_decay_local_broadcast(
+                eager_net, *round_, failure_probability=1e-2, seed=rng))
+        assert rng.bit_generator.seed_seq.n_children_spawned == 36 * d
+        for v in g.nodes:
+            eager.setdefault(v, math.inf)
+        assert list(lazy.items()) == list(eager.items())
+        assert lazy_net.slot == eager_net.slot
+        assert lazy_net.ledger.snapshot() == eager_net.ledger.snapshot()

@@ -58,3 +58,31 @@ def test_invariant_sample_on_lb_tier_refused_before_the_store(
     assert "invariant_sample" in line and "'trivial_bfs'" in line
     assert not (tmp_path / "store").exists()
 
+
+
+@pytest.mark.parametrize("argv", [
+    ["list"],
+    ["run", "--topologies", "grid", "--algorithms", "trivial_bfs",
+     "--sizes", "16", "--seeds", "2", "--serial"],
+], ids=["list", "run"])
+def test_a_reader_that_closes_early_ends_the_command_quietly(argv):
+    """``python -m repro.experiments list | head -1``: the pipe closes
+    before the command has printed everything.  It exits 0 with nothing
+    on stderr, not with a ``BrokenPipeError`` traceback."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.experiments", *argv], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""

@@ -320,3 +320,49 @@ class TestValidateDocument:
         doc["results"][0]["timing"] = {"wall_time_s": "fast"}
         with pytest.raises(ConfigurationError, match="wall_time_s"):
             validate_document(doc)
+
+
+@pytest.mark.parametrize("topology, faults", [
+    ("geometric", None),
+    ("grid", "jam_hubs"),
+], ids=["serial", "batched"])
+def test_finished_runs_free_their_graphs_without_the_cycle_collector(
+    topology, faults, monkeypatch
+):
+    """A run must not leave its graph in a reference cycle: networkx
+    caches ``graph.degree`` (and ``number_of_edges`` reads it) as a view
+    that points back at the graph, and a cyclic graph outlives its run
+    until the next full collection, so a sweep holds two graphs at once.
+    The slot tier reads degrees and edge counts from the adjacency."""
+    import gc
+    import weakref
+
+    from repro.experiments import ExperimentSpec
+
+    refs = []
+    build = ExperimentSpec.build_graph
+
+    def tracked(self):
+        graph = build(self)
+        refs.append(weakref.ref(graph))
+        return graph
+
+    monkeypatch.setattr(ExperimentSpec, "build_graph", tracked)
+    specs = [
+        ExperimentSpec(topology=topology, n=24, algorithm="decay_bfs",
+                       seed=seed, fault_model=faults)
+        for seed in range(3)
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        results = run_specs(specs, parallel=False)
+        assert refs and all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+    from repro.radio.topology import degrees
+
+    graph = ExperimentSpec.build_graph(specs[0])
+    assert results.results[0].edges == graph.number_of_edges()
+    graph.add_edge(0, 0)
+    assert degrees(graph) == dict(graph.degree)

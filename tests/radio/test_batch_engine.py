@@ -32,6 +32,7 @@ from repro.radio import (
     make_network,
     topology,
 )
+from repro.radio.batch_engine import LaneSchedule
 from repro.radio.faults import named_fault_models
 from repro.radio.message import message_of_ints
 from repro.rng import make_rng, spawn_streams
@@ -156,16 +157,30 @@ def test_lanes_can_finish_at_different_depths():
     assert len(slots) > 1
 
 
-def test_population_validation_mirrors_serial_engines():
-    graph = topology.scenario("path", 6)
-    net = ReplicaBatchedNetwork(graph, 2)
-    devices = net.spawn_devices(lambda v, rng: __import__(
-        "repro.radio.device", fromlist=["Device"]).Device(v, rng))
-    incomplete = {v: d for v, d in devices.items() if v != 0}
-    with pytest.raises(ConfigurationError, match="missing"):
-        net.run_lockstep({0: incomplete}, max_slots=1)
+def _listener():
+    """A lane schedule with one receiver and no sender: it listens for
+    its whole budget."""
+    return LaneSchedule(transmits={}, messages={}, receivers=[0])
+
+
+def test_unknown_replica_lane_is_rejected():
+    net = ReplicaBatchedNetwork(topology.scenario("path", 6), 2)
     with pytest.raises(ConfigurationError, match="unknown replica"):
-        net.run_lockstep({5: devices}, max_slots=1)
+        net.run_lockstep({5: _listener()}, max_slots=1)
+    with pytest.raises(ConfigurationError, match="unknown replica"):
+        MegaBatchedNetwork([net]).run_lockstep({(0, -1): _listener()}, 1)
+    assert [lane.slot for lane in net.lanes] == [0, 0]
+
+
+def test_a_lane_without_participants_runs_no_slot():
+    """The serial stop rule: a round with no sender and no receiver is
+    over before its first slot, whatever its budget."""
+    net = ReplicaBatchedNetwork(topology.scenario("path", 6), 2)
+    empty = LaneSchedule(transmits={}, messages={}, receivers=[])
+    assert net.run_lockstep({0: empty, 1: _listener()}, 4) == {0: 0, 1: 4}
+    assert [lane.slot for lane in net.lanes] == [0, 4]
+    assert [lane.ledger.time_slots for lane in net.lanes] == [0, 4]
+    assert net.lane(1).ledger.snapshot() == {0: (0, 4, 0, 0)}
 
 
 def test_constructor_validation():
@@ -184,8 +199,6 @@ def test_constructor_validation():
 def test_lane_indices_take_numpy_ints_and_refuse_bools():
     """Lane keys and the replica count accept any integer type but
     ``bool``: ``True == 1`` would silently run (and report) lane 1."""
-    from repro.radio.device import Device
-
     graph = topology.scenario("path", 6)
     for replicas in (True, np.True_):
         with pytest.raises(ConfigurationError, match="not a bool") as info:
@@ -195,23 +208,20 @@ def test_lane_indices_take_numpy_ints_and_refuse_bools():
     assert type(net.replicas) is int and len(net.lanes) == 2
     mega = MegaBatchedNetwork([net])
 
-    def population():
-        return net.spawn_devices(lambda v, rng: Device(v, rng))
-
     for key in [(True, 0), (0, True), (0, np.True_)]:
         with pytest.raises(ConfigurationError, match="not a bool") as info:
-            mega.run_lockstep({key: population()}, 3)
+            mega.run_lockstep({key: _listener()}, 3)
         assert "\n" not in str(info.value)
     with pytest.raises(ConfigurationError, match="not a bool"):
-        net.run_lockstep({True: population()}, 3)
+        net.run_lockstep({True: _listener()}, 3)
     assert [lane.slot for lane in net.lanes] == [0, 0]
 
-    executed = mega.run_lockstep({(np.int64(0), np.int64(1)): population()},
+    executed = mega.run_lockstep({(np.int64(0), np.int64(1)): _listener()},
                                  np.int64(3))
     assert executed == {(0, 1): 3}
     assert all(type(i) is int for key in executed for i in key)
     assert [lane.slot for lane in net.lanes] == [0, 3]
-    executed = net.run_lockstep({np.int32(0): population()}, 2)
+    executed = net.run_lockstep({np.int32(0): _listener()}, 2)
     assert executed == {0: 2} and type(next(iter(executed))) is int
     assert [lane.slot for lane in net.lanes] == [2, 3]
 
@@ -310,22 +320,17 @@ def test_mega_lane_key_and_budget_validation():
         ReplicaBatchedNetwork(graph_a, 1),
         ReplicaBatchedNetwork(graph_b, 1),
     ])
-    from repro.radio.device import Device
-
-    populations = {
-        (m, 0): net.member(m).spawn_devices(lambda v, rng: Device(v, rng))
-        for m in range(2)
-    }
+    schedules = {(m, 0): _listener() for m in range(2)}
     with pytest.raises(ConfigurationError, match="missing a budget"):
-        net.run_lockstep(populations, max_slots={(0, 0): 4})
+        net.run_lockstep(schedules, max_slots={(0, 0): 4})
     with pytest.raises(ConfigurationError, match="unknown member"):
-        net.run_lockstep({(7, 0): populations[(0, 0)]}, max_slots=1)
+        net.run_lockstep({(7, 0): _listener()}, max_slots=1)
     with pytest.raises(ConfigurationError, match="int pairs"):
-        net.run_lockstep({"lane0": populations[(0, 0)]}, max_slots=1)
+        net.run_lockstep({"lane0": _listener()}, max_slots=1)
     with pytest.raises(ConfigurationError, match="at least one member"):
         MegaBatchedNetwork([])
     # Heterogeneous budgets: lanes retire at their own limits.
-    executed = net.run_lockstep(populations,
+    executed = net.run_lockstep(schedules,
                                 max_slots={(0, 0): 3, (1, 0): 5})
     assert executed == {(0, 0): 3, (1, 0): 5}
 
@@ -399,12 +404,8 @@ def test_mega_bfs_missing_member_sources_is_a_configuration_error():
 
 
 def test_mega_lockstep_rejects_a_bool_budget():
-    from repro.radio.device import Device
-
     net = MegaBatchedNetwork([
         ReplicaBatchedNetwork(topology.scenario("path", 6), 1)])
-    populations = {(0, 0): net.member(0).spawn_devices(
-        lambda v, rng: Device(v, rng))}
     with pytest.raises(ConfigurationError, match="max_slots") as info:
-        net.run_lockstep(populations, max_slots=True)
+        net.run_lockstep({(0, 0): _listener()}, max_slots=True)
     assert "\n" not in str(info.value)

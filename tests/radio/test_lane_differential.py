@@ -1,14 +1,14 @@
-"""Differential: randomized raw devices on the batched lane path.
+"""Differential: randomized raw devices on the two serial engines.
 
 Decay devices stop listening at their first reception, so the Decay
-equivalence suites never drive a batched lane through long, mixed
-feedback sequences.  Here randomized devices (each slot: transmit at a
-random power level, listen, or idle) run on a two-member
-:class:`MegaBatchedNetwork` whose members have different topologies,
-under every collision model and three fault presets.  Every lane must
-equal the same seeds run alone on the serial fast and reference
-engines: per-device feedback logs, ledger snapshots, fault counters and
-slot counts.
+equivalence suites never drive an engine through long, mixed feedback
+sequences.  Here randomized devices (each slot: transmit at a random
+power level, listen, or idle) run on two topologies under every
+collision model and three fault presets, and the fast engine's
+:class:`~repro.radio.fast_engine.SlotLane` must equal the reference
+engine: per-device feedback logs, ledger snapshots, fault counters and
+slot counts.  (Batched lanes run Decay rounds as arrays, not devices;
+``tests/radio/test_decay_lanes.py`` pins them against both engines.)
 
 The serial engines are also stepped one :meth:`step` at a time, with
 the ledger, fault counters and trace compared after every slot, so
@@ -24,10 +24,7 @@ from repro.radio import (
     Action,
     CollisionModel,
     Device,
-    EnergyLedger,
     EventTrace,
-    MegaBatchedNetwork,
-    ReplicaBatchedNetwork,
     make_network,
     message_of_ints,
     topology,
@@ -44,8 +41,8 @@ PRESETS = {
 }
 HORIZON = 24
 LEVELS = len(SinrParams().power_levels)
-#: (family, n, per-lane slot budget) per member.  The second member's
-#: budget ends its lanes before their devices halt.
+#: (family, n, slot budget) per topology.  The second budget ends the
+#: run before the devices halt.
 MEMBERS = (("geometric", 30, HORIZON + 1), ("grid", 25, 17))
 REPLICAS = 2
 
@@ -106,46 +103,24 @@ def _serial(engine, model, faults, member, replica):
     return _outcome(executed, devices, net.slot, net.ledger, net.fault_counters)
 
 
-def _batched(model, faults):
-    members, populations, budgets = [], {}, {}
-    for m in range(len(MEMBERS)):
-        seeds = [_lane_seeds(m, r) for r in range(REPLICAS)]
-        member = ReplicaBatchedNetwork(
-            _graph(m), REPLICAS, collision_model=model,
-            ledgers=[EnergyLedger() for _ in seeds], faults=faults,
-            fault_seeds=[fault_seed for _, fault_seed in seeds],
-        )
-        members.append(member)
-        for r, (device_seed, _) in enumerate(seeds):
-            populations[(m, r)] = member.spawn_devices(
-                _FuzzDevice, seed=device_seed
-            )
-            budgets[(m, r)] = MEMBERS[m][2]
-    net = MegaBatchedNetwork(members)
-    executed = net.run_lockstep(populations, max_slots=budgets)
-    return {
-        key: _outcome(executed[key], devices, net.lane(key).slot,
-                      net.lane(key).ledger, net.lane(key).fault_counters)
-        for key, devices in populations.items()
-    }
-
-
 @pytest.mark.parametrize("preset", PRESETS)
 @pytest.mark.parametrize("model", MODELS, ids=[m.value for m in MODELS])
-def test_mega_lanes_match_serial_engines(model, preset):
-    """Every lane of a heterogeneous mega batch equals both serial engines."""
+def test_serial_engines_match_on_every_seed(model, preset):
+    """Both topologies, two device/fault seed pairs each: the fast
+    engine equals the reference engine over the whole run."""
     faults = named_fault_models()[preset]
-    batched = _batched(model, faults)
-    for (m, r), lane in sorted(batched.items()):
-        fast = _serial("fast", model, faults, m, r)
-        reference = _serial("reference", model, faults, m, r)
-        assert lane == fast == reference, (m, r)
-    for *_, counters in batched.values():
+    runs = {
+        (m, r): _serial("fast", model, faults, m, r)
+        for m in range(len(MEMBERS)) for r in range(REPLICAS)
+    }
+    for (m, r), fast in sorted(runs.items()):
+        assert fast == _serial("reference", model, faults, m, r), (m, r)
+    for *_, counters in runs.values():
         assert all(counters[name] > 0 for name in PRESETS[preset]), counters
     # The fuzz populations reach every feedback path the model has.
     feedback = {
         entry[1]
-        for _, logs, *_ in batched.values()
+        for _, logs, *_ in runs.values()
         for log in logs.values()
         for entry in log
     }

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.rng import exponential, geometric_decay_slot, make_rng, spawn_streams
+from repro.rng import (
+    DeviceStreams,
+    LazyGenerator,
+    device_streams,
+    exponential,
+    geometric_decay_slot,
+    make_rng,
+    spawn_streams,
+)
 
 
 class TestMakeRng:
@@ -88,3 +96,119 @@ class TestGeometricDecaySlot:
     def test_invalid_max_slot(self):
         with pytest.raises(ValueError):
             geometric_decay_slot(make_rng(0), 0)
+
+
+class TestDecaySenderSlots:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("max_degree, f", [(1, 0.5), (9, 1e-5), (300, 1e-12)])
+    def test_vector_draw_equals_the_scalar_loop_and_ends_at_the_same_position(
+        self, seed, max_degree, f
+    ):
+        """NumPy does not document that ``geometric(p, size=k)`` draws
+        like ``k`` scalar calls; Decay's sender schedules rely on it."""
+        from repro.primitives.decay import DecayParameters
+
+        params = DecayParameters.for_network(max_degree, f)
+        vector_rng, scalar_rng = make_rng(seed), make_rng(seed)
+        got = params.sender_slots(vector_rng)
+        want = [it * params.window + geometric_decay_slot(scalar_rng, params.window) - 1
+                for it in range(params.iterations)]
+        assert got == want
+        assert (vector_rng.bit_generator.state
+                == scalar_rng.bit_generator.state)
+
+
+def _state(rng):
+    return rng.bit_generator.state
+
+
+class TestDeviceStreams:
+    @pytest.mark.parametrize("seed", [0, 12345, [3, 1, 4]])
+    def test_children_equal_eager_spawn_across_blocks(self, seed):
+        """Child ``k`` is the ``k``-th child ``SeedSequence.spawn`` gives,
+        whatever the block it was reserved in."""
+        streams = DeviceStreams(np.random.default_rng(seed))
+        eager = np.random.default_rng(seed).bit_generator.seed_seq.spawn(23)
+        bases = [streams.reserve(size) for size in (5, 0, 11, 7)]
+        assert bases == [0, 5, 5, 16]
+        for k in (0, 4, 5, 15, 16, 22):
+            assert _state(streams.generator(k)) == _state(
+                np.random.default_rng(eager[k]))
+
+    def test_starts_where_the_seed_counter_stood(self):
+        rng = make_rng(8)
+        first = spawn_streams(rng, 3)
+        streams = DeviceStreams(rng)
+        assert streams.reserve(2) == 3
+        after = spawn_streams(make_rng(8), 5)[3:]
+        assert [_state(streams.generator(3 + i)) for i in range(2)] == [
+            _state(g) for g in after]
+        assert len(first) == 3
+
+    def test_negative_reserve_rejected(self):
+        with pytest.raises(ConfigurationError):
+            DeviceStreams(0).reserve(-1)
+
+    def test_holder_does_not_advance_the_seed_counter(self):
+        rng = make_rng(2)
+        DeviceStreams(rng).reserve(10)
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
+
+    def test_a_callers_generator_keeps_eager_derivation(self):
+        """A Generator handed to ``device_streams`` directly (as
+        ``run_decay_local_broadcast``'s ``seed``, say) has its counter
+        advanced, so spawning from it again continues past the block,
+        exactly as the eager spawn did."""
+        rng = make_rng(4)
+        streams, base = device_streams(rng, 6)
+        assert base == 0
+        assert rng.bit_generator.seed_seq.n_children_spawned == 6
+        streams2, base2 = device_streams(rng, 6)
+        assert base2 == 6
+        eager = spawn_streams(make_rng(4), 12)
+        assert _state(streams.generator(5)) == _state(eager[5])
+        assert _state(streams2.generator(base2 + 1)) == _state(eager[7])
+        # An int seed owns its Generator, so nothing is spawned eagerly.
+        holder = DeviceStreams(4)
+        assert device_streams(holder, 3) == (holder, 0)
+
+
+class TestLazyGenerator:
+    def test_builds_on_first_use_and_forwards(self, monkeypatch):
+        built = []
+        generator = DeviceStreams.generator
+        monkeypatch.setattr(DeviceStreams, "generator",
+                            lambda self, k: built.append(k) or generator(self, k))
+        lazy = LazyGenerator(DeviceStreams(5), 2)
+        assert built == []
+        eager = spawn_streams(make_rng(5), 3)[2]
+        assert lazy.random() == eager.random()
+        assert lazy.integers(100) == eager.integers(100)
+        assert built == [2]
+
+    def test_copies_and_pickles_draw_like_the_original(self):
+        import copy
+        import pickle
+
+        for clone in (copy.copy, lambda g: pickle.loads(pickle.dumps(g))):
+            lazy = LazyGenerator(DeviceStreams(6), 1)
+            assert clone(lazy).random() == lazy.random()
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_a_device_that_never_draws_builds_no_generator(self, engine,
+                                                           monkeypatch):
+        """A Decay round through ``spawn_device_map`` on a 16-vertex grid:
+        only the sender draws, so only vertex 0's stream is built."""
+        from repro.primitives.decay import run_decay_local_broadcast
+        from repro.radio import make_network, message_of_ints, topology
+
+        built = []
+        generator = DeviceStreams.generator
+        monkeypatch.setattr(DeviceStreams, "generator",
+                            lambda self, k: built.append(k) or generator(self, k))
+        net = make_network(topology.scenario("grid", 16), engine=engine)
+        streams = DeviceStreams(3)
+        streams.reserve(32)
+        run_decay_local_broadcast(
+            net, {0: message_of_ints(0, 0)}, [1, 4], seed=streams)
+        assert built == [32]
