@@ -17,13 +17,11 @@ The one harness driving every scenario cell in the repo::
                        "mpx_clustering"], sizes=64, seeds=2)
     print(sweep.table())
 
-Seed sweeps over batch-capable cells (``decay_bfs`` on a
-seed-deterministic topology with the ``"fast"`` engine) are fused into
-**replica-batched** engine runs automatically — R seeds advance in
-lockstep over one compiled topology, one fused gather per slot, on the
-same executor as mega batching — without changing a single result
-byte (``policy=ExecutionPolicy(batch_replicas=1)`` opts out; see
-EXPERIMENTS.md and ARCHITECTURE.md).
+Every static ``decay_bfs`` spec on the ``"fast"`` engine runs on the
+array lanes, and adjacent such cells are fused automatically — their
+seeds advance in lockstep, one fused gather per slot — without changing
+a single result byte (``policy=ExecutionPolicy(batch_replicas=1)``
+runs one lane per unit; see EXPERIMENTS.md and ARCHITECTURE.md).
 
 Sweeps too big for one host shard across a fleet with no coordinator:
 :mod:`repro.experiments.fabric` assigns grid cells to workers by

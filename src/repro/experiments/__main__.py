@@ -391,8 +391,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_list() -> int:
     """Print every registered name on the CLI surface.
 
-    Topologies are annotated with ``*`` when seed-deterministic (the
-    precondition for replica batching), algorithms with ``*`` when
+    Topologies are annotated with ``*`` when seed-deterministic (their
+    seeds share one graph), algorithms with ``*`` when
     their lanes fuse in batched runs (``decay_bfs`` only); fault presets
     are expanded to their layer stacks so ``--fault-model`` values are
     discoverable without reading source.
@@ -404,7 +404,7 @@ def _cmd_list() -> int:
         starred(name, scenario_is_deterministic(name))
         for name in scenario_names()
     ))
-    print("                  (* = seed-deterministic: batch-eligible)")
+    print("                  (* = seed-deterministic)")
     print("algorithms:      ", ", ".join(
         starred(name, name == "decay_bfs") for name in algorithm_names()
     ))

@@ -301,11 +301,13 @@ def _run_decay_bfs(ctx: RunContext) -> Dict[str, Any]:
 def _run_decay_bfs_lanes(
     members: Sequence[Sequence[RunContext]],
 ) -> List[List[Tuple[Dict[str, Any], FaultCounters]]]:
-    """Lane-fused ``decay_bfs``: one or more cells, one gather per slot.
+    """Lane-fused ``decay_bfs``: one lane or many, one gather per slot.
 
-    ``members[m]`` holds member cell ``m``'s replica contexts: one
-    shared topology (only seed-deterministic families batch), each
-    replica with its own ledger and derived streams.  Builds one
+    The production runner of every static fast ``decay_bfs`` spec,
+    alone or fused.  ``members[m]`` holds member ``m``'s replica
+    contexts: one shared graph (the seeds of a seed-deterministic cell,
+    or one seed of a stochastic family), each replica with its own
+    ledger and derived streams.  Builds one
     :class:`~repro.radio.batch_engine.ReplicaBatchedNetwork` per member
     (each lane wired to its context's ledger and slot fault stream),
     fuses them into one
@@ -313,8 +315,8 @@ def _run_decay_bfs_lanes(
     :func:`repro.core.simple_bfs.decay_bfs_mega`; every member keeps
     its own sources, depth budget, failure probability, and Decay
     parameters.  Returns, per member and replica, the payload and the
-    lane's fault counters, each byte-identical to the replica's serial
-    run.
+    lane's fault counters, each byte-identical to the replica's run of
+    :func:`_run_decay_bfs` on the serial device engine.
     """
     member_nets = []
     for group in members:

@@ -84,9 +84,12 @@ def run_experiment(
     Deterministic: the topology, the network wiring, and the algorithm
     each consume their own stream derived from ``spec.seed``, so the
     same spec yields an identical ``RunResult`` (up to wall time) in
-    any process, on any engine tier with equivalent semantics.
+    any process, on any engine tier with equivalent semantics.  A
+    batchable spec (see :func:`spec_is_batchable`) runs as a one-lane
+    :func:`run_experiment_mega`; every other spec runs its registered
+    adapter, which builds the spec's serial engine when it needs slots.
     ``invariant_sample`` (a positive int) checks the online safety
-    invariants every that many slots of the run's slot engine; the
+    invariants every that many slots of the run's serial engine; the
     result then carries the v3 ``invariants`` block.  ``wall_time_s``
     is the whole call, graph build and engine construction included.
     """
@@ -95,12 +98,31 @@ def run_experiment(
         invariant_sample, "invariant_sample"
     )
     check_invariant_sample([spec], invariant_sample)
-    graph = spec.build_graph()
-    ctx = RunContext(spec=spec, graph=graph, ledger=EnergyLedger(),
-                     invariant_sample=invariant_sample)
+    if invariant_sample is None and spec_is_batchable(spec):
+        return run_experiment_mega([spec])[0]
+    return _run_adapter(spec, invariant_sample, start)[0]
+
+
+def _run_adapter(
+    spec: ExperimentSpec,
+    invariant_sample: Optional[int] = None,
+    start: Optional[float] = None,
+) -> Tuple[RunResult, RunContext]:
+    """Run ``spec``'s registered adapter on a fresh graph and context.
+
+    An adapter that needs slots builds the spec's serial engine
+    (``ctx.network()``), never the array lanes, so this is also the
+    serial oracle the byte-identity tests compare lanes against.  The
+    run's context is returned with its result.  ``start`` is the
+    ``time.perf_counter()`` the wall time counts from (default: now).
+    """
+    if start is None:
+        start = time.perf_counter()
+    ctx = RunContext(spec=spec, graph=spec.build_graph(),
+                     ledger=EnergyLedger(), invariant_sample=invariant_sample)
     output = get_algorithm(spec.algorithm)(ctx)
     wall = time.perf_counter() - start
-    return _assemble_result(spec, ctx, output, ctx.fault_totals(), wall)
+    return _assemble_result(spec, ctx, output, ctx.fault_totals(), wall), ctx
 
 
 def _assemble_result(
@@ -153,30 +175,26 @@ def _group_signature(spec: ExperimentSpec) -> str:
 
 
 def spec_is_batchable(spec: ExperimentSpec) -> bool:
-    """Whether this cell may share a lane-batched engine run.
+    """Whether this spec runs on the array lanes (alone or fused).
 
-    Four conditions, each load-bearing:
+    Three conditions, each load-bearing:
 
     - the algorithm has a lane-fused runner in
       :data:`~repro.experiments.registry.LANE_RUNNERS` (only
       ``decay_bfs``; the LB-tier algorithms never touch a slot engine);
-    - the topology family is seed-deterministic
-      (:func:`~repro.radio.topology.scenario_is_deterministic`), so all
-      seeds of the cell genuinely share one graph — stochastic families
-      build a different topology per seed and always run per-seed;
     - the spec selects the ``"fast"`` engine: a ``"reference"`` spec is
       an explicit request for the audit-grade serial executor, which
       batching would silently override (results would be identical —
       the engines are bit-equivalent — but the request is honored);
     - the spec is static: a dynamic-membership run patches its engine's
       compiled topology slot by slot, which the shared-CSR batched
-      engine cannot replay per-lane, so churn cells always run per-seed.
+      engine cannot replay per-lane, so churn cells always run on the
+      serial engine.
     """
     return (
         spec.engine == "fast"
         and spec.dynamic is None
         and spec.algorithm in LANE_RUNNERS
-        and scenario_is_deterministic(spec.topology)
     )
 
 
@@ -194,60 +212,61 @@ def run_experiment_batch(specs: Sequence[ExperimentSpec]) -> List[RunResult]:
 
 
 def run_experiment_mega(specs: Sequence[ExperimentSpec]) -> List[RunResult]:
-    """Execute one or more cells in one fused engine run.
+    """Execute one or more batchable specs in one fused engine run.
 
-    ``specs`` is a concatenation of replica groups — adjacent specs
-    equal up to seed form one member cell; consecutive members may
-    differ in topology, size, parameters, and channel, but every cell
-    must be batchable (see :func:`spec_is_batchable`).
-    A replica batch of one cell is the one-member case.  All members'
-    lanes advance on one fused gather per slot
-    (:class:`~repro.radio.batch_engine.MegaBatchedNetwork`).  Returns
-    one :class:`RunResult` per spec, in order, each **byte-identical**
-    (timing aside) to its :func:`run_experiment` run — batching changes
-    wall-clock cost, never results, so stores, hashes, and resume
-    semantics are untouched.  Each result's ``wall_time_s`` is the
-    whole call's time divided by the number of specs.  A single spec
-    runs on its serial engine.
+    ``specs`` is a concatenation of cells — adjacent specs equal up to
+    seed form one cell; consecutive cells may differ in topology, size,
+    parameters, and channel, but every cell must be batchable (see
+    :func:`spec_is_batchable`).  The seeds of a seed-deterministic
+    family share one graph as one member; each seed of a stochastic
+    family is a member of its own, with its own graph.  A lone spec is
+    a one-lane run.  All members' lanes advance on one fused gather per
+    slot (:class:`~repro.radio.batch_engine.MegaBatchedNetwork`).
+    Returns one :class:`RunResult` per spec, in order, each
+    **byte-identical** (timing aside) to its run on the serial device
+    engine — batching changes wall-clock cost, never results, so
+    stores, hashes, and resume semantics are untouched.  Each result's
+    ``wall_time_s`` is the whole call's time divided by the number of
+    specs.
     """
     start = time.perf_counter()
     spec_list = list(specs)
     if not spec_list:
         return []
-    if len(spec_list) == 1:
-        return [run_experiment(spec_list[0])]
-    groups = [
-        list(group)
-        for _, group in itertools.groupby(spec_list, key=_group_signature)
-    ]
     algorithms = {spec.algorithm for spec in spec_list}
     if len(algorithms) != 1:
         raise ConfigurationError(
             f"run_experiment_mega needs one algorithm across all member "
             f"cells; got {sorted(algorithms)}"
         )
-    for group in groups:
-        if not spec_is_batchable(group[0]):
+    members: List[List[ExperimentSpec]] = []
+    for _, group in itertools.groupby(spec_list, key=_group_signature):
+        cell = list(group)
+        if not spec_is_batchable(cell[0]):
             raise ConfigurationError(
-                f"cell (topology={group[0].topology!r}, algorithm="
-                f"{group[0].algorithm!r}, engine={group[0].engine!r}) is "
-                f"not batchable: needs decay_bfs, a static "
-                f"seed-deterministic topology, and the 'fast' engine"
+                f"cell (topology={cell[0].topology!r}, algorithm="
+                f"{cell[0].algorithm!r}, engine={cell[0].engine!r}) is "
+                f"not batchable: needs decay_bfs, a static topology, and "
+                f"the 'fast' engine"
             )
+        if scenario_is_deterministic(cell[0].topology):
+            members.append(cell)
+        else:
+            members.extend([spec] for spec in cell)
     member_contexts: List[List[RunContext]] = []
-    for group in groups:
-        graph = group[0].build_graph()  # seed-independent within the group
+    for member in members:
+        graph = member[0].build_graph()  # seed-independent within a member
         member_contexts.append([
             RunContext(spec=spec, graph=graph, ledger=EnergyLedger())
-            for spec in group
+            for spec in member
         ])
     outputs = LANE_RUNNERS[spec_list[0].algorithm](member_contexts)
     wall_each = (time.perf_counter() - start) / len(spec_list)
     results: List[RunResult] = []
-    for group, contexts, member_out in zip(groups, member_contexts, outputs):
-        for spec, ctx, (output, faults) in zip(group, contexts, member_out):
+    for contexts, member_out in zip(member_contexts, outputs):
+        for ctx, (output, faults) in zip(contexts, member_out):
             results.append(
-                _assemble_result(spec, ctx, output, faults, wall_each)
+                _assemble_result(ctx.spec, ctx, output, faults, wall_each)
             )
     return results
 
@@ -284,6 +303,17 @@ def _coerce_policy(
     return ExecutionPolicy.from_dict(policy)
 
 
+def _unit_cell_key(spec: ExperimentSpec) -> Optional[Tuple[str, Optional[int]]]:
+    """What :func:`_plan_units` fills and caps as one cell: a batchable
+    spec's cell, split by seed when its family builds a graph per seed
+    (each seed is then a member with its own graph, so the device cap
+    counts it alone); ``None`` for a spec that is never fused."""
+    if not spec_is_batchable(spec):
+        return None
+    seed = None if scenario_is_deterministic(spec.topology) else spec.seed
+    return _group_signature(spec), seed
+
+
 def _plan_units(
     specs: Sequence[ExperimentSpec],
     policy: ExecutionPolicy,
@@ -296,11 +326,12 @@ def _plan_units(
     axis) fill units of at most ``policy.batch_replicas`` lanes
     (default :data:`DEFAULT_BATCH_REPLICAS`; ``share`` lowers it on a
     pool), and a whole next cell joins the open unit while it stays
-    within that cap and :data:`UNIT_MAX_DEVICES` devices.  Every other
-    spec is a singleton, and so is every spec when the cap is 1 (the
-    per-seed reference) or under ``invariant_sample``: the online
-    checker hooks the serial engine's slot loop, which the shared-CSR
-    batched engine bypasses.
+    within that cap and :data:`UNIT_MAX_DEVICES` devices.  Each seed
+    of a stochastic family counts as a cell of its own, since it builds
+    its own graph: small ones fuse under the device cap, and a large
+    one gets a one-lane unit.  Every other spec is a singleton, and so is every spec when the cap is 1 (one
+    lane per unit) or under ``invariant_sample``: the online checker
+    hooks the serial engine's slot loop, which the array lanes bypass.
     Concatenating the units yields the input order unchanged, so
     downstream result assembly (and the store's shard append order) is
     independent of batching.
@@ -312,10 +343,7 @@ def _plan_units(
         limit = 1
     units: List[ExecutionUnit] = []
     unit: List[ExperimentSpec] = []
-    for key, group in itertools.groupby(
-        specs,
-        key=lambda s: _group_signature(s) if spec_is_batchable(s) else None,
-    ):
+    for key, group in itertools.groupby(specs, key=_unit_cell_key):
         cell = list(group)
         if unit and (key is None or len(unit) + len(cell) > limit
                      or sum(s.n for s in unit + cell) > UNIT_MAX_DEVICES):
@@ -571,19 +599,19 @@ def run_specs(
     ``policy`` — an :class:`~repro.experiments.spec.ExecutionPolicy`
     or its ``to_dict`` mapping; ``None`` keeps every default — is the
     one statement of how the specs run.  Adjacent batchable specs —
-    ``decay_bfs`` on the ``"fast"`` engine over a static,
-    seed-deterministic topology (see :func:`spec_is_batchable`) — fuse
-    into lane-batched engine runs (:func:`run_experiment_mega`): the
-    planner packs small cells together up to ``policy.batch_replicas``
-    lanes and a device cap, gives larger cells a unit each, and on a
-    pool keeps about one unit per worker (:func:`_plan_units`;
-    ``policy.batch_replicas=1`` runs every spec alone).  With
+    ``decay_bfs`` on the ``"fast"`` engine over a static topology (see
+    :func:`spec_is_batchable`) — fuse into lane-batched engine runs
+    (:func:`run_experiment_mega`): the planner packs small cells
+    together up to ``policy.batch_replicas`` lanes and a device cap,
+    gives larger cells a unit each, and on a pool keeps about one unit
+    per worker (:func:`_plan_units`; ``policy.batch_replicas=1`` runs
+    every spec as a one-lane unit).  With
     ``invariant_sample``, every spec runs alone on its serial engine
     under the online invariant checker, in-process or pooled alike, and
     carries the v3 ``invariants`` block; a spec whose algorithm drives
     no slot engine is refused before anything runs.
     Batching never changes results: every cell's ``RunResult`` is
-    byte-identical (timing aside) to its per-seed execution, so result
+    byte-identical (timing aside) to its serial device-engine run, so result
     order, store contents, hashes, and resume semantics are unaffected.
 
     Parallel execution uses a ``ProcessPoolExecutor`` (one task per
@@ -657,7 +685,7 @@ def _chunk_units(units: List[ExecutionUnit], chunk: int) -> Iterator[List[Execut
     Units never split (a replica batch is one engine run), so a chunk
     closes at the first unit boundary at or past the target size —
     checkpoint granularity under batching is therefore approximate, but
-    the *sequence* of results across chunks matches per-seed execution
+    the *sequence* of results across chunks matches one-spec units
     exactly.
     """
     batch: List[ExecutionUnit] = []

@@ -167,7 +167,7 @@ class ExecutionPolicy:
     batch_replicas:
         Cap on the lanes of one fused execution unit (``None`` defers
         to the runner default; a pool lowers it so every worker gets a
-        share; ``1`` runs every spec alone, the per-seed reference).
+        share; ``1`` runs every spec as a one-lane unit).
         Lower it for smaller units, which also bounds what a crash
         loses below a store's ``chunk_size``.
     invariant_sample:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import (
+    Container,
     Dict,
     Hashable,
     Iterable,
@@ -38,6 +39,7 @@ from typing import (
 import networkx as nx
 import numpy as np
 
+from ..errors import ConfigurationError
 from ..radio.batch_engine import (
     LaneSchedule,
     MegaBatchedNetwork,
@@ -164,10 +166,23 @@ class _SleepingDevice(Device):
 
 
 def _round_receivers(
-    messages: Mapping[Hashable, Message], receivers: Iterable[Hashable]
+    messages: Mapping[Hashable, Message],
+    receivers: Iterable[Hashable],
+    vertices: Container[Hashable],
 ) -> Set[Hashable]:
-    """The receiver set of one round; senders and receivers must be disjoint."""
+    """The receiver set of one round.
+
+    Every sender and receiver must be one of ``vertices``, checked
+    before any slot runs or any energy is charged; senders and
+    receivers must be disjoint.
+    """
     receiver_set = set(receivers)
+    for role, members in (("sender", messages), ("receiver", receiver_set)):
+        for v in members:
+            if v not in vertices:
+                raise ConfigurationError(
+                    f"Decay {role} {v!r} is not a vertex of the network"
+                )
     overlap = set(messages) & receiver_set
     if overlap:
         raise ValueError(f"senders and receivers must be disjoint; overlap={overlap}")
@@ -196,7 +211,7 @@ def run_decay_local_broadcast(
     Senders and receivers must be disjoint; all other vertices sleep.
     """
     network = coerce_network(network, engine)
-    receiver_set = _round_receivers(messages, receivers)
+    receiver_set = _round_receivers(messages, receivers, network.graph)
     params = DecayParameters.for_network(network.max_degree, failure_probability)
     start = network.slot
 
@@ -252,7 +267,7 @@ def _lane_schedule(
     streams, base = device_streams(seed, len(index))
     transmits: Dict[int, List[int]] = {}
     sender_messages: Dict[int, Message] = {}
-    for i, v in sorted((index[v], v) for v in messages if v in index):
+    for i, v in sorted((index[v], v) for v in messages):
         sender_messages[i] = messages[v]
         for offset in params.sender_slots(streams.generator(base + i)):
             transmits.setdefault(offset, []).append(i)
@@ -313,7 +328,7 @@ def run_decay_local_broadcast_mega(
             )
         params = params_by_member[member_index]
         messages, receivers = rounds[key]
-        receiver_set = _round_receivers(messages, receivers)
+        receiver_set = _round_receivers(messages, receivers, member.index)
         power = (
             tx_power.get(member_index, 0)
             if isinstance(tx_power, Mapping)

@@ -32,6 +32,7 @@ from ..errors import ConfigurationError
 from ..radio.energy import EnergyLedger
 from ..radio.faults import FaultCounters, FaultModel, FaultRuntime
 from ..radio.network import validate_topology
+from ..radio.topology import degrees
 from ..rng import SeedLike, make_rng
 
 
@@ -188,7 +189,7 @@ class PhysicalLBGraph(LBGraph):
         return self._vertices
 
     def degree_bound(self) -> int:
-        return max((d for _, d in self.graph.degree), default=0)
+        return max(degrees(self.graph).values(), default=0)
 
     def neighbors(self, v: Hashable) -> List[Hashable]:
         """Adjacency access for ground-truth checks (not used by devices)."""

@@ -1,10 +1,12 @@
-"""Lane-batched slot execution: many seeds, many cells, one gather.
+"""Lane-batched slot execution: one lane or many seeds and cells, one gather.
 
-The dominant workload of this repo is sweeps over many seeds of the
-*same* (topology, algorithm, faults) cell — every result in the paper
-is a statement about distributions over random coin flips.  The
-single-replica engines pay one topology build, one CSR compile, and one
-counts/codes gather per slot **per seed**.  Two classes amortize that:
+Every static ``decay_bfs`` spec on the fast engine runs here, alone
+(one lane) or fused with others.  The dominant workload of this repo is
+sweeps over many seeds of the *same* (topology, algorithm, faults) cell
+— every result in the paper is a statement about distributions over
+random coin flips — and running them as lanes pays one topology build,
+one CSR compile, and one counts/codes gather per slot for all of them.
+Two classes hold that:
 
 - :class:`ReplicaBatchedNetwork` is the per-cell state of ``R``
   independent replica lanes of one topology: the topology is compiled
@@ -28,9 +30,9 @@ is fixed by its geometric draws before the round starts, and a receiver
 listens until its first reception, so per slot a lane's transmitters
 are its scheduled senders that are not dead and its listeners are the
 receivers that have not yet heard and are not dead.  The device-callback
-loop (:class:`~repro.radio.fast_engine.SlotLane`) serves only the
-serial :class:`~repro.radio.fast_engine.FastRadioNetwork`; the two
-serial engines are the oracle the lanes are pinned against
+loop lives only in the serial engines
+(:meth:`~repro.radio.fast_engine.FastRadioNetwork.step` and the
+reference one), which are the oracle the lanes are pinned against
 (``tests/radio/test_decay_lanes.py``).
 
 Bit-identity contract

@@ -21,14 +21,14 @@ with the same seed produces bit-for-bit identical slot counts, energy
 ledgers, and event traces on either engine — a guarantee enforced by
 ``tests/radio/test_engine_equivalence.py``.
 
-That control path lives in :class:`SlotLane`: a slot is ``collect``
-(step the devices, apply the fault plan, stage transmitters and
-listeners), a ledger charge, channel resolution into the lane, and
-``dispatch`` (deliver receptions).  The batched tier
+The batched tier
 (:class:`~repro.radio.batch_engine.MegaBatchedNetwork`) runs no devices:
-its lanes are Decay rounds as arrays, pinned against this engine and
-the reference one.  The counts/codes arithmetic itself is the one
-integer CSR gather of :mod:`repro.radio.kernels`
+its lanes are Decay rounds as arrays, and every static fast
+``decay_bfs`` spec runs there.  This engine keeps the device loop for
+the runs lanes cannot do (dynamic topologies, the online invariant
+checker, library callers) and, with the reference engine, is the
+oracle the lanes are pinned against.  The counts/codes arithmetic
+itself is the one integer CSR gather of :mod:`repro.radio.kernels`
 (:func:`~repro.radio.kernels.base.counts_codes_blocks`), so every tier
 computes the same bytes for the same lane.
 """
@@ -39,7 +39,6 @@ from typing import (
     Dict,
     FrozenSet,
     Hashable,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -57,7 +56,7 @@ from .channel import CollisionModel, Feedback, Reception
 from .device import ActionKind, Device
 from .dynamic import DynamicTopology, TopologyPatch
 from .energy import EnergyLedger
-from .faults import FaultCounters, FaultModel, SlotFaultPlan
+from .faults import FaultModel
 from .kernels import CSRAdjacency, counts_codes_blocks
 from .kernels.sinr_csr import SinrCsr, sinr_arbitrate
 from .message import Message, MessageSizePolicy
@@ -119,145 +118,6 @@ class CompiledTopology:
             self.adjacency = self.adjacency.with_row_updates(updates)
 
 
-class SlotLane:
-    """One lane's slot, staged between device callbacks and the channel.
-
-    The per-slot device loop of the serial :class:`FastRadioNetwork`.
-    A slot is three calls: :meth:`collect` steps the devices and stages
-    the live transmitters and listeners; the caller charges the staged
-    energy, resolves the channel into :attr:`resolved` when
-    :attr:`needs_channel`, and :meth:`dispatch` delivers the receptions.
-    """
-
-    __slots__ = ("msgs", "tx_idx", "tx_levels", "tx_vertices", "tx_costs",
-                 "listen_idx", "listen_vertices", "listen_devices", "jammed",
-                 "resolved")
-
-    def __init__(self, n: int) -> None:
-        # Message staging by vertex index, reused across slots.
-        self.msgs: List[Optional[Message]] = [None] * n
-        # The channel outcome for this slot: (counts, codes) for the
-        # binary models, (counts, codes, deliver) under SINR.
-        self.resolved: Optional[Tuple[np.ndarray, ...]] = None
-
-    @property
-    def needs_channel(self) -> bool:
-        """Whether this slot has both live transmitters and listeners."""
-        return bool(self.tx_idx) and bool(self.listen_idx)
-
-    def collect(
-        self,
-        devices: Iterable[Tuple[Hashable, Device]],
-        slot: int,
-        plan: Optional[SlotFaultPlan],
-        counters: FaultCounters,
-        index: Mapping[Hashable, int],
-        size_policy: MessageSizePolicy,
-        sinr: Optional[SinrParams],
-        trace: Optional[EventTrace],
-    ) -> None:
-        """Step every live device and stage this slot's actions.
-
-        Crashed devices are skipped.  Dropped transmitters are staged
-        for charging and tracing but never enter the channel.  Fills
-        ``tx_vertices``/``tx_costs`` (``None`` for the binary models)
-        and ``listen_vertices`` for the ledger, and the index, level and
-        message staging for the channel.
-        """
-        msgs = self.msgs
-        self.tx_idx = tx_idx = []
-        self.tx_levels = tx_levels = []
-        self.tx_vertices = tx_vertices = []
-        self.tx_costs = tx_costs = None if sinr is None else []
-        self.listen_idx = listen_idx = []
-        self.listen_vertices = listen_vertices = []
-        self.listen_devices = listen_devices = []
-        self.jammed = () if plan is None else plan.jammed
-        idle_kind = ActionKind.IDLE
-        transmit_kind = ActionKind.TRANSMIT
-
-        for vertex, device in devices:
-            if device.halted:
-                continue
-            if plan is not None and vertex in plan.dead:
-                continue
-            action = device.step(slot)
-            kind = action.kind
-            if kind is idle_kind:
-                continue
-            if kind is transmit_kind:
-                message = action.message
-                if message is None:
-                    raise SimulationError(f"device {vertex!r} transmitted no message")
-                size_policy.check(message)
-                level = 0 if sinr is None else transmit_level(device, action, sinr)
-                if plan is not None and vertex in plan.dropped:
-                    counters.dropped += 1
-                else:
-                    i = index[vertex]
-                    tx_idx.append(i)
-                    tx_levels.append(level)
-                    msgs[i] = message
-                tx_vertices.append(vertex)
-                if tx_costs is None:
-                    detail = message.kind
-                else:
-                    tx_costs.append(sinr.power_costs[level])
-                    detail = f"{message.kind}/p{level}"
-                if trace is not None:
-                    trace.record(slot, "transmit", vertex, detail)
-            else:  # LISTEN
-                listen_idx.append(index[vertex])
-                listen_vertices.append(vertex)
-                listen_devices.append(device)
-
-    def dispatch(
-        self,
-        slot: int,
-        counters: FaultCounters,
-        silent: Reception,
-        noisy: Reception,
-        trace: Optional[EventTrace],
-    ) -> None:
-        """Deliver every staged listener's reception.
-
-        Reads :attr:`resolved` when :attr:`needs_channel`.  A jammed
-        listener perceives ``noisy``, exactly like a collision (see
-        :func:`~repro.radio.network.silence_and_noise`).
-        """
-        k = len(self.listen_idx)
-        if self.needs_channel:
-            gather = np.asarray(self.listen_idx, dtype=np.int64)
-            counts = self.resolved[0][gather]
-            codes = self.resolved[1][gather].tolist()
-            if len(self.resolved) == 3:
-                deliver = self.resolved[2][gather].tolist()
-            else:
-                deliver = (counts == 1).tolist()
-            counts = counts.tolist()
-        else:
-            counts = codes = [0] * k
-            deliver = [False] * k
-        msgs = self.msgs
-        jammed = self.jammed
-        for vertex, device, c, code, ok in zip(
-            self.listen_vertices, self.listen_devices, counts, codes, deliver
-        ):
-            if vertex in jammed:
-                counters.jammed += 1
-                reception = noisy
-            elif ok:
-                counters.delivered += 1
-                reception = Reception(Feedback.MESSAGE, msgs[code - 1])
-            else:
-                reception = silent if c == 0 else noisy
-            device.receive(slot, reception)
-            if trace is not None and reception.received:
-                trace.record(slot, "receive", vertex, reception.message.kind)
-        for i in self.tx_idx:
-            msgs[i] = None
-
-
 class FastRadioNetwork(SlotEngineBase):
     """Batch slot executor, interchangeable with
     :class:`~repro.radio.network.RadioNetwork`.
@@ -288,7 +148,6 @@ class FastRadioNetwork(SlotEngineBase):
                          sinr=sinr)
         self._topology = CompiledTopology(graph)
         self._index = self._topology.index
-        self._lane = SlotLane(self._topology.n)
         # Compiled per-edge gains for SINR arbitration (static topology;
         # the base class rejects dynamic + SINR).
         self._sinr_csr: Optional[SinrCsr] = (
@@ -352,25 +211,106 @@ class FastRadioNetwork(SlotEngineBase):
 
     # ------------------------------------------------------------------
     def step(self, devices: Mapping[Hashable, Device]) -> None:
-        """Execute one synchronous slot for all devices."""
+        """Execute one synchronous slot for all devices.
+
+        Steps every live device and stages its action (crashed devices
+        sit the slot out; a dropped transmitter is charged and traced
+        but never enters the channel), charges the staged energy in one
+        batch, resolves the channel when the slot has both live
+        transmitters and listeners, and delivers the receptions.  A
+        jammed listener perceives noise, exactly like a collision (see
+        :func:`~repro.radio.network.silence_and_noise`).
+        """
         plan = self._next_fault_plan()
-        lane = self._lane
         slot = self.slot
-        lane.collect(devices.items(), slot, plan, self.fault_counters,
-                     self._index, self.size_policy, self.sinr, self.trace)
+        counters = self.fault_counters
+        index = self._index
+        size_policy = self.size_policy
+        sinr = self.sinr
+        trace = self.trace
+        msgs: Dict[int, Message] = {}
+        tx_idx: List[int] = []
+        tx_levels: List[int] = []
+        tx_vertices: List[Hashable] = []
+        tx_costs: Optional[List[int]] = None if sinr is None else []
+        listen_idx: List[int] = []
+        listen_vertices: List[Hashable] = []
+        listen_devices: List[Device] = []
+        idle_kind = ActionKind.IDLE
+        transmit_kind = ActionKind.TRANSMIT
+
+        for vertex, device in devices.items():
+            if device.halted:
+                continue
+            if plan is not None and vertex in plan.dead:
+                continue
+            action = device.step(slot)
+            kind = action.kind
+            if kind is idle_kind:
+                continue
+            if kind is transmit_kind:
+                message = action.message
+                if message is None:
+                    raise SimulationError(f"device {vertex!r} transmitted no message")
+                size_policy.check(message)
+                level = 0 if sinr is None else transmit_level(device, action, sinr)
+                if plan is not None and vertex in plan.dropped:
+                    counters.dropped += 1
+                else:
+                    i = index[vertex]
+                    tx_idx.append(i)
+                    tx_levels.append(level)
+                    msgs[i] = message
+                tx_vertices.append(vertex)
+                if tx_costs is None:
+                    detail = message.kind
+                else:
+                    tx_costs.append(sinr.power_costs[level])
+                    detail = f"{message.kind}/p{level}"
+                if trace is not None:
+                    trace.record(slot, "transmit", vertex, detail)
+            else:  # LISTEN
+                listen_idx.append(index[vertex])
+                listen_vertices.append(vertex)
+                listen_devices.append(device)
+
         self.ledger.charge_slot_batch(
-            lane.tx_vertices, lane.listen_vertices, transmit_costs=lane.tx_costs
+            tx_vertices, listen_vertices, transmit_costs=tx_costs
         )
-        if lane.needs_channel:
-            tx_idx = np.asarray(lane.tx_idx, dtype=np.int64)
+        if tx_idx and listen_idx:
+            tx = np.asarray(tx_idx, dtype=np.int64)
             if self._sinr_csr is None:
-                lane.resolved = self._topology.counts_codes(tx_idx)
+                counts, codes = self._topology.counts_codes(tx)
+                deliver = None
             else:
-                lane.resolved = sinr_arbitrate(
-                    self._sinr_csr, tx_idx,
-                    np.asarray(lane.tx_levels, dtype=np.int64),
+                counts, codes, deliver = sinr_arbitrate(
+                    self._sinr_csr, tx, np.asarray(tx_levels, dtype=np.int64)
                 )
-        lane.dispatch(slot, self.fault_counters, self._silent, self._noisy,
-                      self.trace)
+            gather = np.asarray(listen_idx, dtype=np.int64)
+            counts = counts[gather]
+            codes = codes[gather].tolist()
+            deliver = (
+                (counts == 1) if deliver is None else deliver[gather]
+            ).tolist()
+            counts = counts.tolist()
+        else:
+            counts = codes = [0] * len(listen_idx)
+            deliver = [False] * len(listen_idx)
+        jammed = () if plan is None else plan.jammed
+        silent, noisy = self._silent, self._noisy
+        for vertex, device, c, code, ok in zip(
+            listen_vertices, listen_devices, counts, codes, deliver
+        ):
+            if vertex in jammed:
+                counters.jammed += 1
+                reception = noisy
+            elif ok:
+                counters.delivered += 1
+                reception = Reception(Feedback.MESSAGE, msgs[code - 1])
+            else:
+                reception = silent if c == 0 else noisy
+            device.receive(slot, reception)
+            if trace is not None and reception.received:
+                trace.record(slot, "receive", vertex, reception.message.kind)
         self.slot += 1
         self.ledger.advance_time(1)

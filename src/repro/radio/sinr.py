@@ -52,6 +52,7 @@ from typing import Any, Dict, Hashable, Mapping, Optional, Sequence, Tuple, Unio
 
 import networkx as nx
 import numpy as np
+from networkx.classes.reportviews import EdgeView
 
 from ..errors import ConfigurationError, SimulationError
 from .channel import Feedback, Reception
@@ -330,7 +331,10 @@ class SinrField:
         self.params = params
         self._coords = quantize_positions(graph)
         self._gains: Dict[Tuple[Hashable, Hashable], int] = {}
-        for u, v in graph.edges:
+        # A fresh view, not the cached ``graph.edges``: that one points
+        # back at ``graph`` and would keep it alive until a cyclic
+        # collection.
+        for u, v in EdgeView(graph):
             gain = self._compute_gain(u, v)
             self._gains[(u, v)] = gain
             self._gains[(v, u)] = gain

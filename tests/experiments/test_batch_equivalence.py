@@ -1,10 +1,11 @@
 """Batched-vs-serial equivalence at the experiment layer.
 
-The acceptance contract of replica batching: for every fault preset ×
+The acceptance contract of the array lanes: for every fault preset ×
 collision model, R batched replicas produce ``RunResult.to_dict()``
-documents **byte-identical** to R per-seed serial runs — and a batched
-sweep writes store shards byte-identical to a serial sweep.  Batching
-must be invisible everywhere except the wall clock.
+documents **byte-identical** to R runs of the serial device engine
+(:func:`serial_oracle.serial_result`) — and a batched sweep writes
+store shards byte-identical to the oracle's.  Batching must be
+invisible everywhere except the wall clock.
 
 The same contract extends to the planner's heterogeneous units: small
 cells of different topologies packed into one fused run produce
@@ -28,6 +29,7 @@ from repro.errors import ConfigurationError
 from repro.experiments import (
     ExecutionPolicy,
     ExperimentSpec,
+    expand_grid,
     run_experiment,
     run_experiment_batch,
     run_experiment_mega,
@@ -45,10 +47,16 @@ from repro.experiments.runner import (
 )
 from repro.experiments.spec import COLLISION_MODELS
 from repro.radio.faults import named_fault_models
+from serial_oracle import (
+    serial_cli_json,
+    serial_documents,
+    serial_result,
+    serial_store,
+)
 
 REPLICAS = 8
 PRESETS = sorted(named_fault_models())
-#: Per-seed execution: the reference every batched path must match.
+#: One lane per unit: the planner's smallest packing.
 PER_SEED = ExecutionPolicy(batch_replicas=1)
 
 
@@ -78,7 +86,7 @@ def _canonical(result):
 @pytest.mark.parametrize("preset", PRESETS)
 def test_batched_results_byte_identical(preset, collision_model):
     specs = _cell_specs(preset, collision_model)
-    serial = [run_experiment(spec) for spec in specs]
+    serial = [serial_result(spec) for spec in specs]
     # One cell's replicas: a one-member mega batch, as sweeps run them.
     batched = run_experiment_mega(specs)
     assert len(batched) == len(serial)
@@ -100,19 +108,20 @@ def test_batched_results_byte_identical(preset, collision_model):
 def test_run_specs_batched_equals_opt_out(topology, n):
     specs = _cell_specs("drop10", "no_cd", topology=topology, n=n)
     batched = run_specs(specs, parallel=False)
-    serial = run_specs(specs, parallel=False, policy=PER_SEED)
-    assert tuple(batched.results) == tuple(serial.results)
+    per_seed = run_specs(specs, parallel=False, policy=PER_SEED)
+    serial = tuple(serial_result(spec) for spec in specs)
+    assert tuple(batched.results) == serial
+    assert tuple(per_seed.results) == serial
     assert [r.spec.seed for r in batched] == list(range(REPLICAS))
 
 
 def test_run_sweep_batches_the_seed_axis():
     """A grid sweep groups its innermost (seed) axis without reordering."""
+    grid = dict(sizes=16, seeds=4, engine="fast")
     batched = run_sweep(["star_of_paths", "grid"], ["decay_bfs"],
-                        sizes=16, seeds=4, engine="fast", parallel=False)
-    serial = run_sweep(["star_of_paths", "grid"], ["decay_bfs"],
-                       sizes=16, seeds=4, engine="fast", parallel=False,
-                       policy=PER_SEED)
-    assert tuple(batched.results) == tuple(serial.results)
+                        parallel=False, **grid)
+    specs = expand_grid(["star_of_paths", "grid"], ["decay_bfs"], **grid)
+    assert tuple(batched.results) == tuple(serial_result(s) for s in specs)
 
 
 def test_plan_units_fuses_only_adjacent_batchable_cells():
@@ -125,7 +134,8 @@ def test_plan_units_fuses_only_adjacent_batchable_cells():
                            algorithm="trivial_bfs")
     specs = cell + other + reference + stochastic + lb_level
     units = _plan_units(specs, ExecutionPolicy())
-    assert [len(u) for u in units] == [6, 1, 1, 1, 1, 1, 1]
+    # A stochastic family's seeds fuse too (each seed its own graph).
+    assert [len(u) for u in units] == [6, 1, 1, 2, 1, 1]
     assert [s for unit in units for s in unit] == specs
     # batch_replicas caps the lanes of a unit; 1 plans per seed, and
     # the inert backend changes nothing.
@@ -167,6 +177,20 @@ def test_plan_units_caps_lanes_and_devices():
         wide, ExecutionPolicy(batch_replicas=8))] == [8] * 8
 
 
+def test_plan_units_caps_devices_per_stochastic_seed():
+    # Each seed of a stochastic family builds its own graph, so the
+    # device cap counts it as a cell of its own: large seeds plan one
+    # unit each, small ones fuse while the unit stays under the cap.
+    large = _cell_specs("none", "no_cd", seeds=range(4),
+                        topology="dense_geometric", n=2000)
+    assert [len(u) for u in _plan_units(large, ExecutionPolicy())] == [1] * 4
+    per_unit = UNIT_MAX_DEVICES // 100
+    small = _cell_specs("none", "no_cd", seeds=range(per_unit + 2),
+                        topology="erdos_renyi", n=100)
+    assert [len(u) for u in _plan_units(small, ExecutionPolicy())] == [
+        per_unit, 2]
+
+
 def test_plan_units_shares_work_over_a_pool():
     specs = _tiny_cells(6, seeds=3)
     assert [len(u) for u in _plan_units(specs, ExecutionPolicy())] == [18]
@@ -188,7 +212,9 @@ def test_pooled_sweep_reaches_the_pool():
     specs = _tiny_cells(4, seeds=2)
     serial = run_specs(specs, parallel=False)
     pooled = run_specs(specs, parallel=True, max_workers=2)
-    assert [_canonical(r) for r in pooled] == [_canonical(r) for r in serial]
+    expected = serial_documents(specs)
+    assert [_canonical(r) for r in serial] == expected
+    assert [_canonical(r) for r in pooled] == expected
     if pooled.execution != "serial":  # a sandbox may refuse the pool
         assert pooled.execution == "process_pool"
 
@@ -196,11 +222,27 @@ def test_pooled_sweep_reaches_the_pool():
 def test_spec_is_batchable_conditions():
     spec = _cell_specs("none", "no_cd", seeds=[0])[0]
     assert spec_is_batchable(spec)
+    assert spec_is_batchable(dataclasses.replace(spec, topology="geometric"))
     assert not spec_is_batchable(dataclasses.replace(spec, engine="reference"))
-    assert not spec_is_batchable(dataclasses.replace(spec, topology="geometric"))
+    assert not spec_is_batchable(dataclasses.replace(spec, dynamic="churn_mix"))
     assert not spec_is_batchable(
         dataclasses.replace(spec, algorithm="trivial_bfs")
     )
+
+
+#: Families whose graph depends on the seed: each seed is its own member.
+STOCHASTIC = ("dense_geometric", "erdos_renyi", "small_world")
+
+
+@pytest.mark.parametrize("axis", [{"fault_model": "drop10"},
+                                  {"collision_model": "sinr"}],
+                         ids=["drop10", "sinr"])
+def test_stochastic_family_sweep_equals_the_serial_oracle(axis):
+    specs = expand_grid(STOCHASTIC, ["decay_bfs"], sizes=24, seeds=3,
+                        engine="fast", **axis)
+    assert [len(u) for u in _plan_units(specs, ExecutionPolicy())] == [9]
+    sweep = run_specs(specs, parallel=False)
+    assert [_canonical(r) for r in sweep] == serial_documents(specs)
 
 
 def test_run_experiment_batch_rejects_mixed_cells():
@@ -218,13 +260,14 @@ def test_run_experiment_batch_edge_arities():
     assert run_experiment_batch([]) == []
     spec = _cell_specs("none", "no_cd", seeds=[7])[0]
     (single,) = run_experiment_batch([spec])
-    assert _canonical(single) == _canonical(run_experiment(spec))
+    assert _canonical(single) == _canonical(serial_result(spec))
 
 
 def test_run_experiment_batch_delegates_to_one_member_mega():
     specs = _cell_specs("drop10", "receiver_cd", seeds=range(3))
-    assert ([_canonical(r) for r in run_experiment_batch(specs)]
-            == [_canonical(r) for r in run_experiment_mega(specs)])
+    expected = serial_documents(specs)
+    assert [_canonical(r) for r in run_experiment_batch(specs)] == expected
+    assert [_canonical(r) for r in run_experiment_mega(specs)] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +321,9 @@ def test_policy_mapping_accepted_by_every_runner(tmp_path):
                             {"batch_replicas": 2})
     typed = _three_runners(specs, tmp_path / "typed",
                            ExecutionPolicy(batch_replicas=2))
-    per_seed = run_specs(specs, parallel=False, policy=PER_SEED)
+    expected = serial_documents(specs)
     for got in mapped + typed:
-        assert [_canonical(r) for r in got] == [_canonical(r) for r in per_seed]
+        assert [_canonical(r) for r in got] == expected
 
 
 @pytest.mark.parametrize(
@@ -388,8 +431,7 @@ def _shard_bytes(store_dir):
 
 def test_batched_sweep_store_byte_identical(tmp_path):
     specs = _cell_specs("lossy_mixed", "receiver_cd")
-    run_specs(specs, parallel=False, store=str(tmp_path / "serial"),
-              policy=PER_SEED)
+    serial_store(specs, str(tmp_path / "serial"))
     run_specs(specs, parallel=False, store=str(tmp_path / "batched"))
     assert _shard_bytes(tmp_path / "serial") == _shard_bytes(tmp_path / "batched")
 
@@ -397,8 +439,7 @@ def test_batched_sweep_store_byte_identical(tmp_path):
 def test_batched_resume_store_byte_identical(tmp_path):
     """Completed cells drop out of the batch group; bytes still match."""
     specs = _cell_specs("drop30", "no_cd")
-    run_specs(specs, parallel=False, store=str(tmp_path / "reference"),
-              policy=PER_SEED)
+    serial_store(specs, str(tmp_path / "reference"))
     resumed = str(tmp_path / "resumed")
     run_specs(specs[:5], parallel=False, store=resumed)
     sweep = run_specs(specs, parallel=False, store=resumed)
@@ -432,7 +473,7 @@ def _run_per_cell(specs):
 @pytest.mark.parametrize("preset", PRESETS)
 @pytest.mark.parametrize("plan", ["fused", "per_cell"])
 def test_packed_byte_identical_grid(plan, preset, collision_model):
-    """The headline matrix: byte-for-byte against per-seed serial.
+    """The headline matrix: byte-for-byte against the serial oracle.
 
     ``fused``: the default planner packs the heterogeneous spec stream
     into one unit.  ``per_cell``: each cell runs as its own replica
@@ -440,7 +481,7 @@ def test_packed_byte_identical_grid(plan, preset, collision_model):
     are checked across every fault preset and collision model.
     """
     specs = _hetero_specs(preset, collision_model, seeds=2)
-    serial = run_specs(specs, parallel=False, policy=PER_SEED)
+    serial = [serial_result(spec) for spec in specs]
     if plan == "fused":
         assert len(_plan_units(specs, ExecutionPolicy())) == 1
         alt = run_specs(specs, parallel=False)
@@ -522,25 +563,26 @@ def test_run_experiment_mega_validates_input():
             specs[:2]
             + _cell_specs("none", "no_cd", seeds=range(2), n=16,
                           engine="reference"))
-    # A single homogeneous group is a one-member mega batch.
+    # A single homogeneous group is a one-member mega batch, and a lone
+    # spec a one-lane run.
     single = run_experiment_mega(specs[:2])
-    serial = [run_experiment(s) for s in specs[:2]]
-    assert [_canonical(r) for r in single] == [_canonical(r) for r in serial]
+    assert [_canonical(r) for r in single] == serial_documents(specs[:2])
+    (lone,) = run_experiment_mega(specs[:1])
+    assert _canonical(lone) == _canonical(serial_result(specs[0]))
 
 
 def test_mega_sweep_store_byte_identical(tmp_path):
     specs = _hetero_specs("lossy_mixed", "receiver_cd", seeds=2)
-    run_specs(specs, parallel=False, store=str(tmp_path / "serial"),
-              policy=PER_SEED)
+    serial_store(specs, str(tmp_path / "serial"))
     run_specs(specs, parallel=False, store=str(tmp_path / "mega"))
     assert _shard_bytes(tmp_path / "serial") == _shard_bytes(tmp_path / "mega")
 
 
 def test_mega_resume_store_byte_identical(tmp_path):
-    """Cells completed serially drop out of the mega unit; bytes match."""
+    """Cells completed one lane at a time drop out of the mega unit;
+    bytes match."""
     specs = _hetero_specs("drop30", "no_cd", seeds=2)
-    run_specs(specs, parallel=False, store=str(tmp_path / "reference"),
-              policy=PER_SEED)
+    serial_store(specs, str(tmp_path / "reference"))
     resumed = str(tmp_path / "resumed")
     run_specs(specs[:4], parallel=False, store=resumed, policy=PER_SEED)
     sweep = run_specs(specs, parallel=False, store=resumed)
@@ -578,11 +620,13 @@ def test_cli_policy_flags_uniform_across_subcommands():
 def test_cli_run_packed_byte_identical(tmp_path, capsys):
     from repro.experiments.__main__ import main
 
-    common = ["run", "--topologies", "grid", "star", "--algorithms",
-              "decay_bfs", "--sizes", "16", "--seeds", "2", "--engine",
-              "fast", "--serial"]
+    grid = ["--topologies", "grid", "star", "--algorithms", "decay_bfs",
+            "--sizes", "16", "--seeds", "2", "--engine", "fast"]
     plain, mega = tmp_path / "plain.json", tmp_path / "mega.json"
-    assert main([*common, "--batch-replicas", "1", "--json", str(plain)]) == 0
-    assert main([*common, "--json", str(mega)]) == 0
+    assert main(["run", *grid, "--serial", "--batch-replicas", "1",
+                 "--json", str(plain)]) == 0
+    assert main(["run", *grid, "--serial", "--json", str(mega)]) == 0
     capsys.readouterr()
-    assert plain.read_bytes() == mega.read_bytes()
+    expected = serial_cli_json(grid)
+    assert plain.read_bytes() == expected
+    assert mega.read_bytes() == expected

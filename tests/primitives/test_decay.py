@@ -5,8 +5,11 @@ import math
 import networkx as nx
 import pytest
 
-from repro.radio import RadioNetwork, message_of_ints, topology
+from repro.errors import ConfigurationError
+from repro.radio import RadioNetwork, make_network, message_of_ints, topology
+from repro.radio.batch_engine import MegaBatchedNetwork, ReplicaBatchedNetwork
 from repro.primitives import DecayParameters, run_decay_local_broadcast
+from repro.primitives.decay import run_decay_local_broadcast_mega
 
 
 class TestDecayParameters:
@@ -119,3 +122,38 @@ class TestEnergyProfile:
             net, {0: message_of_ints(0, 1)}, [1], seed=0
         )
         assert net.ledger.device(3).slots == 0
+
+
+class TestRoundMembersMustBeVertices:
+    """A sender or receiver that is not a vertex is refused in one line
+    before any slot runs: no slot passes and no energy is charged."""
+
+    CASES = [({0: message_of_ints(0, 7)}, [99], "receiver 99"),
+             ({42: message_of_ints(0, 7)}, [1], "sender 42")]
+
+    @staticmethod
+    def _untouched(slot, ledger):
+        assert slot == 0
+        assert ledger.time_slots == 0
+        assert ledger.snapshot() == {}
+
+    @pytest.mark.parametrize("messages, receivers, named", CASES)
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_serial_engines(self, engine, messages, receivers, named):
+        net = make_network(nx.path_graph(3), engine=engine)
+        with pytest.raises(ConfigurationError, match=named) as info:
+            run_decay_local_broadcast(net, messages, receivers, seed=0)
+        assert "\n" not in str(info.value)
+        self._untouched(net.slot, net.ledger)
+
+    @pytest.mark.parametrize("messages, receivers, named", CASES)
+    def test_lanes(self, messages, receivers, named):
+        member = ReplicaBatchedNetwork(nx.path_graph(3), replicas=2)
+        rounds = {(0, 0): ({0: message_of_ints(0, 7)}, [1]),
+                  (0, 1): (messages, receivers)}
+        with pytest.raises(ConfigurationError, match=named) as info:
+            run_decay_local_broadcast_mega(MegaBatchedNetwork([member]),
+                                           rounds, seeds={(0, 0): 0, (0, 1): 0})
+        assert "\n" not in str(info.value)
+        for lane in member.lanes:
+            self._untouched(lane.slot, lane.ledger)

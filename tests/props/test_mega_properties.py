@@ -3,26 +3,21 @@
 The property that lets the planner fuse cells by itself: no matter how
 cells are ordered and how the spec stream is cut into units, every
 cell's result document — and every store shard written from it — is
-byte-identical to per-seed serial execution.
+byte-identical to the serial device engine
+(:func:`serial_oracle.serial_result`).
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 import tempfile
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from repro.experiments import (
-    ExecutionPolicy,
-    ExperimentSpec,
-    run_experiment,
-    run_specs,
-    spec_hash,
-)
+from repro.experiments import ExperimentSpec, run_specs, spec_hash
 from repro.experiments import runner
+from serial_oracle import canonical, serial_result, serial_store
 
 _POOL = [
     ExperimentSpec(topology=topology, n=n, algorithm="decay_bfs",
@@ -36,12 +31,10 @@ _SERIAL_CACHE = {}
 
 
 def _serial_bytes(spec):
-    """The per-seed serial result document, cached across examples."""
+    """The serial oracle's result document, cached across examples."""
     key = spec_hash(spec)
     if key not in _SERIAL_CACHE:
-        _SERIAL_CACHE[key] = json.dumps(
-            run_experiment(spec).to_dict(), sort_keys=True, allow_nan=False
-        )
+        _SERIAL_CACHE[key] = canonical(serial_result(spec))
     return _SERIAL_CACHE[key]
 
 
@@ -63,8 +56,7 @@ def test_any_partition_never_changes_result_bytes(order, cuts):
     results = [r for unit in units for r in runner._run_unit(unit)]
     assert [r.spec for r in results] == specs
     for spec, result in zip(specs, results):
-        got = json.dumps(result.to_dict(), sort_keys=True, allow_nan=False)
-        assert got == _serial_bytes(spec)
+        assert canonical(result) == _serial_bytes(spec)
 
 
 def _shard_bytes(store_dir):
@@ -82,8 +74,7 @@ def test_any_partition_never_changes_store_shard_bytes(order, cuts):
     with tempfile.TemporaryDirectory() as tmp:
         serial_dir = str(pathlib.Path(tmp, "serial"))
         parts_dir = str(pathlib.Path(tmp, "parts"))
-        run_specs(specs, parallel=False, store=serial_dir,
-                  policy=ExecutionPolicy(batch_replicas=1))
+        serial_store(specs, serial_dir)
         with mock.patch.object(runner, "_plan_units",
                                lambda pending, policy, share: units):
             run_specs(specs, parallel=False, store=parts_dir)

@@ -4,11 +4,13 @@ Decay devices stop listening at their first reception, so the Decay
 equivalence suites never drive an engine through long, mixed feedback
 sequences.  Here randomized devices (each slot: transmit at a random
 power level, listen, or idle) run on two topologies under every
-collision model and three fault presets, and the fast engine's
-:class:`~repro.radio.fast_engine.SlotLane` must equal the reference
-engine: per-device feedback logs, ledger snapshots, fault counters and
-slot counts.  (Batched lanes run Decay rounds as arrays, not devices;
-``tests/radio/test_decay_lanes.py`` pins them against both engines.)
+collision model and three fault presets, and the serial fast engine's
+device loop (:meth:`~repro.radio.fast_engine.FastRadioNetwork.step`)
+must equal the reference engine: per-device feedback logs, ledger
+snapshots, fault counters and slot counts.  The two serial engines are
+the oracle: every static fast ``decay_bfs`` spec runs on the array
+lanes, which run Decay rounds, not devices, and
+``tests/radio/test_decay_lanes.py`` pins them against both engines.
 
 The serial engines are also stepped one :meth:`step` at a time, with
 the ledger, fault counters and trace compared after every slot, so

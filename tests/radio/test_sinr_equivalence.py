@@ -6,9 +6,10 @@ The tentpole guarantee of the SINR collision model: for every cell of a
 
 grid — including the ``poisson_cluster`` scenario whose integer
 geometry drives non-uniform gains — the ``reference`` engine, the
-``fast`` engine, the replica-batched engine, and the mega-batched
-engine emit **byte-identical** canonical result documents, and a
-process pool changes nothing over serial execution.
+serial ``fast`` engine (:func:`serial_oracle.serial_result`), the
+replica-batched lanes, and the mega-batched lanes emit
+**byte-identical** canonical result documents, and a process pool
+changes nothing over serial execution.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.spec import ExecutionPolicy
 from repro.radio.sinr import named_sinr_params
+from serial_oracle import serial_result
 
 #: Every named preset: 'capture'/'strict' sweep the threshold axis,
 #: 'high_power' sweeps the power-ladder axis.
@@ -57,7 +59,7 @@ class TestFourTierByteIdentity:
     @pytest.mark.parametrize("fault", FAULTS)
     def test_grid_cell(self, preset, fault):
         specs = _grid_specs(fault, preset)
-        serial = [run_experiment(s) for s in specs]
+        serial = [serial_result(s) for s in specs]
         # One cell's two replicas per run, then every cell in one unit.
         batched = [r for i in range(0, len(specs), 2)
                    for r in run_experiment_mega(specs[i:i + 2])]
@@ -68,7 +70,7 @@ class TestFourTierByteIdentity:
         # The audit-grade serial reference engine agrees with all of the
         # above, byte for byte, up to the spec's engine field.
         for spec, fast in zip(specs, serial):
-            ref = run_experiment(dataclasses.replace(spec, engine="reference"))
+            ref = serial_result(dataclasses.replace(spec, engine="reference"))
             a, b = ref.to_dict(), fast.to_dict()
             assert a["spec"].pop("engine") == "reference"
             assert b["spec"].pop("engine") == "fast"
@@ -83,9 +85,9 @@ class TestExecutionModes:
         assert len(_plan_units(specs, ExecutionPolicy(),
                                share=len(specs) // 2)) > 1
         pooled = run_specs(specs, parallel=True, max_workers=2)
-        assert [_canonical(r) for r in serial.results] == [
-            _canonical(r) for r in pooled.results
-        ]
+        expected = [_canonical(serial_result(s)) for s in specs]
+        assert [_canonical(r) for r in serial.results] == expected
+        assert [_canonical(r) for r in pooled.results] == expected
 
     def test_mega_batch_mixes_sinr_and_binary_members(self):
         """One fused mega run may carry SINR and binary-model members."""
@@ -100,7 +102,7 @@ class TestExecutionModes:
             algorithm_params={"decay_bfs": {"depth_budget": 16}},
         )
         mixed = sinr_specs + binary_specs
-        serial = [run_experiment(s) for s in mixed]
+        serial = [serial_result(s) for s in mixed]
         assert len(_plan_units(mixed, ExecutionPolicy())) == 1
         mega = run_specs(mixed, parallel=False).results
         assert [_canonical(r) for r in serial] == [_canonical(r) for r in mega]
