@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for three design choices of Recursive-BFS.
 
 - **beta sweep**: the stage length `beta^{-1}` trades clustering cost
   (`O~(beta^{-1})` per vertex) against per-stage wavefront work — the

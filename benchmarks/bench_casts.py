@@ -14,7 +14,6 @@ import pytest
 from repro.analysis import format_table
 from repro.clustering import (
     CastEngine,
-    CastMode,
     ClusterLBGraph,
     SlotAssignment,
     mpx_clustering,
@@ -42,7 +41,7 @@ def test_cast_costs(benchmark):
         rows = []
         for side in (12, 20, 28):
             g, lbg, clustering, slots = _stack(side)
-            engine = CastEngine(lbg, clustering, slots, mode=CastMode.FAST)
+            engine = CastEngine(lbg, clustering, slots)
             engine.down_cast({c: "m" for c in clustering.clusters()})
             down_max = lbg.ledger.max_lb()
             engine.up_cast(
@@ -82,7 +81,7 @@ def test_simulated_lb_overhead(benchmark):
         rows = []
         for side in (12, 20, 28):
             g, lbg, clustering, slots = _stack(side)
-            star = ClusterLBGraph(lbg, clustering, slots, seed=2)
+            star = ClusterLBGraph(lbg, clustering, slots)
             q = star.as_nx_graph()
             a, b = next(iter(q.edges))
             star.local_broadcast({a: "m"}, [b])

@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark harness.
 
-Each benchmark regenerates one experiment row of DESIGN.md §4 and
-prints the series/table the paper's claim describes (run with
+Each benchmark regenerates the measurement behind one of the paper's
+claims and prints the series/table the claim describes (run with
 ``pytest benchmarks/ --benchmark-only -s`` to see them).  Timing is
 measured with pytest-benchmark in ``pedantic`` single-shot mode: the
 quantities of interest are the *simulated* energy/time readings, not

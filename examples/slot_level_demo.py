@@ -3,8 +3,10 @@
 Every Local-Broadcast the algorithm issues — wavefront advances and the
 inter-cluster legs of the G* simulation — executes as a genuine Decay
 protocol on the slot simulator, collisions included (intra-cluster
-casts and the clustering shortcut remain cost-charged, per DESIGN.md
-§3.2-3.3; `use_distributed_clustering=True` makes those slot-real too).
+casts and the clustering shortcut remain cost-charged, as the module
+docstrings of `repro.clustering.casts` and `repro.clustering.distributed`
+explain; `use_distributed_clustering=True` makes the clustering
+slot-real too).
 The run reports both cost currencies (slots and LB participations) plus
 the Lemma 2.4 worst-case conversion between them.
 

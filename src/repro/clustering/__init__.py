@@ -1,6 +1,6 @@
 """MPX clustering, cluster graphs, casts, and G* simulation (Secs. 2-3)."""
 
-from .casts import CastEngine, CastMode
+from .casts import CastEngine
 from .cluster_graph import (
     ClusterGraph,
     DistanceProxySample,
@@ -17,7 +17,6 @@ from .slots import SlotAssignment, contention_bound, good_slot_fraction
 
 __all__ = [
     "CastEngine",
-    "CastMode",
     "ClusterGraph",
     "ClusterLBGraph",
     "Clustering",

@@ -69,14 +69,6 @@ class DistanceProxySample:
     base_distance: float
     cluster_distance: float
 
-    @property
-    def stretch(self) -> float:
-        """``dist_{G*} / (beta * dist_G)`` is reported by callers; here
-        the raw ratio ``cluster/base`` (inf-safe)."""
-        if self.base_distance == 0:
-            return 0.0 if self.cluster_distance == 0 else math.inf
-        return self.cluster_distance / self.base_distance
-
 
 def sample_distance_pairs(
     cluster_graph: ClusterGraph,

@@ -10,7 +10,7 @@ Costs, matching Lemma 2.5: every vertex participates in at most ``T``
 Local-Broadcasts — ``O(log(n)/beta)`` LB units, i.e. ``O(log^3(n)/beta)``
 slots after the Lemma 2.4 conversion.
 
-Two variants (DESIGN.md §3.3):
+Two variants:
 
 - :func:`distributed_mpx` — the honest protocol, LB call by LB call;
 - :func:`charged_mpx` — computes the identical structure centrally on

@@ -9,7 +9,7 @@ distributed Local-Broadcast implementation).
 This centralized routine is the ground truth against which the
 distributed implementation (``repro.clustering.distributed``) is
 validated, and the fast path used by the charged-cost clustering
-shortcut (DESIGN.md §3.3).
+shortcut (:func:`repro.clustering.distributed.charged_mpx`).
 
 The output is a function of the seed *and of the order of the random
 draws*: every joining vertex draws one ``rng.integers`` to pick its

@@ -6,7 +6,7 @@ where ``T = radius_multiplier * ln(n) / beta`` is the horizon.  The
 paper uses ``T = 4 log(n) / beta``, under which all start times are
 positive with probability ``1 - 1/n^3``; we expose the multiplier and
 clamp the rare overshoot to round 1 (equivalent to conditioning on the
-w.h.p. event, as the paper's analysis does — see DESIGN.md §3.3).
+w.h.p. event, as the paper's analysis does).
 """
 
 from __future__ import annotations

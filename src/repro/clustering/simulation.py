@@ -27,7 +27,7 @@ from ..errors import ConfigurationError
 from ..primitives.lb_graph import LBGraph
 from ..radio.energy import EnergyLedger
 from ..rng import SeedLike
-from .casts import CastEngine, CastMode
+from .casts import CastEngine
 from .mpx import Clustering
 from .slots import SlotAssignment
 
@@ -40,8 +40,6 @@ class ClusterLBGraph(LBGraph):
         parent: LBGraph,
         clustering: Clustering,
         slots: SlotAssignment,
-        cast_mode: CastMode = CastMode.FAST,
-        seed: SeedLike = None,
     ) -> None:
         missing = set(clustering.center_of) ^ set(parent.vertices())
         if missing:
@@ -52,7 +50,7 @@ class ClusterLBGraph(LBGraph):
         self.parent = parent
         self.clustering = clustering
         self.slots = slots
-        self.cast = CastEngine(parent, clustering, slots, mode=cast_mode, seed=seed)
+        self.cast = CastEngine(parent, clustering, slots)
         self._quotient = clustering.quotient_graph(parent.as_nx_graph())
         self._clusters: Set[Hashable] = set(clustering.members)
 
@@ -62,8 +60,6 @@ class ClusterLBGraph(LBGraph):
         graph: nx.Graph,
         clustering: Clustering,
         slots: SlotAssignment,
-        cast_mode: CastMode = CastMode.FAST,
-        seed: SeedLike = None,
         engine: str = "reference",
         failure_probability: float = 1e-3,
         lb_seed: SeedLike = None,
@@ -85,7 +81,7 @@ class ClusterLBGraph(LBGraph):
         parent = DecayLBGraph(
             network, failure_probability=failure_probability, seed=lb_seed
         )
-        return cls(parent, clustering, slots, cast_mode=cast_mode, seed=seed)
+        return cls(parent, clustering, slots)
 
     # ------------------------------------------------------------------
     @property

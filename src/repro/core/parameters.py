@@ -6,8 +6,8 @@ depth ``L = sqrt(log D0 / log log n)``, with ``w = Theta(log n)`` a
 distance proxy conversions.
 
 Exact proof constants are astronomically conservative at laptop scale,
-so this module derates them (DESIGN.md §3.3) while keeping the paper's
-functional forms.  In particular the distance-proxy conversion uses the
+so this module derates them while keeping the paper's functional
+forms.  In particular the distance-proxy conversion uses the
 empirically-grounded affine form
 
     dist_G*(Cl(u), Cl(v)) <= proxy_mult * beta * dist_G(u, v) + proxy_add
@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..clustering.casts import CastMode
 from ..errors import ConfigurationError
 from .z_sequence import z_cap
 
@@ -51,8 +50,6 @@ class BFSParameters:
     slot_multiplier:
         Up/Down-cast slot table length multiplier
         (``ell = slot_multiplier * contention * ln n``).
-    cast_mode:
-        FAST (default) or FAITHFUL cast execution (DESIGN.md §3.2).
     use_distributed_clustering:
         Run the honest Lemma 2.5 protocol instead of the charged
         shortcut when building each level's cluster graph.
@@ -68,7 +65,6 @@ class BFSParameters:
     proxy_add: float = 8.0
     radius_multiplier: float = 2.0
     slot_multiplier: float = 3.0
-    cast_mode: CastMode = CastMode.FAST
     use_distributed_clustering: bool = False
     trivial_factor: int = 2
 

@@ -8,7 +8,8 @@ recursively running the *same* algorithm on the Miller–Peng–Xu cluster
 graph ``G*`` — simulated over the real network via Lemma 3.2 — with the
 Z-sequence deciding how deep each Special Update searches.
 
-Structure of this implementation (see DESIGN.md):
+Structure of this implementation (ARCHITECTURE.md, section "The
+Local-Broadcast tier"):
 
 - every graph in the recursion is an ``LBGraph``; level 0 is the
   physical network, level ``r`` is a ``ClusterLBGraph`` stacked on
@@ -18,7 +19,8 @@ Structure of this implementation (see DESIGN.md):
 - recursion depth is capped at ``params.max_depth``, below which the
   trivial wavefront BFS runs (Section 4.3);
 - distance-proxy conversions use the affine derated constants of
-  :class:`~repro.core.parameters.BFSParameters` (DESIGN.md §3.3).
+  :class:`~repro.core.parameters.BFSParameters` (its module docstring
+  says why they are derated).
 """
 
 from __future__ import annotations
@@ -197,9 +199,7 @@ class RecursiveBFS:
             seed=self.rng,
             slot_multiplier=p.slot_multiplier,
         )
-        cluster_lbg = ClusterLBGraph(
-            lbg, clustering, slots, cast_mode=p.cast_mode, seed=self.rng
-        )
+        cluster_lbg = ClusterLBGraph(lbg, clustering, slots)
         level = _Level(clustering=clustering, slots=slots, cluster_lbg=cluster_lbg)
         self._levels[key] = (lbg, level)
         return level

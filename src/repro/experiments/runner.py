@@ -240,19 +240,16 @@ def run_experiment_mega(specs: Sequence[ExperimentSpec]) -> List[RunResult]:
             f"cells; got {sorted(algorithms)}"
         )
     members: List[List[ExperimentSpec]] = []
-    for _, group in itertools.groupby(spec_list, key=_group_signature):
-        cell = list(group)
-        if not spec_is_batchable(cell[0]):
+    for key, group in itertools.groupby(spec_list, key=_unit_cell_key):
+        member = list(group)
+        if key is None:
             raise ConfigurationError(
-                f"cell (topology={cell[0].topology!r}, algorithm="
-                f"{cell[0].algorithm!r}, engine={cell[0].engine!r}) is "
+                f"cell (topology={member[0].topology!r}, algorithm="
+                f"{member[0].algorithm!r}, engine={member[0].engine!r}) is "
                 f"not batchable: needs decay_bfs, a static topology, and "
                 f"the 'fast' engine"
             )
-        if scenario_is_deterministic(cell[0].topology):
-            members.append(cell)
-        else:
-            members.extend([spec] for spec in cell)
+        members.append(member)
     member_contexts: List[List[RunContext]] = []
     for member in members:
         graph = member[0].build_graph()  # seed-independent within a member
@@ -304,10 +301,11 @@ def _coerce_policy(
 
 
 def _unit_cell_key(spec: ExperimentSpec) -> Optional[Tuple[str, Optional[int]]]:
-    """What :func:`_plan_units` fills and caps as one cell: a batchable
-    spec's cell, split by seed when its family builds a graph per seed
-    (each seed is then a member with its own graph, so the device cap
-    counts it alone); ``None`` for a spec that is never fused."""
+    """What :func:`_plan_units` fills and caps as one cell and
+    :func:`run_experiment_mega` runs as one member on one graph: a
+    batchable spec's cell, split by seed when its family builds a graph
+    per seed (so the device cap counts each seed alone); ``None`` for a
+    spec that is never fused."""
     if not spec_is_batchable(spec):
         return None
     seed = None if scenario_is_deterministic(spec.topology) else spec.seed
@@ -329,8 +327,9 @@ def _plan_units(
     within that cap and :data:`UNIT_MAX_DEVICES` devices.  Each seed
     of a stochastic family counts as a cell of its own, since it builds
     its own graph: small ones fuse under the device cap, and a large
-    one gets a one-lane unit.  Every other spec is a singleton, and so is every spec when the cap is 1 (one
-    lane per unit) or under ``invariant_sample``: the online checker
+    one gets a one-lane unit.  Every other spec is a singleton, and so
+    is every spec when the cap is 1 (one lane per unit) or under
+    ``invariant_sample``: the online checker
     hooks the serial engine's slot loop, which the array lanes bypass.
     Concatenating the units yields the input order unchanged, so
     downstream result assembly (and the store's shard append order) is

@@ -6,8 +6,7 @@ is known that this task can be solved in O~(n) time and O~(1) energy
 [10]" (Chang, Dani, Hayes, He, Li, Pettie, PODC 2018).
 
 Reimplementing [10] in full is out of scope of *this* paper's
-contribution, so per the reproduction ground rules we substitute two
-implementations (documented in DESIGN.md §3.4):
+contribution, so we substitute two implementations:
 
 - :class:`ChargedLeaderElection` — functionally elects the max-rank
   device and charges the ledger exactly the cited complexity envelope
@@ -93,7 +92,7 @@ class FloodingLeaderElection:
     all devices agree on it w.h.p. (rank collisions have probability
     ``<= 1/n``).  Energy ``Theta(rounds)`` per device — *not*
     energy-efficient; provided for small-graph cross-checks of the
-    charged black box, as documented in DESIGN.md.
+    charged black box (see the module docstring).
     """
 
     def __init__(self, rounds: int) -> None:

@@ -6,15 +6,20 @@ free.  The energy of an algorithm is the *maximum* over devices.
 
 Higher layers of this library additionally account in units of
 Local-Broadcast participations (the unit used throughout the paper's
-Section 4.3 analysis); :class:`EnergyLedger` tracks both currencies and
-can convert LB units to slot units through the Lemma 2.4 cost model.
+Section 4.3 analysis); :class:`EnergyLedger` tracks both currencies.
+The ledger keeps one LB-round clock and no per-phase breakdown: the
+per-step costs of Recursive-BFS are reported by
+:class:`repro.core.recursive_bfs.RunStats` (``stage_count``,
+``wavefront_lb``, ``special_updates``), and the Lemma 2.4 conversion
+of LB units to slots is
+:class:`repro.primitives.local_broadcast.LBCostModel`.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Mapping, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -38,7 +43,7 @@ class DeviceEnergy:
 
 
 class EnergyLedger:
-    """Tracks energy for a set of devices, with optional phase breakdown.
+    """Tracks the slot and Local-Broadcast energy of a set of devices.
 
     The ledger is shared by a whole simulation stack: the physical
     radio network, the Local-Broadcast layer, cluster-graph simulations,
@@ -50,8 +55,6 @@ class EnergyLedger:
 
     def __init__(self) -> None:
         self._devices: Dict[Hashable, DeviceEnergy] = defaultdict(DeviceEnergy)
-        self._phase_stack: List[str] = []
-        self._phase_lb: Dict[str, int] = defaultdict(int)
         self.time_slots: int = 0
         self.lb_rounds: int = 0
 
@@ -126,8 +129,6 @@ class EnergyLedger:
         for v in receivers:
             self._devices[v].lb_receiver += 1
         self.lb_rounds += 1
-        if self._phase_stack:
-            self._phase_lb[self._phase_stack[-1]] += 1
 
     def charge_participation(
         self, device: Hashable, sender: int = 0, receiver: int = 0
@@ -155,25 +156,6 @@ class EnergyLedger:
         clock without touching device counters.
         """
         self.lb_rounds += rounds
-        if self._phase_stack:
-            self._phase_lb[self._phase_stack[-1]] += rounds
-
-    # ------------------------------------------------------------------
-    # Phases (for reporting only)
-    # ------------------------------------------------------------------
-    def push_phase(self, name: str) -> None:
-        """Begin a named accounting phase (nested phases allowed)."""
-        self._phase_stack.append(name)
-
-    def pop_phase(self) -> None:
-        """End the innermost accounting phase."""
-        if not self._phase_stack:
-            raise RuntimeError("pop_phase with no open phase")
-        self._phase_stack.pop()
-
-    def phase_lb_rounds(self) -> Dict[str, int]:
-        """LB rounds spent per (innermost) phase name."""
-        return dict(self._phase_lb)
 
     # ------------------------------------------------------------------
     # Reporting
@@ -211,21 +193,6 @@ class EnergyLedger:
         if not self._devices:
             return 0.0
         return self.total_lb() / len(self._devices)
-
-    def lb_to_slot_estimate(
-        self, max_degree: int, failure_probability: float
-    ) -> Tuple[float, float]:
-        """Convert max-LB energy to estimated slots via Lemma 2.4.
-
-        Returns ``(sender_cost, receiver_cost)`` slot multipliers: a
-        sender spends ``O(log 1/f)`` slots per LB, a receiver
-        ``O(log Delta log 1/f)``.
-        """
-        import math
-
-        log_delta = max(1.0, math.log2(max(2, max_degree)))
-        log_inv_f = max(1.0, math.log2(1.0 / failure_probability))
-        return (log_inv_f, log_delta * log_inv_f)
 
     def snapshot(self) -> Dict[Hashable, Tuple[int, int, int, int]]:
         """Immutable snapshot ``{v: (tx, rx, lb_s, lb_r)}`` for diffing."""

@@ -3,9 +3,10 @@
 The repo's equivalence suites prove both engines produce identical
 *final* results; this module checks that declared safety properties
 hold *during* a run — exactly where dynamic-membership transients (see
-:mod:`repro.radio.dynamic`) would first go wrong.  Checks are declared
-once via :func:`register_invariant` and evaluated by an
-:class:`InvariantMonitor` attached to an engine:
+:mod:`repro.radio.dynamic`) would first go wrong.  The checks are a
+fixed set, listed in two module tables of ``(name, check)`` pairs
+(:data:`SLOT_CHECKS` and :data:`LABEL_CHECKS`), and every
+:class:`InvariantMonitor` attached to an engine runs all of them:
 
 - **slot invariants** run after each executed slot (sampled every
   ``period`` slots — debug runs use ``period=1``, production sweeps a
@@ -37,56 +38,26 @@ Testing seam
 :func:`install_test_mutator` installs a process-global hook invoked on
 every checked slot *before* the checks run — tests use it to plant a
 deliberate regression (e.g. rolling back a ledger cell) and assert the
-checker catches it.  Never used outside tests.
+checker catches it.  Never used outside tests; it is the seam through
+which a test substitutes a faulty engine inside the monitored slot loop.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, FrozenSet, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Hashable, Mapping, Optional, Tuple
 
 from ..errors import ConfigurationError
 
 #: A slot check: ``(monitor, engine) -> None | violation description``.
 #: A labels check: ``(monitor, labels) -> None | violation description``.
+#: The monitor counts violations per name and never raises.
 InvariantCheck = Callable[["InvariantMonitor", Any], Optional[str]]
-
-#: Check kinds: ``"slot"`` runs after sampled slots with the engine;
-#: ``"labels"`` runs on every label observation with the label mapping.
-INVARIANT_KINDS: Tuple[str, ...] = ("slot", "labels")
-
-_INVARIANTS: Dict[str, Tuple[str, InvariantCheck]] = {}
-
-
-def register_invariant(
-    name: str, kind: str = "slot", overwrite: bool = False
-) -> Callable[[InvariantCheck], InvariantCheck]:
-    """Register a named safety property (decorator factory).
-
-    ``kind`` selects the hook surface (see :data:`INVARIANT_KINDS`).
-    The check returns ``None`` when the property holds, or a short
-    violation description; the monitor counts violations per name and
-    never raises.
-    """
-    if not name:
-        raise ConfigurationError("invariant name must be non-empty")
-    if kind not in INVARIANT_KINDS:
-        raise ConfigurationError(
-            f"invariant kind must be one of {INVARIANT_KINDS}, got {kind!r}"
-        )
-    if not overwrite and name in _INVARIANTS:
-        raise ConfigurationError(f"invariant {name!r} is already registered")
-
-    def _register(check: InvariantCheck) -> InvariantCheck:
-        _INVARIANTS[name] = (kind, check)
-        return check
-
-    return _register
 
 
 def invariant_names() -> Tuple[str, ...]:
-    """All registered invariant names, sorted."""
-    return tuple(sorted(_INVARIANTS))
+    """All invariant names, slot and label checks together, sorted."""
+    return tuple(sorted(name for name, _ in SLOT_CHECKS + LABEL_CHECKS))
 
 
 _TEST_MUTATOR: Optional[Callable[[Any], None]] = None
@@ -103,7 +74,7 @@ def install_test_mutator(mutator: Optional[Callable[[Any], None]]) -> None:
 
 
 class InvariantMonitor:
-    """Per-run violation counter over the registered invariants.
+    """Per-run violation counter over every invariant.
 
     Attach to an engine (``network.invariant_monitor = monitor``) and
     the shared slot loop calls :meth:`after_slot` once per executed
@@ -111,34 +82,14 @@ class InvariantMonitor:
     :meth:`observe_labels`.  ``period`` samples the slot checks (every
     ``period``-th executed slot, starting at slot 0); label checks are
     cheap and run on every observation.
-
-    ``names`` restricts checking to a subset of
-    :func:`invariant_names`; the default is all registered invariants.
     """
 
-    def __init__(
-        self, period: int = 1, names: Optional[Sequence[str]] = None
-    ) -> None:
+    def __init__(self, period: int = 1) -> None:
         if not isinstance(period, int) or isinstance(period, bool) or period < 1:
             raise ConfigurationError(
                 f"invariant sampling period must be a positive int, got {period!r}"
             )
-        selected = invariant_names() if names is None else tuple(names)
-        unknown = [n for n in selected if n not in _INVARIANTS]
-        if unknown:
-            raise ConfigurationError(
-                f"unknown invariants {unknown}; registered: "
-                f"{', '.join(invariant_names())}"
-            )
         self.period = period
-        self._slot_checks: List[Tuple[str, InvariantCheck]] = []
-        self._label_checks: List[Tuple[str, InvariantCheck]] = []
-        for name in sorted(set(selected)):
-            kind, check = _INVARIANTS[name]
-            if kind == "slot":
-                self._slot_checks.append((name, check))
-            else:
-                self._label_checks.append((name, check))
         #: Slots on which the slot checks actually ran.
         self.checked_slots = 0
         #: Violation counts per invariant name.
@@ -162,13 +113,13 @@ class InvariantMonitor:
         if _TEST_MUTATOR is not None:
             _TEST_MUTATOR(engine)
         self.checked_slots += 1
-        for name, check in self._slot_checks:
+        for name, check in SLOT_CHECKS:
             if check(self, engine) is not None:
                 self._record(name)
 
     def observe_labels(self, labels: Mapping[Hashable, float]) -> None:
         """Run the label checks on one published label snapshot."""
-        for name, check in self._label_checks:
+        for name, check in LABEL_CHECKS:
             if check(self, labels) is not None:
                 self._record(name)
 
@@ -187,7 +138,6 @@ class InvariantMonitor:
 # Built-in invariants
 # ---------------------------------------------------------------------------
 
-@register_invariant("ledger_monotone")
 def _ledger_monotone(monitor: InvariantMonitor, engine: Any) -> Optional[str]:
     """Per-device energy totals and the ledger clock never decrease."""
     state = monitor.state.setdefault(
@@ -212,7 +162,6 @@ def _ledger_monotone(monitor: InvariantMonitor, engine: Any) -> Optional[str]:
     return bad
 
 
-@register_invariant("alive_topology_agreement")
 def _alive_topology_agreement(
     monitor: InvariantMonitor, engine: Any
 ) -> Optional[str]:
@@ -247,7 +196,6 @@ def _alive_topology_agreement(
     return None
 
 
-@register_invariant("fault_counters_monotone")
 def _fault_counters_monotone(
     monitor: InvariantMonitor, engine: Any
 ) -> Optional[str]:
@@ -274,7 +222,6 @@ def _fault_counters_monotone(
     return bad
 
 
-@register_invariant("sinr_gain_integrity")
 def _sinr_gain_integrity(monitor: InvariantMonitor, engine: Any) -> Optional[str]:
     """The engine's live SINR gain table matches a fresh recompute.
 
@@ -312,7 +259,6 @@ def _sinr_gain_integrity(monitor: InvariantMonitor, engine: Any) -> Optional[str
     return None
 
 
-@register_invariant("labels_monotone", kind="labels")
 def _labels_monotone(
     monitor: InvariantMonitor, labels: Mapping[Hashable, float]
 ) -> Optional[str]:
@@ -329,7 +275,6 @@ def _labels_monotone(
     return bad
 
 
-@register_invariant("frontier_valid", kind="labels")
 def _frontier_valid(
     monitor: InvariantMonitor, labels: Mapping[Hashable, float]
 ) -> Optional[str]:
@@ -343,3 +288,18 @@ def _frontier_valid(
         if finite != expected:
             return "settled labels do not form contiguous BFS layers"
     return None
+
+
+#: The slot checks, run after each sampled slot with the engine.
+SLOT_CHECKS: Tuple[Tuple[str, InvariantCheck], ...] = (
+    ("alive_topology_agreement", _alive_topology_agreement),
+    ("fault_counters_monotone", _fault_counters_monotone),
+    ("ledger_monotone", _ledger_monotone),
+    ("sinr_gain_integrity", _sinr_gain_integrity),
+)
+
+#: The label checks, run on every label observation with the labels.
+LABEL_CHECKS: Tuple[Tuple[str, InvariantCheck], ...] = (
+    ("frontier_valid", _frontier_valid),
+    ("labels_monotone", _labels_monotone),
+)

@@ -25,14 +25,13 @@ from .base import (
     gather_edges,
 )
 from .megabatch import MegaBatchPlan
-from .sinr_csr import SinrCsr, compile_sinr, sinr_arbitrate, sinr_arbitrate_many
+from .sinr_csr import SinrCsr, sinr_arbitrate, sinr_arbitrate_many
 
 __all__ = [
     "CSRAdjacency",
     "EdgeGather",
     "MegaBatchPlan",
     "SinrCsr",
-    "compile_sinr",
     "counts_codes_blocks",
     "default_kernel",
     "gather_edges",

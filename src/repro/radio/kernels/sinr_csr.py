@@ -23,7 +23,7 @@ from typing import Hashable, List, Sequence, Tuple
 import numpy as np
 
 from ...errors import ConfigurationError
-from ..sinr import THRESHOLD_DEN, SinrField, SinrParams
+from ..sinr import THRESHOLD_DEN, SinrField
 from .base import CSRAdjacency, gather_edges
 
 
@@ -63,15 +63,6 @@ class SinrCsr(CSRAdjacency):
             costs=np.asarray(params.power_costs, dtype=np.int64),
             threshold_milli=params.threshold_milli,
             noise_floor=params.noise_floor,
-        )
-
-    def with_gains(self, gains: np.ndarray) -> "SinrCsr":
-        """Same topology and ladder, replacement gain array (tests)."""
-        return SinrCsr(
-            n=self.n, indptr=self.indptr, indices=self.indices,
-            gains=np.asarray(gains, dtype=np.int64), mults=self.mults,
-            costs=self.costs, threshold_milli=self.threshold_milli,
-            noise_floor=self.noise_floor,
         )
 
 
@@ -133,18 +124,3 @@ def sinr_arbitrate(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Single-lane arbitration (see :func:`sinr_arbitrate_many`)."""
     return sinr_arbitrate_many([(csr, tx_idx, tx_levels)])[0]
-
-
-def compile_sinr(
-    params_or_field: "SinrParams | SinrField",
-    graph,
-    adjacency: CSRAdjacency,
-    vertices: Sequence[Hashable],
-) -> SinrCsr:
-    """Convenience: build the field (if needed) and compile it."""
-    field = (
-        params_or_field
-        if isinstance(params_or_field, SinrField)
-        else SinrField(graph, params_or_field)
-    )
-    return SinrCsr.compile(field, adjacency, vertices)

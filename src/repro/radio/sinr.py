@@ -154,17 +154,6 @@ class SinrParams:
         """Number of selectable power levels."""
         return len(self.power_levels)
 
-    def validate_level(self, level: Any) -> int:
-        """Check a device-selected level; raise ConfigurationError if bad."""
-        if not isinstance(level, int) or isinstance(level, bool) or not (
-            0 <= level < self.levels
-        ):
-            raise ConfigurationError(
-                f"transmit power level must be an int in [0, {self.levels}), "
-                f"got {level!r}"
-            )
-        return level
-
     def to_dict(self) -> Dict[str, Any]:
         """JSON-native canonical form (sorted keys, lists for tuples)."""
         return {

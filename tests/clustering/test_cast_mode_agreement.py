@@ -1,15 +1,17 @@
-"""FAST vs FAITHFUL cast modes: same deliveries, same time accounting.
+"""The cast engine vs the literal step loop: same deliveries, same time
+accounting.
 
-The FAST mode is a measured shortcut (DESIGN.md §3.2); these tests pin
-down the agreement contract it must keep with the literal step loop.
+:class:`repro.clustering.CastEngine` does not execute the Lemma 3.1
+step loop (its module docstring says why); these tests pin down the
+agreement contract it must keep with that loop, the oracle in
+``cast_oracle.py``.
 """
 
-import networkx as nx
 import pytest
 
+from cast_oracle import down_cast_faithful, up_cast_faithful
 from repro.clustering import (
     CastEngine,
-    CastMode,
     SlotAssignment,
     mpx_clustering,
 )
@@ -33,14 +35,15 @@ class TestDownCastAgreement:
         payloads = {c: f"m{c}" for c in clustering.clusters()}
 
         fast = CastEngine(
-            PhysicalLBGraph(g, seed=0), clustering, slots, mode=CastMode.FAST
+            PhysicalLBGraph(g, seed=0), clustering, slots
         ).down_cast(payloads)
-        faithful = CastEngine(
-            PhysicalLBGraph(g, seed=0), clustering, slots, mode=CastMode.FAITHFUL
-        ).down_cast(payloads)
+        faithful = down_cast_faithful(
+            CastEngine(PhysicalLBGraph(g, seed=0), clustering, slots), payloads
+        )
 
-        # FAST delivers to everyone; FAITHFUL w.h.p. — every faithful
-        # delivery must agree with FAST, and coverage must be near-total.
+        # The engine delivers to everyone, the step loop w.h.p. — every
+        # step-loop delivery must agree with the engine's, and coverage
+        # must be near-total.
         for v, payload in faithful.items():
             assert fast[v] == payload
         assert len(faithful) >= 0.95 * len(fast)
@@ -51,13 +54,9 @@ class TestDownCastAgreement:
         depth = max(clustering.cluster_radius(c) for c in clustering.clusters())
 
         lbg_fast = PhysicalLBGraph(g, seed=0)
-        CastEngine(lbg_fast, clustering, slots, mode=CastMode.FAST).down_cast(
-            payloads
-        )
+        CastEngine(lbg_fast, clustering, slots).down_cast(payloads)
         lbg_faith = PhysicalLBGraph(g, seed=0)
-        CastEngine(
-            lbg_faith, clustering, slots, mode=CastMode.FAITHFUL
-        ).down_cast(payloads)
+        down_cast_faithful(CastEngine(lbg_faith, clustering, slots), payloads)
 
         assert lbg_fast.ledger.lb_rounds == slots.ell * depth
         assert lbg_faith.ledger.lb_rounds == slots.ell * depth
@@ -73,21 +72,24 @@ class TestUpCastAgreement:
             messages[deepest] = f"payload-{c}"
 
         fast = CastEngine(
-            PhysicalLBGraph(g, seed=0), clustering, slots, mode=CastMode.FAST
+            PhysicalLBGraph(g, seed=0), clustering, slots
         ).up_cast(messages, clustering.clusters())
-        faithful = CastEngine(
-            PhysicalLBGraph(g, seed=0), clustering, slots, mode=CastMode.FAITHFUL
-        ).up_cast(messages, clustering.clusters())
+        faithful = up_cast_faithful(
+            CastEngine(PhysicalLBGraph(g, seed=0), clustering, slots),
+            messages,
+            clustering.clusters(),
+        )
 
         # Since each cluster holds exactly one message, any delivery is
-        # that message; FAST reaches every cluster, FAITHFUL w.h.p.
+        # that message; the engine reaches every cluster, the step loop
+        # w.h.p.
         for c, payload in faithful.items():
             assert fast[c] == payload
         assert len(faithful) >= 0.9 * len(fast)
 
     def test_fast_energy_never_below_faithful_senders(self):
-        """FAST charges worst-case listening; it must dominate FAITHFUL's
-        per-device receiver charges on the same instance."""
+        """The engine charges worst-case listening; it must dominate the
+        step loop's per-device receiver charges on the same instance."""
         g, clustering, slots = _fixture(2)
         messages = {}
         for c, members in clustering.members.items():
@@ -95,13 +97,15 @@ class TestUpCastAgreement:
             messages[deepest] = "m"
 
         lbg_fast = PhysicalLBGraph(g, seed=0)
-        CastEngine(lbg_fast, clustering, slots, mode=CastMode.FAST).up_cast(
+        CastEngine(lbg_fast, clustering, slots).up_cast(
             messages, clustering.clusters()
         )
         lbg_faith = PhysicalLBGraph(g, seed=0)
-        CastEngine(
-            lbg_faith, clustering, slots, mode=CastMode.FAITHFUL
-        ).up_cast(messages, clustering.clusters())
+        up_cast_faithful(
+            CastEngine(lbg_faith, clustering, slots),
+            messages,
+            clustering.clusters(),
+        )
 
         for v in g.nodes:
             fast_rx = lbg_fast.ledger.device(v).lb_receiver

@@ -1,13 +1,13 @@
-"""Tests for Up-cast / Down-cast (Lemma 3.1), both execution modes."""
+"""Tests for Up-cast / Down-cast (Lemma 3.1): the engine and the step-loop oracle."""
 
 import math
 
 import networkx as nx
 import pytest
 
+from cast_oracle import down_cast_faithful, up_cast_faithful
 from repro.clustering import (
     CastEngine,
-    CastMode,
     SlotAssignment,
     mpx_clustering,
 )
@@ -16,13 +16,13 @@ from repro.primitives import PhysicalLBGraph
 from repro.radio import topology
 
 
-def _setup(graph, beta=1 / 4, seed=0, mode=CastMode.FAST):
+def _setup(graph, beta=1 / 4, seed=0):
     lbg = PhysicalLBGraph(graph, seed=seed)
     clustering = mpx_clustering(graph, beta, seed=seed, radius_multiplier=2.0)
     slots = SlotAssignment.sample(
         clustering.clusters(), beta, graph.number_of_nodes(), seed=seed + 1
     )
-    engine = CastEngine(lbg, clustering, slots, mode=mode, seed=seed + 2)
+    engine = CastEngine(lbg, clustering, slots)
     return lbg, clustering, slots, engine
 
 
@@ -101,13 +101,13 @@ class TestUpCastFast:
 
 
 class TestFaithfulMode:
-    """The literal step-loop implementation must agree with FAST."""
+    """The literal step loop delivers what the engine delivers, w.h.p."""
 
     def test_down_cast_delivers(self):
         g = topology.grid_graph(6, 6)
-        lbg, clustering, slots, engine = _setup(g, mode=CastMode.FAITHFUL)
+        lbg, clustering, slots, engine = _setup(g)
         payloads = {c: f"m{c}" for c in clustering.clusters()}
-        delivered = engine.down_cast(payloads)
+        delivered = down_cast_faithful(engine, payloads)
         # Property (2) holds w.h.p.; allow isolated misses but expect
         # near-total coverage.
         coverage = len(delivered) / g.number_of_nodes()
@@ -117,19 +117,19 @@ class TestFaithfulMode:
 
     def test_up_cast_delivers(self):
         g = topology.grid_graph(6, 6)
-        lbg, clustering, slots, engine = _setup(g, mode=CastMode.FAITHFUL)
+        lbg, clustering, slots, engine = _setup(g)
         messages = {}
         for c, members in clustering.members.items():
             deepest = max(members, key=lambda v: (clustering.layer_of[v], repr(v)))
             messages[deepest] = f"from-{deepest}"
-        results = engine.up_cast(messages, clustering.clusters())
+        results = up_cast_faithful(engine, messages, clustering.clusters())
         assert len(results) >= 0.9 * len(clustering.clusters())
 
     def test_faithful_energy_still_logarithmic(self):
         """Even executing every step, per-vertex energy is O(|S_C| + depth)."""
         g = topology.grid_graph(6, 6)
-        lbg, clustering, slots, engine = _setup(g, mode=CastMode.FAITHFUL)
-        engine.down_cast({c: "m" for c in clustering.clusters()})
+        lbg, clustering, slots, engine = _setup(g)
+        down_cast_faithful(engine, {c: "m" for c in clustering.clusters()})
         # Receivers listen only during their own slots in their stage.
         max_size = max(len(slots.subset(c)) for c in clustering.clusters())
         assert lbg.ledger.max_lb() <= 4 * max_size

@@ -4,7 +4,6 @@ import networkx as nx
 import pytest
 
 from repro.clustering import (
-    CastMode,
     ClusterLBGraph,
     SlotAssignment,
     mpx_clustering,
@@ -20,13 +19,13 @@ def grid16():
     return topology.grid_graph(16, 16)
 
 
-def _stack(graph, beta=1 / 2, seed=0, mode=CastMode.FAST):
+def _stack(graph, beta=1 / 2, seed=0):
     lbg = PhysicalLBGraph(graph, seed=seed)
     clustering = mpx_clustering(graph, beta, seed=seed, radius_multiplier=1.0)
     slots = SlotAssignment.sample(
         clustering.clusters(), beta, graph.number_of_nodes(), seed=seed + 1
     )
-    star = ClusterLBGraph(lbg, clustering, slots, cast_mode=mode, seed=seed + 2)
+    star = ClusterLBGraph(lbg, clustering, slots)
     return lbg, clustering, star
 
 
@@ -131,7 +130,7 @@ class TestRecursiveStacking:
         slots2 = SlotAssignment.sample(
             c2.clusters(), 1 / 2, geo120.number_of_nodes(), seed=10
         )
-        star2 = ClusterLBGraph(star, c2, slots2, seed=11)
+        star2 = ClusterLBGraph(star, c2, slots2)
         q2 = star2.as_nx_graph()
         source = sorted(star2.vertices(), key=repr)[0]
         labels = trivial_bfs(star2, [source], depth_budget=q2.number_of_nodes())

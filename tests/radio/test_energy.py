@@ -55,37 +55,9 @@ class TestLBCharging:
         assert ledger.mean_lb() == pytest.approx(1.0)
 
 
-class TestPhases:
-    def test_phase_accounting(self):
-        ledger = EnergyLedger()
-        ledger.push_phase("clustering")
-        ledger.charge_lb([], ["a"])
-        ledger.charge_lb([], ["a"])
-        ledger.pop_phase()
-        ledger.push_phase("wavefront")
-        ledger.charge_lb(["a"], [])
-        ledger.pop_phase()
-        phases = ledger.phase_lb_rounds()
-        assert phases["clustering"] == 2
-        assert phases["wavefront"] == 1
-
-    def test_pop_without_push_raises(self):
-        ledger = EnergyLedger()
-        with pytest.raises(RuntimeError):
-            ledger.pop_phase()
-
-
 class TestSnapshots:
     def test_snapshot_roundtrip(self):
         ledger = EnergyLedger()
         ledger.charge_transmit("x")
         snap = ledger.snapshot()
         assert snap["x"] == (1, 0, 0, 0)
-
-    def test_lb_to_slot_estimate(self):
-        ledger = EnergyLedger()
-        sender_cost, receiver_cost = ledger.lb_to_slot_estimate(
-            max_degree=16, failure_probability=1 / 1024
-        )
-        assert sender_cost == pytest.approx(10.0)
-        assert receiver_cost == pytest.approx(40.0)

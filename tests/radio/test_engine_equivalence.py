@@ -195,7 +195,7 @@ class TestStackEquivalence:
                 seed=seed + 1,
             )
             star = ClusterLBGraph.from_graph(
-                graph, clustering, slots, seed=seed + 2, engine=engine,
+                graph, clustering, slots, engine=engine,
                 failure_probability=1e-4, lb_seed=seed + 3,
             )
             assert star.parent.network.name == engine

@@ -1,5 +1,5 @@
-"""Online invariant checker: registration, sampling, built-in checks,
-and the planted-regression seam.
+"""Online invariant checker: the check tables, sampling, built-in
+checks, and the planted-regression seam.
 
 The headline acceptance test lives here: a deliberately planted
 regression (a one-shot ledger rollback injected through
@@ -13,13 +13,14 @@ import pytest
 
 from repro.core import decay_bfs
 from repro.errors import ConfigurationError
-from repro.radio import make_network, topology
+from repro.radio import Action, Device, make_network, topology
 from repro.radio.dynamic import build_dynamic_topology
 from repro.radio.invariants import (
+    LABEL_CHECKS,
+    SLOT_CHECKS,
     InvariantMonitor,
     install_test_mutator,
     invariant_names,
-    register_invariant,
 )
 
 BUILTINS = (
@@ -42,16 +43,16 @@ def _clear_mutator():
 class TestRegistry:
     def test_builtins_registered(self):
         assert invariant_names() == BUILTINS
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_invariant("ledger_monotone")
-
-    def test_bad_kind_and_name_rejected(self):
-        with pytest.raises(ConfigurationError, match="kind"):
-            register_invariant("x", kind="nonsense")
-        with pytest.raises(ConfigurationError, match="non-empty"):
-            register_invariant("")
+        assert [name for name, _ in SLOT_CHECKS] == [
+            "alive_topology_agreement",
+            "fault_counters_monotone",
+            "ledger_monotone",
+            "sinr_gain_integrity",
+        ]
+        assert [name for name, _ in LABEL_CHECKS] == [
+            "frontier_valid",
+            "labels_monotone",
+        ]
 
 
 class TestMonitor:
@@ -60,23 +61,21 @@ class TestMonitor:
             with pytest.raises(ConfigurationError, match="period"):
                 InvariantMonitor(period=bad)
 
-    def test_unknown_names_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown invariants"):
-            InvariantMonitor(names=["ledger_monotone", "bogus"])
-
     def test_sampling_period(self):
-        class _Engine:
-            slot = 0
-        monitor = InvariantMonitor(period=3, names=[])
-        engine = _Engine()
-        for executed in range(12):
-            engine.slot = executed + 1  # after_slot sees the advanced clock
-            monitor.after_slot(engine)
+        class _Listener(Device):
+            def step(self, slot):
+                return Action.listen()
+
+        net = make_network(topology.path_graph(4), engine="reference")
+        monitor = InvariantMonitor(period=3)
+        net.invariant_monitor = monitor
+        assert net.run(net.spawn_devices(_Listener, seed=0), max_slots=12) == 12
         # Slots 0, 3, 6, 9 sampled.
         assert monitor.checked_slots == 4
+        assert monitor.violations == {}
 
     def test_counters_shape(self):
-        monitor = InvariantMonitor(names=[])
+        monitor = InvariantMonitor()
         assert monitor.counters() == {"checked_slots": 0, "violations": {}}
         monitor._record("b")
         monitor._record("a")
@@ -88,7 +87,7 @@ class TestMonitor:
 
 class TestLabelChecks:
     def _monitor(self):
-        return InvariantMonitor(names=["labels_monotone", "frontier_valid"])
+        return InvariantMonitor()
 
     def test_clean_observations_pass(self):
         monitor = self._monitor()
