@@ -571,6 +571,27 @@ def test_run_experiment_mega_validates_input():
     assert _canonical(lone) == _canonical(serial_result(specs[0]))
 
 
+def test_run_experiment_mega_members_follow_the_planner_key(monkeypatch):
+    # A seed-deterministic cell is one member on one graph; each seed of
+    # a stochastic family is a member of its own, as _plan_units counts it.
+    from repro.experiments import registry
+
+    lane_runner = registry.LANE_RUNNERS["decay_bfs"]
+    member_sizes = []
+
+    def recording(member_contexts):
+        member_sizes.append([len(m) for m in member_contexts])
+        return lane_runner(member_contexts)
+
+    monkeypatch.setitem(registry.LANE_RUNNERS, "decay_bfs", recording)
+    specs = (_cell_specs("none", "no_cd", seeds=range(3), topology="grid", n=16)
+             + _cell_specs("none", "no_cd", seeds=range(3),
+                           topology="erdos_renyi", n=16))
+    results = run_experiment_mega(specs)
+    assert member_sizes == [[3, 1, 1, 1]]
+    assert [_canonical(r) for r in results] == serial_documents(specs)
+
+
 def test_mega_sweep_store_byte_identical(tmp_path):
     specs = _hetero_specs("lossy_mixed", "receiver_cd", seeds=2)
     serial_store(specs, str(tmp_path / "serial"))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.primitives import LBCostModel
 from repro.radio import EnergyLedger
 
 
@@ -54,6 +55,28 @@ class TestLBCharging:
         ledger.charge_lb(["a"], ["b", "c"])
         assert ledger.mean_lb() == pytest.approx(1.0)
 
+    def test_lb_rounds_accumulate_across_calls(self):
+        ledger = EnergyLedger()
+        ledger.charge_lb([], ["a"])
+        ledger.advance_lb_rounds(3)
+        ledger.charge_lb(["a"], ["b"])
+        assert ledger.lb_rounds == 5
+        assert ledger.device("a").lb_participations == 2
+        assert ledger.device("b").lb_receiver == 1
+        assert ledger.total_lb() == 3
+
+    def test_lb_counters_convert_to_slots(self):
+        # Lemma 2.4 via LBCostModel: a sender pays ceil(log2 1/f) slots
+        # per LB call, a receiver (ceil(log2 Delta) + 1) times that.
+        model = LBCostModel(max_degree=16, failure_probability=1 / 1024)
+        assert (model.sender_slots, model.receiver_slots) == (10, 50)
+        ledger = EnergyLedger()
+        ledger.charge_lb(["a"], ["b"])
+        ledger.charge_lb(["b"], ["a"])
+        ledger.charge_lb(["b"], [])
+        assert model.device_slot_estimate(ledger.device("a")) == 10 + 50
+        assert model.device_slot_estimate(ledger.device("b")) == 2 * 10 + 50
+
 
 class TestSnapshots:
     def test_snapshot_roundtrip(self):
@@ -61,3 +84,12 @@ class TestSnapshots:
         ledger.charge_transmit("x")
         snap = ledger.snapshot()
         assert snap["x"] == (1, 0, 0, 0)
+
+    def test_snapshot_is_detached(self):
+        ledger = EnergyLedger()
+        ledger.charge_listen("x")
+        snap = ledger.snapshot()
+        ledger.charge_listen("x")
+        ledger.charge_lb(["y"], [])
+        assert snap == {"x": (0, 1, 0, 0)}
+        assert ledger.snapshot() == {"x": (0, 2, 0, 0), "y": (0, 0, 1, 0)}

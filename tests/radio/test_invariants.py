@@ -54,6 +54,12 @@ class TestRegistry:
             "labels_monotone",
         ]
 
+    def test_check_names_unique_and_non_empty(self):
+        names = [name for name, _ in SLOT_CHECKS + LABEL_CHECKS]
+        assert len(set(names)) == len(names)
+        assert all(name for name in names)
+        assert all(callable(check) for _, check in SLOT_CHECKS + LABEL_CHECKS)
+
 
 class TestMonitor:
     def test_period_validation(self):
@@ -73,6 +79,24 @@ class TestMonitor:
         # Slots 0, 3, 6, 9 sampled.
         assert monitor.checked_slots == 4
         assert monitor.violations == {}
+
+    def test_default_monitor_runs_every_check(self):
+        def both_faults(engine):
+            if engine.slot == 8:
+                for v, nbrs in engine._adjacency.items():
+                    if nbrs:
+                        nbrs.remove(next(iter(nbrs)))
+                        break
+            if engine.slot == 10:
+                engine.ledger.time_slots -= 5
+
+        counters = _run_monitored("reference", mutator=both_faults)
+        assert counters["violations"].get("alive_topology_agreement", 0) >= 1
+        assert counters["violations"].get("ledger_monotone", 0) >= 1
+        monitor = InvariantMonitor()
+        monitor.observe_labels({0: 0.0, 1: 1.0})
+        monitor.observe_labels({0: 0.0, 1: 3.0})
+        assert set(monitor.violations) == {"frontier_valid", "labels_monotone"}
 
     def test_counters_shape(self):
         monitor = InvariantMonitor()
