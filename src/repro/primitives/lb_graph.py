@@ -228,7 +228,7 @@ class PhysicalLBGraph(LBGraph):
         counters = self.fault_counters
         jammed: frozenset = frozenset()
         if self._fault_runtime is not None:
-            plan = self._fault_runtime.plan(self._lb_round)
+            plan = self._fault_runtime.plan(self._lb_round).labels()
             jammed = plan.jammed
             if plan.dead:
                 # Dead devices participate in nothing: no energy, no

@@ -17,12 +17,16 @@ Two classes hold that:
   :class:`~repro.radio.faults.ReplicaFaultRuntimes`), its own collision
   resolution, and its own slot clock.  It is state only: it owns no
   device loop and no slot loop.
-- :class:`MegaBatchedNetwork` is the one lockstep executor.  It packs
-  one or more such members — the same topology or different ones — into
-  a :class:`~repro.radio.kernels.megabatch.MegaBatchPlan`, so every
-  running lane of every member joins **one** integer CSR gather per
-  slot, each lane in its own column range.  A replica batch is simply a
-  one-member mega batch.
+- :class:`MegaBatchedNetwork` is the one lockstep executor.  It stacks
+  the CSRs of one or more such members — the same topology or
+  different ones — into a
+  :class:`~repro.radio.kernels.megabatch.MegaBatchPlan` once, and runs
+  each slot of every running lane of every member as **one** array
+  pass: each lane owns a column range of single global vectors
+  (listening, transmit and listen counts, fault masks), and every live
+  sender joins one stacked integer CSR gather.  No Python loop runs
+  per lane per slot, except each faulted lane's plan draw.  A replica
+  batch is simply a one-member mega batch.
 
 Lanes hold no devices.  Each runs a :class:`LaneSchedule`, the array
 form of one Decay round (Lemma 2.4): a sender's whole transmit schedule
@@ -57,11 +61,12 @@ depths.
 from __future__ import annotations
 
 import numbers
+from collections import defaultdict
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
-    FrozenSet,
     Hashable,
     List,
     Mapping,
@@ -74,7 +79,7 @@ from typing import (
 import networkx as nx
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SimulationError
 from ..rng import DeviceStreams, SeedLike
 from .channel import CollisionModel
 from .device import Device
@@ -132,116 +137,6 @@ class LaneSchedule:
     receivers: Sequence[int]
     power: int = 0
     heard: Dict[int, Message] = field(default_factory=dict)
-
-
-_NO_VERTICES: FrozenSet[Hashable] = frozenset()
-
-
-class _ScheduleRun:
-    """One lane's state for one :meth:`MegaBatchedNetwork.run_lockstep`
-    call: the mask of receivers still listening, this slot's staging,
-    and the lane's transmit and listen totals, flushed to its ledger at
-    the end.
-    """
-
-    __slots__ = ("key", "lane", "member", "schedule", "budget", "executed",
-                 "listening", "tx_counts", "listen_counts", "tx",
-                 "listeners", "jam", "resolved")
-
-    def __init__(self, key: Tuple[int, int], member: "ReplicaBatchedNetwork",
-                 schedule: LaneSchedule, budget: int) -> None:
-        n = member._topology.n
-        self.key = key
-        self.lane = member.lanes[key[1]]
-        self.member = member
-        self.schedule = schedule
-        self.budget = budget
-        self.executed = 0
-        self.listening = np.zeros(n, dtype=bool)
-        self.listening[list(schedule.receivers)] = True
-        self.tx_counts = np.zeros(n, dtype=np.int64)
-        self.listen_counts = np.zeros(n, dtype=np.int64)
-
-    @property
-    def needs_channel(self) -> bool:
-        """Whether this slot has both transmitters and listeners."""
-        return bool(self.tx) and self.listeners.size > 0
-
-    def collect(self) -> None:
-        """Draw the slot's fault plan, stage its transmitters and
-        listeners, and add their energy to the lane's totals.
-
-        Dead senders and receivers sit the slot out; a dropped sender
-        pays for its transmission but never reaches the channel.  The
-        RN[b] and power-level checks run per transmission, in vertex
-        order, exactly where the serial engines run them.
-        """
-        member, lane, schedule = self.member, self.lane, self.schedule
-        plan = member._fault_runtimes.plan(lane.index, lane.slot)
-        dead = dropped = jammed = _NO_VERTICES
-        if plan is not None:
-            dead, dropped, jammed = plan.dead, plan.dropped, plan.jammed
-        vertices = member._topology.vertices
-        sinr = member.sinr
-        self.tx = tx = []
-        for i in schedule.transmits.get(self.executed, ()):
-            vertex = vertices[i]
-            if vertex in dead:
-                continue
-            member.size_policy.check(schedule.messages[i])
-            if sinr is None:
-                self.tx_counts[i] += 1
-            else:
-                level = check_power_level(vertex, schedule.power, sinr)
-                self.tx_counts[i] += sinr.power_costs[level]
-            if vertex in dropped:
-                lane.fault_counters.dropped += 1
-            else:
-                tx.append(i)
-        listening = self.listening
-        if dead:
-            listening = listening & ~member._mask(dead)
-        self.listen_counts += listening
-        self.listeners = listeners = np.flatnonzero(listening)
-        self.jam = member._mask(jammed)[listeners] if jammed else None
-
-    def dispatch(self) -> None:
-        """Deliver this slot's receptions (from :attr:`resolved` when
-        :attr:`needs_channel`) and advance the lane's clock.  A jammed
-        listener hears nothing, like a collision."""
-        counters = self.lane.fault_counters
-        jam = self.jam
-        if jam is not None:
-            counters.jammed += int(np.count_nonzero(jam))
-        if self.needs_channel:
-            resolved, listeners = self.resolved, self.listeners
-            if len(resolved) == 3:
-                deliver = resolved[2][listeners]
-            else:
-                deliver = resolved[0][listeners] == 1
-            if jam is not None:
-                deliver &= ~jam
-            got = listeners[deliver]
-            if len(got):
-                messages, heard = self.schedule.messages, self.schedule.heard
-                for i, code in zip(got.tolist(), resolved[1][got].tolist()):
-                    heard[i] = messages[code - 1]
-                counters.delivered += len(got)
-                self.listening[got] = False
-        self.executed += 1
-        self.lane.slot += 1
-
-    def flush(self) -> None:
-        """Charge the lane's totals to its ledger in one pass."""
-        active = np.flatnonzero(self.tx_counts + self.listen_counts)
-        vertices = self.member._topology.vertices
-        ledger = self.lane.ledger
-        ledger.charge_slot_counts(
-            [vertices[i] for i in active.tolist()],
-            self.tx_counts[active].tolist(),
-            self.listen_counts[active].tolist(),
-        )
-        ledger.advance_time(self.executed)
 
 
 class ReplicaBatchedNetwork:
@@ -306,8 +201,6 @@ class ReplicaBatchedNetwork:
         #: Vertex -> index in the compiled topology (a
         #: :class:`LaneSchedule` names vertices by these indices).
         self.index: Dict[Hashable, int] = self._topology.index
-        # Fault vertex sets as index masks; jam regions and dead sets recur.
-        self._masks: Dict[FrozenSet[Hashable], np.ndarray] = {}
         self.sinr = sinr_params
         self._sinr_csr: Optional[SinrCsr] = (
             SinrCsr.compile(
@@ -361,16 +254,6 @@ class ReplicaBatchedNetwork:
         it stays only because ``perfbench/tracer.py`` wraps it by name."""
         return spawn_device_map(self._topology.vertices, factory, seed)
 
-    def _mask(self, vertices: FrozenSet[Hashable]) -> np.ndarray:
-        """``vertices`` as a boolean mask over vertex indices."""
-        mask = self._masks.get(vertices)
-        if mask is None:
-            mask = np.zeros(self._topology.n, dtype=bool)
-            index = self._topology.index
-            mask[[index[v] for v in vertices]] = True
-            self._masks[vertices] = mask
-        return mask
-
     def _check_replica(self, replica: int) -> int:
         """The lane index as a Python ``int``."""
         index = _as_int(replica, "replica lane")
@@ -401,19 +284,18 @@ MegaLaneKey = Tuple[int, int]
 class MegaBatchedNetwork:
     """One or more members, one fused gather per slot.
 
-    The lockstep executor of every batched run.  It packs replica-batched
+    The lockstep executor of every batched run.  It stacks replica-batched
     *members* — each a :class:`ReplicaBatchedNetwork` with its own
     topology, collision model, fault model, and lane set; a replica batch
     is a single member — into one
     :class:`~repro.radio.kernels.megabatch.MegaBatchPlan`, so every
     running lane of every member joins the same gather each slot.
-    Per-lane semantics are untouched: every lane draws its member's
-    fault plan each slot, stages the transmitters and listeners of its
-    :class:`LaneSchedule`, charges its own ledger and fault counters,
-    and gets its own column range in the gather (see
-    :mod:`repro.radio.kernels.megabatch`), so each lane stays
-    **byte-identical** to its own serial run, whether the members share
-    a topology or not.
+    Per-lane semantics are untouched: every faulted lane draws its
+    member's fault plan each slot, every lane runs the transmitters and
+    listeners of its :class:`LaneSchedule` in its own column range of
+    the global vectors and of the gather, and charges its own ledger
+    and fault counters, so each lane stays **byte-identical** to its
+    own serial run, whether the members share a topology or not.
 
     Because members generally have different Decay parameter budgets
     (different max degrees), :meth:`run_lockstep` accepts either a
@@ -426,9 +308,10 @@ class MegaBatchedNetwork:
                 "MegaBatchedNetwork requires at least one member network"
             )
         self.members: List[ReplicaBatchedNetwork] = list(members)
-        self._plan = MegaBatchPlan(
-            [m._topology.adjacency for m in self.members]
-        )
+        self._plan = MegaBatchPlan([
+            m._topology.adjacency if m._sinr_csr is None else m._sinr_csr
+            for m in self.members
+        ])
 
     # ------------------------------------------------------------------
     def member(self, index: int) -> ReplicaBatchedNetwork:
@@ -496,45 +379,173 @@ class MegaBatchedNetwork:
                     f"max_slots mapping is missing a budget for lane "
                     f"{exc.args[0]!r}"
                 ) from None
-        runs = [
-            _ScheduleRun(key, self.members[key[0]], lanes[key], budgets[key])
-            for key in sorted(lanes)
-        ]
+        keys = sorted(lanes)
         # The serial stop rule: a Decay sender halts only once its round
         # is over, so a lane with any participant runs its whole budget,
         # and a lane with none runs no slot.
         running = [
-            run for run in runs
-            if (run.schedule.messages or run.schedule.receivers) and run.budget > 0
+            key for key in keys
+            if (lanes[key].messages or lanes[key].receivers) and budgets[key] > 0
         ]
-        while running:
-            for run in running:
-                run.collect()
-            # One gather for every lane, of every member, that needs the
-            # channel.  SINR members take the fused arbitration kernel
-            # instead (its own gather over all such lanes).
-            need = [run for run in running if run.needs_channel]
-            binary = [run for run in need if run.member._sinr_csr is None]
-            sinr = [run for run in need if run.member._sinr_csr is not None]
-            if binary:
-                resolved = self._plan.counts_codes_many([
-                    (run.key[0], np.asarray(run.tx, dtype=np.int64))
-                    for run in binary
-                ])
-                for run, pair in zip(binary, resolved):
-                    run.resolved = pair
-            if sinr:
-                arbitrated = sinr_arbitrate_many([
-                    (run.member._sinr_csr,
-                     np.asarray(run.tx, dtype=np.int64),
-                     np.full(len(run.tx), run.schedule.power, dtype=np.int64))
-                    for run in sinr
-                ])
-                for run, triple in zip(sinr, arbitrated):
-                    run.resolved = triple
-            for run in running:
-                run.dispatch()
-            running = [run for run in running if run.executed < run.budget]
-        for run in runs:
-            run.flush()
-        return {run.key: run.executed for run in runs}
+        totals = self._lockstep(running, lanes, budgets) if running else {}
+        executed = {key: budgets[key] if key in totals else 0 for key in keys}
+        empty = np.zeros(0, dtype=np.int64)
+        for key in keys:
+            tx_counts, listen_counts = totals.get(key, (empty, empty))
+            active = np.flatnonzero(tx_counts + listen_counts)
+            vertices = self.members[key[0]]._topology.vertices
+            lane = self.lane(key)
+            lane.ledger.charge_slot_counts(
+                [vertices[i] for i in active.tolist()],
+                tx_counts[active].tolist(),
+                listen_counts[active].tolist(),
+            )
+            lane.ledger.advance_time(executed[key])
+            lane.slot += executed[key]
+        return executed
+
+    def _lockstep(
+        self,
+        keys: Sequence[MegaLaneKey],
+        schedules: Mapping[MegaLaneKey, LaneSchedule],
+        budgets: Mapping[MegaLaneKey, int],
+    ) -> Dict[MegaLaneKey, Tuple[np.ndarray, np.ndarray]]:
+        """Run the lanes ``keys`` (sorted, each with a participant and a
+        positive budget), each slot as one array pass over all of them.
+
+        Lane ``p`` owns columns ``base[p]:base[p] + n`` of every global
+        vector.  Each slot, the lanes with a fault model draw their
+        plans into the dead, drop and jam masks; the slot's scheduled
+        senders that are not dead pay for their transmission (the RN[b]
+        and power-level checks run at a sender's first such one, in
+        lane key and vertex order); the ones not dropped join one
+        stacked gather; and the listeners that hear a unique (under
+        SINR, a winning) sender and are not jammed record its message
+        and stop listening.  Returns each lane's transmit and listen
+        totals per vertex.
+        """
+        plan = self._plan
+        members = [self.members[m] for m, _ in keys]
+        lanes = [schedules[key] for key in keys]
+        limits = [budgets[key] for key in keys]
+        sizes = np.array([m._topology.n for m in members], dtype=np.int64)
+        base = np.cumsum(sizes) - sizes
+        size = int(sizes.sum())
+        col_lane = np.repeat(np.arange(len(keys)), sizes)
+        col_base = base[col_lane]
+        col_code = np.arange(1, size + 1) - col_base
+        col_row = plan.row_base[np.array([m for m, _ in keys])[col_lane]] + col_code - 1
+        col_limit = np.repeat(limits, sizes)
+        spans = [slice(b, b + n) for b, n in zip(base.tolist(), sizes.tolist())]
+        cost = np.ones(len(keys), dtype=np.int64)
+        mult = np.zeros(len(keys), dtype=np.int64)
+        listening = np.zeros(size, dtype=bool)
+        # Each slot's transmissions as global columns, in (lane, vertex)
+        # order.
+        by_slot: Dict[int, List[int]] = defaultdict(list)
+        for p, (member, lane, limit) in enumerate(zip(members, lanes, limits)):
+            b = spans[p].start
+            listening[b + np.fromiter(lane.receivers, dtype=np.int64)] = True
+            for offset, senders in lane.transmits.items():
+                if offset < limit:
+                    by_slot[offset] += [b + i for i in senders]
+            if member.sinr is not None:
+                with suppress(SimulationError):  # raised at its first sender
+                    level = check_power_level(None, lane.power, member.sinr)
+                    cost[p] = member.sinr.power_costs[level]
+                    mult[p] = member.sinr.power_levels[level]
+        slot_tx = {t: np.array(c, dtype=np.int64) for t, c in by_slot.items()}
+        no_tx = np.zeros(0, dtype=np.int64)
+        retiring = set(limits)
+        col_cost, col_mult = cost[col_lane], mult[col_lane]
+        sinr_col = None
+        if any(m.sinr is not None for m in members):
+            sinr_col, threshold, noise = np.repeat([
+                (False, 0, 0) if m.sinr is None
+                else (True, m.sinr.threshold_milli, m.sinr.noise_floor)
+                for m in members
+            ], sizes, axis=0).T
+            sinr_col = sinr_col.astype(bool)
+        faulted = [
+            (m._fault_runtimes, key[1], m.lanes[key[1]].slot, limit, span)
+            for key, m, limit, span in zip(keys, members, limits, spans)
+            if m._fault_runtimes.active
+        ]
+        dead_g = np.zeros(size, dtype=bool)
+        drop_g = np.zeros(size, dtype=bool)
+        jam_g = np.zeros(size, dtype=bool)
+        checked = np.zeros(size, dtype=bool)
+        unchecked = len(set().union(*by_slot.values()))
+        tx_counts = np.zeros(size, dtype=np.int64)
+        listen_counts = np.zeros(size, dtype=np.int64)
+        # Per lane: delivered, dropped and jammed this call.
+        tallies = np.zeros((3, len(keys)), dtype=np.int64)
+        for t in range(max(limits)):
+            if t in retiring:
+                listening &= col_limit > t
+            any_dead = any_drop = any_jam = False
+            for runtimes, replica, start, limit, span in faulted:
+                if t < limit:
+                    dead, hit, jam, _ = runtimes.plan(replica, start + t)
+                    dead_g[span] = False if dead is None else dead
+                    drop_g[span] = False if hit is None else hit
+                    jam_g[span] = False if jam is None else jam
+                    any_dead |= dead is not None
+                    any_drop |= hit is not None
+                    any_jam |= jam is not None
+            senders = slot_tx.get(t, no_tx)
+            if any_dead:
+                senders = senders[~dead_g[senders]]
+            if unchecked:
+                fresh = senders[~checked[senders]]
+                for c, p in zip(fresh.tolist(), col_lane[fresh].tolist()):
+                    member, lane, i = members[p], lanes[p], c - spans[p].start
+                    member.size_policy.check(lane.messages[i])
+                    if member.sinr is not None:
+                        check_power_level(
+                            member._topology.vertices[i], lane.power, member.sinr
+                        )
+                checked[fresh] = True
+                unchecked -= fresh.size
+            tx_counts[senders] += col_cost[senders]
+            if any_drop:
+                lost = drop_g[senders]
+                tallies[1] += np.bincount(col_lane[senders[lost]], minlength=len(keys))
+                senders = senders[~lost]
+            listeners = listening & ~dead_g if any_dead else listening
+            listen_counts += listeners
+            if any_jam:
+                tallies[2] += np.bincount(col_lane[jam_g & listeners], minlength=len(keys))
+            if not (senders.size and listeners.any()):
+                continue
+            gathered, counts, codes = plan.counts_codes_many(
+                col_row[senders], col_code[senders], col_base[senders], size
+            )
+            deliver = counts == 1
+            if sinr_col is not None:
+                winner, wins = sinr_arbitrate_many(
+                    plan.gains[gathered.pos]
+                    * np.repeat(col_mult[senders], gathered.lens),
+                    gathered, size, threshold, noise,
+                )
+                deliver = np.where(sinr_col, wins, deliver)
+                codes = np.where(sinr_col, winner, codes)
+            deliver &= listeners
+            if any_jam:
+                deliver &= ~jam_g
+            got = np.flatnonzero(deliver)
+            listening[got] = False
+            for c, p, code in zip(
+                got.tolist(), col_lane[got].tolist(), codes[got].tolist()
+            ):
+                lane = lanes[p]
+                lane.heard[c - spans[p].start] = lane.messages[code - 1]
+                tallies[0, p] += 1
+        totals = {}
+        for p, (key, member, span) in enumerate(zip(keys, members, spans)):
+            counters = member.lanes[key[1]].fault_counters
+            counters.delivered += int(tallies[0, p])
+            counters.dropped += int(tallies[1, p])
+            counters.jammed += int(tallies[2, p])
+            totals[key] = (tx_counts[span], listen_counts[span])
+        return totals

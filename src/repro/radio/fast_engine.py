@@ -29,8 +29,9 @@ the runs lanes cannot do (dynamic topologies, the online invariant
 checker, library callers) and, with the reference engine, is the
 oracle the lanes are pinned against.  The counts/codes arithmetic
 itself is the one integer CSR gather of :mod:`repro.radio.kernels`
-(:func:`~repro.radio.kernels.base.counts_codes_blocks`), so every tier
-computes the same bytes for the same lane.
+(:func:`~repro.radio.kernels.base.gather_edges`), which this engine
+calls as a one-member stack — its own CSR, no column shift — so every
+tier computes the same bytes for the same lane.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .device import ActionKind, Device
 from .dynamic import DynamicTopology, TopologyPatch
 from .energy import EnergyLedger
 from .faults import FaultModel
-from .kernels import CSRAdjacency, counts_codes_blocks
+from .kernels import CSRAdjacency, counts_codes, gather_edges
 from .kernels.sinr_csr import SinrCsr, sinr_arbitrate
 from .message import Message, MessageSizePolicy
 from .network import SlotEngineBase
@@ -72,8 +73,7 @@ class CompiledTopology:
     (:class:`~repro.radio.kernels.base.CSRAdjacency`) that both the
     single-replica fast engine and the replica-batched engine
     (:mod:`repro.radio.batch_engine`) resolve slots against, through
-    the shared gather
-    (:func:`~repro.radio.kernels.base.counts_codes_blocks`).
+    the shared gather (:func:`~repro.radio.kernels.base.gather_edges`).
     """
 
     def __init__(self, graph: nx.Graph) -> None:
@@ -91,21 +91,19 @@ class CompiledTopology:
         Sender codes are 1-based transmitter indices; where the count is
         exactly 1 the code minus one *is* the unique sender's index.
         """
-        return counts_codes_blocks([(self.adjacency, tx_idx)])[0]
+        tx = np.asarray(tx_idx, dtype=np.int64)
+        return counts_codes(gather_edges(self.adjacency, tx, tx + 1), self.n)
 
     def counts_codes_many(
         self, tx_lists: Sequence[np.ndarray]
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """:meth:`counts_codes` for many independent replicas at once.
+        """:meth:`counts_codes` for many independent replicas, in order.
 
-        ``tx_lists[r]`` holds replica ``r``'s transmitter indices; the
-        per-replica (counts, codes) pairs come back in the same order,
-        resolved in one fused gather.  Each replica gets its own column
-        range, so its result is bit-identical to its own
-        :meth:`counts_codes` call.
+        Nothing in the package calls it (the lockstep executor gathers
+        every lane at once over a stacked CSR); it stays because
+        ``perfbench/tracer.py`` wraps it by name.
         """
-        adjacency = self.adjacency
-        return counts_codes_blocks([(adjacency, tx) for tx in tx_lists])
+        return [self.counts_codes(tx) for tx in tx_lists]
 
     def patch_rows(self, updates: Mapping[int, np.ndarray]) -> None:
         """Replace the given adjacency rows.

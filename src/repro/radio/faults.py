@@ -48,6 +48,7 @@ from typing import (
     Hashable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -448,6 +449,31 @@ class SlotFaultPlan:
     jammed: FrozenSet[Hashable] = _EMPTY
 
 
+class SlotFaultDraw(NamedTuple):
+    """One slot's faults as boolean masks over the canonical vertex
+    order, ``None`` where a set is empty.
+
+    ``dead`` masks the crashed devices, ``hit`` is the drop layers' own
+    draw (the devices whose transmission is destroyed) and ``jammed``
+    the active jam region.  The lockstep executor reads the masks; the
+    serial engines and the LB graph read :meth:`labels`.  The arrays
+    are shared with the runtime and must not be written.
+    """
+
+    dead: Optional[np.ndarray]
+    hit: Optional[np.ndarray]
+    jammed: Optional[np.ndarray]
+    vertices: Sequence[Hashable]
+
+    def labels(self) -> SlotFaultPlan:
+        """The same faults as a :class:`SlotFaultPlan` of vertex labels."""
+        return SlotFaultPlan(*(
+            _EMPTY if mask is None
+            else frozenset(self.vertices[i] for i in np.flatnonzero(mask).tolist())
+            for mask in (self.dead, self.hit, self.jammed)
+        ))
+
+
 class FaultRuntime:
     """Per-run fault state: draws one slot's faults at a time.
 
@@ -500,10 +526,11 @@ class FaultRuntime:
         # Compiled layer state, in declaration order.
         self._iid_ps: List[float] = []
         self._ge: List[Tuple[GilbertElliott, np.ndarray]] = []
-        self._jammers: List[Tuple[Jammer, FrozenSet[Hashable]]] = []
+        self._jammers: List[Tuple[Jammer, np.ndarray]] = []
         self._churn: Dict[int, List[Tuple[str, int]]] = {}
         self._stochastic: List[Tuple[str, int]] = []  # (kind, compiled index)
         degree = degrees(graph)
+        position = {v: i for i, v in enumerate(self._vertices)}
         for layer in model.layers:
             if isinstance(layer, IIDDrop):
                 self._stochastic.append(("iid", len(self._iid_ps)))
@@ -516,20 +543,19 @@ class FaultRuntime:
                     range(self._n),
                     key=lambda i: (-degree.get(self._vertices[i], 0), i),
                 )[: layer.k]
-                region = set()
+                region = np.zeros(self._n, dtype=bool)
                 for i in hubs:
-                    v = self._vertices[i]
-                    region.add(v)
-                    region.update(graph.neighbors(v))
-                self._jammers.append((layer, frozenset(region)))
+                    region[[i, *map(position.get, graph.neighbors(self._vertices[i]))]] = True
+                self._jammers.append((layer, region))
             else:  # ChurnSchedule
                 for slot, op, index in layer.events:
                     if index < self._n:
                         self._churn.setdefault(slot, []).append((op, index))
-        self._dead: set = set()
+        # Replaced, never written, on every change: a draw may hold it.
+        self._dead = np.zeros(self._n, dtype=bool)
 
     # ------------------------------------------------------------------
-    def plan(self, slot: int) -> SlotFaultPlan:
+    def plan(self, slot: int) -> SlotFaultDraw:
         """Draw and return the faults for ``slot`` (strictly in order)."""
         if slot != self._next_slot:
             raise SimulationError(
@@ -539,15 +565,14 @@ class FaultRuntime:
         self._next_slot += 1
 
         for op, index in self._churn.get(slot, ()):
-            vertex = self._vertices[index]
-            if op == "crash":
-                if vertex not in self._dead:
-                    self._dead.add(vertex)
+            crash = op == "crash"
+            if self._dead[index] != crash:
+                self._dead = self._dead.copy()
+                self._dead[index] = crash
+                if crash:
                     self.counters.crashed += 1
-            else:
-                self._dead.discard(vertex)
 
-        dropped: set = set()
+        dropped: Optional[np.ndarray] = None
         for kind, pos in self._stochastic:
             draws = self._rng.random(self._n)
             if kind == "iid":
@@ -561,23 +586,15 @@ class FaultRuntime:
                 loss = self._rng.random(self._n)
                 hit = np.where(new_bad, loss < layer.p_bad, loss < layer.p_good)
             if hit.any():
-                dropped.update(self._vertices[i] for i in np.nonzero(hit)[0])
+                dropped = hit if dropped is None else dropped | hit
 
-        jammed: set = set()
+        jammed: Optional[np.ndarray] = None
         for layer, region in self._jammers:
             if slot % layer.period < layer.active:
-                jammed.update(region)
+                jammed = region if jammed is None else jammed | region
 
-        if not (dropped or jammed or self._dead):
-            return _TRIVIAL_PLAN
-        return SlotFaultPlan(
-            dead=frozenset(self._dead),
-            dropped=frozenset(dropped),
-            jammed=frozenset(jammed),
-        )
-
-
-_TRIVIAL_PLAN = SlotFaultPlan()
+        dead = self._dead if self._dead.any() else None
+        return SlotFaultDraw(dead, dropped, jammed, self._vertices)
 
 
 class ReplicaFaultRuntimes:
@@ -613,11 +630,13 @@ class ReplicaFaultRuntimes:
             FaultRuntime.build(faults, graph, seed=seed, counters=tally)
             for seed, tally in zip(seeds, counters)
         ]
+        #: Whether the lanes draw plans at all (every lane shares the model).
+        self.active = any(runtime is not None for runtime in self._runtimes)
 
     def __len__(self) -> int:
         return len(self._runtimes)
 
-    def plan(self, replica: int, slot: int) -> Optional[SlotFaultPlan]:
+    def plan(self, replica: int, slot: int) -> Optional[SlotFaultDraw]:
         """Draw replica ``replica``'s plan for ``slot`` (in slot order).
 
         Returns ``None`` when there is no fault model; each lane's

@@ -3,27 +3,30 @@
 In the RN cost model a slot reduces to integer counts: per listener,
 how many neighbors transmitted and which one (when exactly one did).
 Every vectorized tier computes those numbers the same way —
-:func:`counts_codes_blocks` over :func:`gather_edges`:
+:func:`counts_codes` over :func:`gather_edges`:
 
-- each transmitter's CSR row becomes a run of *edge positions*, the
-  positions become *listener columns*, and each block (a replica lane,
-  or a lane of a mega-batch member) is shifted into its own column
-  range so blocks never mix;
+- each transmitter's CSR row becomes a run of *edge positions*
+  (``repeat``/``arange`` over ``indptr``), the positions become
+  *listener columns*, and each transmitter's columns are shifted by its
+  lane's column base, so lanes never mix;
 - per-listener counts are one ``np.bincount`` of the columns, sender
-  codes one int64 ``np.add.at`` of ``tx + 1``; where the count is
-  exactly 1, the code minus one *is* the unique sender's local index.
+  codes one int64 ``np.add.at`` of the 1-based codes; where the count
+  is exactly 1, the code minus one *is* the unique sender's local index.
 
+The fast engine gathers over its own CSR with no shift; the lockstep
+executor gathers every running lane of every member at once over a
+stacked CSR (:class:`~repro.radio.kernels.megabatch.MegaBatchPlan`).
 Everything above the gather (device callbacks, fault plans, collision
 semantics, energy charging) lives in the engines.  Everything below it
-is exact int64 arithmetic, which no evaluation order, block packing or
-lane count can change — so a lane's counts and codes are the same bytes
+is exact int64 arithmetic, which no evaluation order, stacking or lane
+count can change — so a lane's counts and codes are the same bytes
 whether it runs alone, among replicas, or in a mega batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, NamedTuple, Tuple, Union
 
 import networkx as nx
 import numpy as np
@@ -120,81 +123,58 @@ class CSRAdjacency:
 
 
 class EdgeGather(NamedTuple):
-    """Every (transmitter, listener) edge of a fused slot.
+    """Every (transmitter, listener) edge of one slot, transmitter-major.
 
-    ``cols`` and ``codes`` run over all blocks' edges, transmitter-major
-    within a block; ``spans[b] = (offset, n)`` is block ``b``'s column
-    range and ``edges[b] = (pos, lens)`` its CSR edge positions and
-    per-transmitter degrees (what weighted reductions such as SINR
-    arbitration index their per-edge tables with).
+    ``pos[k]`` is edge ``k``'s position in the CSR arrays (what per-edge
+    tables such as SINR gains are read with), ``lens`` each
+    transmitter's degree, ``cols[k]`` the edge's listener column and
+    ``codes[k]`` its 1-based sender code.
     """
 
+    pos: np.ndarray
+    lens: np.ndarray
     cols: np.ndarray
     codes: np.ndarray
-    spans: List[Tuple[int, int]]
-    edges: List[Tuple[np.ndarray, np.ndarray]]
-    size: int
 
 
 def gather_edges(
-    blocks: Sequence[Tuple[CSRAdjacency, np.ndarray]],
+    adjacency: CSRAdjacency,
+    rows: np.ndarray,
+    codes: np.ndarray,
+    shifts: Union[int, np.ndarray] = 0,
 ) -> EdgeGather:
-    """Gather the edges of every ``(adjacency, tx_idx)`` block.
+    """Gather the CSR rows of every transmitter in one pass.
 
-    ``tx_idx`` holds the block's transmitting vertex indices (any
-    order, possibly empty).  Block ``b``'s listener columns are shifted
-    by the summed sizes of the blocks before it; sender codes stay
-    block-local (``tx + 1``).
+    ``rows`` are the transmitters' rows of ``adjacency`` (any order,
+    possibly empty), ``codes`` their sender codes, and ``shifts`` the
+    column offset added to each one's listeners (one per transmitter,
+    or one for all): a stacked CSR
+    (:class:`~repro.radio.kernels.megabatch.MegaBatchPlan`) keeps
+    member-local columns, and each lane's shift moves its listeners into
+    its own column range.
     """
-    cols_parts: List[np.ndarray] = []
-    code_parts: List[np.ndarray] = []
-    spans: List[Tuple[int, int]] = []
-    edges: List[Tuple[np.ndarray, np.ndarray]] = []
-    offset = 0
-    for adjacency, tx_idx in blocks:
-        tx_idx = np.asarray(tx_idx, dtype=np.int64)
-        tx_codes = tx_idx + 1
-        starts = adjacency.indptr[tx_idx]
-        lens = adjacency.indptr[tx_codes] - starts
-        # Edge positions in the CSR arrays, transmitter-major.
-        pos = (
-            np.repeat(starts - np.cumsum(lens) + lens, lens)
-            + np.arange(int(lens.sum()), dtype=np.int64)
-        )
-        cols_parts.append(adjacency.indices[pos] + offset)
-        code_parts.append(np.repeat(tx_codes, lens))
-        spans.append((offset, adjacency.n))
-        edges.append((pos, lens))
-        offset += adjacency.n
-    empty = np.zeros(0, dtype=np.int64)
-    return EdgeGather(
-        cols=np.concatenate(cols_parts) if cols_parts else empty,
-        codes=np.concatenate(code_parts) if code_parts else empty,
-        spans=spans,
-        edges=edges,
-        size=offset,
+    starts = adjacency.indptr[rows]
+    lens = adjacency.indptr[rows + 1] - starts
+    ends = np.cumsum(lens)
+    pos = np.repeat(starts - ends + lens, lens) + np.arange(
+        int(ends[-1]) if len(ends) else 0, dtype=np.int64
     )
+    cols = adjacency.indices[pos]
+    if np.ndim(shifts) or shifts:
+        cols = cols + np.repeat(shifts, lens)
+    return EdgeGather(pos, lens, cols, np.repeat(codes, lens))
 
 
-def counts_codes_blocks(
-    blocks: Sequence[Tuple[CSRAdjacency, np.ndarray]],
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Per-block ``(counts, codes)``: transmitting neighbors per vertex
-    and the sum of their 1-based sender codes (int64, length ``n``).
-
-    One gather and two integer reductions resolve every block at once;
-    each block's pair equals what it would get resolved alone.
-    """
-    gathered = gather_edges(blocks)
-    counts = np.bincount(gathered.cols, minlength=gathered.size).astype(
+def counts_codes(gathered: EdgeGather, size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per column ``(counts, codes)``: how many gathered edges reach it
+    and the sum of their sender codes (int64, length ``size``).  Where
+    the count is exactly 1 the code *is* the unique sender's."""
+    counts = np.bincount(gathered.cols, minlength=size).astype(
         np.int64, copy=False
     )
-    codes = np.zeros(gathered.size, dtype=np.int64)
+    codes = np.zeros(size, dtype=np.int64)
     np.add.at(codes, gathered.cols, gathered.codes)
-    return [
-        (counts[off:off + n], codes[off:off + n])
-        for off, n in gathered.spans
-    ]
+    return counts, codes
 
 
 class KernelInfo(NamedTuple):

@@ -1,30 +1,30 @@
 """Vectorized SINR arbitration over CSR adjacency (int64, numpy-only).
 
 The binary collision models reduce each slot to transmitter *counts*
-per listener (:func:`~repro.radio.kernels.base.counts_codes_blocks`).
-SINR arbitration needs per-edge *signals*, so it runs the same edge
-gather (:func:`~repro.radio.kernels.base.gather_edges`) and then
-weights each gathered edge by its compiled gain times its
-transmitter's power.  Every operation is an int64 sum, maximum, or
-comparison — exact and order-independent — so fused and per-lane
-arbitration produce the same bytes.
+per listener (:func:`~repro.radio.kernels.base.counts_codes`).  SINR
+arbitration needs per-edge *signals*, so it reads the same edge gather
+(:func:`~repro.radio.kernels.base.gather_edges`) and weights each
+gathered edge by its compiled gain times its transmitter's power.
+Every operation is an int64 sum, maximum, or comparison — exact and
+order-independent — so arbitrating a lane alone or among many gives
+the same bytes.
 
-The fused entry point :func:`sinr_arbitrate_many` processes several
-lanes (replica batching) or members (mega batching) in one pass: the
-gather gives each block its own disjoint column range, so the blocks
-never interact.
+:func:`sinr_arbitrate` resolves one lane (the fast engine's slot);
+:func:`sinr_arbitrate_many` takes an already gathered slot — the
+lockstep executor's one gather over every running lane — and reduces
+every column at once, each lane in its own column range.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, List, Sequence, Tuple
+from typing import Hashable, Sequence, Tuple, Union
 
 import numpy as np
 
 from ...errors import ConfigurationError
 from ..sinr import THRESHOLD_DEN, SinrField
-from .base import CSRAdjacency, gather_edges
+from .base import CSRAdjacency, EdgeGather, gather_edges
 
 
 @dataclass(frozen=True)
@@ -67,60 +67,64 @@ class SinrCsr(CSRAdjacency):
 
 
 def sinr_arbitrate_many(
-    blocks: Sequence[Tuple[SinrCsr, np.ndarray, np.ndarray]],
-) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Arbitrate every lane's slot in one fused pass.
+    signal: np.ndarray,
+    gathered: EdgeGather,
+    size: int,
+    threshold_milli: Union[int, np.ndarray],
+    noise_floor: Union[int, np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Arbitrate every gathered column in one pass.
 
-    Each block is ``(csr, tx_idx, tx_levels)``: the compiled topology,
-    the transmitting vertex indices (int64, any order), and each
-    transmitter's power level.  Returns per block
-    ``(counts, winner_code, deliver)`` arrays of length ``csr.n``:
+    ``signal[k]`` is gathered edge ``k``'s received signal (gain times
+    its transmitter's power); ``threshold_milli`` and ``noise_floor``
+    are scalars or per-column arrays, so lanes of members with
+    different SINR parameters share the pass.  Returns per column
+    ``(winner_code, deliver)`` arrays of length ``size``:
 
-    - ``counts[v]`` — number of transmitting neighbors of ``v``;
-    - ``winner_code[v]`` — the uniquely strongest transmitter's local
-      vertex index plus one (valid only where ``deliver``) — the same
-      1-based sender-code convention as the binary-count kernels;
+    - ``winner_code[v]`` — the uniquely strongest transmitter's sender
+      code (valid only where ``deliver``) — the same 1-based
+      convention as the binary-count kernel;
     - ``deliver[v]`` — True iff the strongest signal is unique and
       clears the SINR threshold.
     """
-    for _, tx_idx, tx_levels in blocks:
-        if np.shape(tx_idx) != np.shape(tx_levels):
-            raise ConfigurationError(
-                "tx_idx and tx_levels must have identical shapes"
-            )
-    gathered = gather_edges([(csr, tx_idx) for csr, tx_idx, _ in blocks])
-    cols, codes, offset = gathered.cols, gathered.codes, gathered.size
-    sig_parts = [
-        csr.gains[pos]
-        * np.repeat(csr.mults[np.asarray(tx_levels, dtype=np.int64)], lens)
-        for (csr, _, tx_levels), (pos, lens) in zip(blocks, gathered.edges)
-    ]
-    sig = np.concatenate(sig_parts) if sig_parts else np.zeros(0, dtype=np.int64)
-    counts_all = np.bincount(cols, minlength=offset).astype(np.int64)
-    power_all = np.zeros(offset, dtype=np.int64)
-    np.add.at(power_all, cols, sig)
-    best_all = np.zeros(offset, dtype=np.int64)
-    np.maximum.at(best_all, cols, sig)
-    at_max = sig == best_all[cols]
-    ties_all = np.zeros(offset, dtype=np.int64)
-    np.add.at(ties_all, cols, at_max.astype(np.int64))
-    code_all = np.zeros(offset, dtype=np.int64)
-    np.add.at(code_all, cols, np.where(at_max, codes, 0))
-    results: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for (off, n), (csr, _, _) in zip(gathered.spans, blocks):
-        counts = counts_all[off:off + n]
-        best = best_all[off:off + n]
-        power = power_all[off:off + n]
-        num = csr.threshold_milli
-        deliver = (ties_all[off:off + n] == 1) & (
-            (THRESHOLD_DEN + num) * best >= num * (power + csr.noise_floor)
-        )
-        results.append((counts, code_all[off:off + n], deliver))
-    return results
+    cols = gathered.cols
+    power = np.zeros(size, dtype=np.int64)
+    np.add.at(power, cols, signal)
+    best = np.zeros(size, dtype=np.int64)
+    np.maximum.at(best, cols, signal)
+    at_max = signal == best[cols]
+    ties = np.bincount(cols[at_max], minlength=size)
+    winner = np.zeros(size, dtype=np.int64)
+    np.add.at(winner, cols[at_max], gathered.codes[at_max])
+    num = threshold_milli
+    deliver = (ties == 1) & (
+        (THRESHOLD_DEN + num) * best >= num * (power + noise_floor)
+    )
+    return winner, deliver
 
 
 def sinr_arbitrate(
     csr: SinrCsr, tx_idx: np.ndarray, tx_levels: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Single-lane arbitration (see :func:`sinr_arbitrate_many`)."""
-    return sinr_arbitrate_many([(csr, tx_idx, tx_levels)])[0]
+    """One lane's slot: per vertex ``(counts, winner_code, deliver)``.
+
+    ``tx_idx`` holds the transmitting vertex indices (int64, any order)
+    and ``tx_levels`` each one's power level; ``counts[v]`` is the
+    number of transmitting neighbors of ``v`` (see
+    :func:`sinr_arbitrate_many` for the other two).
+    """
+    if np.shape(tx_idx) != np.shape(tx_levels):
+        raise ConfigurationError(
+            "tx_idx and tx_levels must have identical shapes"
+        )
+    tx = np.asarray(tx_idx, dtype=np.int64)
+    gathered = gather_edges(csr, tx, tx + 1)
+    counts = np.bincount(gathered.cols, minlength=csr.n).astype(
+        np.int64, copy=False
+    )
+    signal = csr.gains[gathered.pos] * np.repeat(
+        csr.mults[np.asarray(tx_levels, dtype=np.int64)], gathered.lens
+    )
+    return (counts, *sinr_arbitrate_many(
+        signal, gathered, csr.n, csr.threshold_milli, csr.noise_floor
+    ))

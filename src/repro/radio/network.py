@@ -279,7 +279,7 @@ class SlotEngineBase:
                 self._apply_topology_patch(patch)
         plan: Optional[SlotFaultPlan] = None
         if self._fault_runtime is not None:
-            plan = self._fault_runtime.plan(self.slot)
+            plan = self._fault_runtime.plan(self.slot).labels()
         if dynamic is not None:
             inactive = dynamic.inactive
             if inactive:

@@ -34,7 +34,7 @@ def oracle_local_broadcast(lbg: PhysicalLBGraph, messages, receivers) -> Dict[Ha
     counters = lbg.fault_counters
     jammed: frozenset = frozenset()
     if lbg._fault_runtime is not None:
-        plan = lbg._fault_runtime.plan(lbg._lb_round)
+        plan = lbg._fault_runtime.plan(lbg._lb_round).labels()
         jammed = plan.jammed
         if plan.dead:
             sender_set = {u for u in sender_set if u not in plan.dead}

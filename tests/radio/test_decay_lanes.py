@@ -11,7 +11,9 @@ the serial fast *and* reference engines, which still step real
 :class:`~repro.primitives.decay.DecaySender` /
 :class:`~repro.primitives.decay.DecayReceiver` devices: labels, heard
 maps (in order), ledger snapshots, fault counters and slot counts, and
-the same error when a message breaks the RN[b] limit.
+the same error when a message breaks the RN[b] limit or a sender picks
+a power level off the SINR ladder — raised, among several lanes, for
+the sender that first transmits alive, by slot and then by lane key.
 """
 
 from __future__ import annotations
@@ -20,15 +22,17 @@ import networkx as nx
 import pytest
 
 from repro.core.simple_bfs import decay_bfs, decay_bfs_mega
-from repro.errors import MessageTooLargeError
+from repro.errors import MessageTooLargeError, SimulationError
 from repro.primitives.decay import (
     DecayParameters,
     run_decay_local_broadcast,
     run_decay_local_broadcast_mega,
 )
 from repro.radio import (
+    ChurnSchedule,
     CollisionModel,
     EnergyLedger,
+    FaultModel,
     MegaBatchedNetwork,
     ReplicaBatchedNetwork,
     make_network,
@@ -37,6 +41,7 @@ from repro.radio import (
 )
 from repro.radio.faults import named_fault_models
 from repro.radio.message import MessageSizePolicy
+from repro.radio.sinr import SinrParams
 
 ENGINES = ("fast", "reference")
 #: (collision model, standing SINR power level).
@@ -229,3 +234,71 @@ def test_size_limit_raises_the_serial_error():
                    for m in range(len(MEMBERS)) for r in range(REPLICAS)},
         )
     assert str(info.value) == min(failures)[2]
+
+
+#: Out-of-range SINR power level per member, for the power-check cases.
+BAD_LEVELS = (len(SinrParams().power_levels), len(SinrParams().power_levels) + 3)
+
+
+def _violating_lane(violation, member, crashed, engine=None):
+    """One lane (member ``member``, alone when ``engine`` names a serial
+    engine) whose one sender, vertex 1, breaks the RN[b] limit or picks
+    an out-of-range power level; ``crashed`` takes it down from slot 0
+    until the end of its first Decay iteration, so its first scheduled
+    slots are dead.  Returns ``(network, round, tx_power)``."""
+    graph = topology.scenario("grid", 16)
+    window = DecayParameters.for_network(
+        max(d for _, d in graph.degree), 1 / 16).window
+    faults = FaultModel((ChurnSchedule(
+        events=((0, "crash", 1), (window, "revive", 1))),)) if crashed else None
+    model = CollisionModel.NO_CD if violation == "size" else CollisionModel.SINR
+    policy = MessageSizePolicy(limit_bits=message_of_ints(0, 1).bits)
+    messages = {1: message_of_ints(1, 10 ** 6 if violation == "size" else 1,
+                                   kind=f"member{member}")}
+    receivers = [v for v in graph.nodes if v != 1]
+    power = 0 if violation == "size" else BAD_LEVELS[member]
+    kwargs = dict(collision_model=model, size_policy=policy, faults=faults)
+    if engine is None:
+        net = ReplicaBatchedNetwork(graph, 1, fault_seeds=[0], **kwargs)
+    else:
+        net = make_network(graph, engine=engine, fault_seed=0, **kwargs)
+    return net, (messages, receivers), power
+
+
+@pytest.mark.parametrize("violation", ["size", "power"])
+@pytest.mark.parametrize("crashed", [(True, False), (False, False)],
+                         ids=["lower-key-crashed", "same-slot"])
+def test_check_errors_follow_slot_then_lane_key(violation, crashed):
+    """Both lanes break a check.  The batch raises the serial engines'
+    exact error of the lane whose sender first transmits while alive:
+    by slot, then by lane key.  When the lower key's sender is crashed
+    through its first scheduled slots, the other lane's error comes
+    first; when both transmit first in the same slot, the lower key's
+    does."""
+    error = MessageTooLargeError if violation == "size" else SimulationError
+    first = []
+    for member in (0, 1):
+        outcomes = set()
+        for engine in ENGINES:
+            net, round_, power = _violating_lane(
+                violation, member, crashed[member], engine)
+            with pytest.raises(error) as info:
+                run_decay_local_broadcast(net, *round_, failure_probability=1 / 16,
+                                          seed=42, tx_power=power)
+            outcomes.add((net.slot, type(info.value), str(info.value)))
+        assert len(outcomes) == 1
+        first.append((*outcomes.pop(), member))
+    if crashed[0]:
+        assert first[0][0] > first[1][0]
+    else:
+        assert first[0][0] == first[1][0]
+    lanes = [_violating_lane(violation, m, crashed[m]) for m in (0, 1)]
+    mega = MegaBatchedNetwork([net for net, _, _ in lanes])
+    with pytest.raises(error) as info:
+        run_decay_local_broadcast_mega(
+            mega, {(m, 0): lanes[m][1] for m in (0, 1)},
+            failure_probability=1 / 16, seeds={(0, 0): 42, (1, 0): 42},
+            tx_power={m: lanes[m][2] for m in (0, 1)},
+        )
+    slot, kind, message, _ = min(first, key=lambda f: (f[0], f[3]))
+    assert (type(info.value), str(info.value)) == (kind, message)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import pickle
 
+import networkx as nx
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
@@ -136,11 +138,11 @@ class TestRuntime:
             (3, "revive", 2), (4, "crash", 99),  # out-of-range index ignored
         ))
         rt = FaultRuntime(FaultModel((sched,)), g, list(g.nodes), seed=0)
-        assert rt.plan(0).dead == frozenset()
-        assert rt.plan(1).dead == frozenset({2})
-        assert rt.plan(2).dead == frozenset({2})
-        assert rt.plan(3).dead == frozenset()
-        assert rt.plan(4).dead == frozenset()
+        assert rt.plan(0).labels().dead == frozenset()
+        assert rt.plan(1).labels().dead == frozenset({2})
+        assert rt.plan(2).labels().dead == frozenset({2})
+        assert rt.plan(3).labels().dead == frozenset()
+        assert rt.plan(4).labels().dead == frozenset()
         assert rt.counters.crashed == 1
 
     def test_churn_duplicate_events_rejected(self):
@@ -161,21 +163,49 @@ class TestRuntime:
         rt = FaultRuntime(FaultModel((a,)), g, list(g.nodes), seed=0)
         for slot in range(5):
             rt.plan(slot)
-        assert rt.plan(5).dead == frozenset({1, 3})
+        assert rt.plan(5).labels().dead == frozenset({1, 3})
 
     def test_jammer_targets_highest_degree_closed_neighborhood(self):
         g = topology.star_graph(5)  # hub 0, leaves 1..5
         rt = FaultRuntime(FaultModel((Jammer(k=1, period=2, active=1),)),
                           g, list(g.nodes), seed=0)
-        assert rt.plan(0).jammed == frozenset(g.nodes)  # hub + all leaves
-        assert rt.plan(1).jammed == frozenset()          # duty cycle off
+        assert rt.plan(0).labels().jammed == frozenset(g.nodes)  # hub + all leaves
+        assert rt.plan(1).labels().jammed == frozenset()          # duty cycle off
 
     def test_iid_drop_extremes(self):
         g = topology.path_graph(6)
         always = FaultRuntime(FaultModel((IIDDrop(1.0),)), g, list(g.nodes), seed=1)
         never = FaultRuntime(FaultModel((IIDDrop(0.0),)), g, list(g.nodes), seed=1)
-        assert always.plan(0).dropped == frozenset(g.nodes)
-        assert never.plan(0).dropped == frozenset()
+        assert always.plan(0).labels().dropped == frozenset(g.nodes)
+        assert never.plan(0).labels().dropped == frozenset()
+
+    def test_draw_masks_match_labels_and_stay_put(self):
+        """A draw hands out index masks (the drop layer's own ``hit``);
+        its labels name the same vertices, and a later crash does not
+        rewrite a dead mask already handed out."""
+        g = nx.relabel_nodes(topology.star_graph(5), lambda v: f"v{v}")
+        model = FaultModel((
+            IIDDrop(0.5), Jammer(k=1, period=2, active=1),
+            ChurnSchedule(events=((0, "crash", 3), (1, "crash", 4))),
+        ))
+        rt = FaultRuntime(model, g, list(g.nodes), seed=2)
+        vertices = list(g.nodes)
+        first = rt.plan(0)
+        dead = first.dead.copy()
+        second = rt.plan(1)
+        np.testing.assert_array_equal(first.dead, dead)
+        assert second.jammed is None
+        for draw in (first, second):
+            labels = draw.labels()
+            for mask, named in ((draw.dead, labels.dead),
+                                (draw.hit, labels.dropped),
+                                (draw.jammed, labels.jammed)):
+                assert mask is None or mask.dtype == bool
+                assert named == frozenset(
+                    () if mask is None
+                    else (vertices[i] for i in np.flatnonzero(mask)))
+        assert second.labels().dead == {"v3", "v4"}
+        assert first.labels().jammed == frozenset(vertices)
 
 
 class _Beacon(Device):

@@ -1,11 +1,15 @@
 """The slot kernel: one integer CSR gather, pinned against a plain loop.
 
 Every vectorized tier resolves a slot through
-:func:`repro.radio.kernels.counts_codes_blocks`.  Its contract is exact
-int64 counts and codes per listener, so it must agree **bitwise** with
-the most literal implementation there is — one loop over transmitters,
-adding each one's row into the counts and codes — on any topology, any
-transmitter set, and any mix of lanes and members fused into one call.
+:func:`repro.radio.kernels.gather_edges` and
+:func:`repro.radio.kernels.counts_codes`: the fast engine over its own
+CSR, the lockstep executor over the stacked CSR of a
+:class:`~repro.radio.kernels.MegaBatchPlan` with each lane shifted into
+its own column range.  The contract is exact int64 counts and codes per
+listener, so the gather must agree **bitwise** with the most literal
+implementation there is — one loop over transmitters, adding each
+one's row into the counts and codes — on any topology, any transmitter
+set, and any mix of lanes and members stacked into one call.
 """
 
 from __future__ import annotations
@@ -21,9 +25,10 @@ from repro.radio.fast_engine import CompiledTopology
 from repro.radio.kernels import (
     CSRAdjacency,
     MegaBatchPlan,
-    counts_codes_blocks,
+    counts_codes,
     default_kernel,
     gather_edges,
+    sinr_arbitrate,
     sinr_arbitrate_many,
 )
 from repro.radio.kernels.sinr_csr import SinrCsr
@@ -48,6 +53,29 @@ def loop_counts_codes(adj, tx_idx):
         counts[nbrs] += 1
         codes[nbrs] += i + 1
     return counts, codes
+
+
+def _resolve(adj, tx):
+    """One lane alone: the gather over its own CSR, no shift."""
+    tx = np.asarray(tx, dtype=np.int64)
+    return counts_codes(gather_edges(adj, tx, tx + 1), adj.n)
+
+
+def _stacked(adjs, lanes):
+    """Resolve ``lanes`` — ``(member, tx)`` pairs — in one gather over
+    the stacked CSR of ``adjs``, lane ``j`` in its own column range, as
+    the lockstep executor does.  Returns the plan, the gather, per-lane
+    column bases, and the per-column counts and codes."""
+    plan = MegaBatchPlan(adjs)
+    sizes = [adjs[m].n for m, _ in lanes]
+    bases = np.cumsum([0] + sizes)[:-1]
+    rows = [plan.row_base[m] + tx for m, tx in lanes]
+    codes = [tx + 1 for _, tx in lanes]
+    shifts = [np.full(tx.size, b) for (_, tx), b in zip(lanes, bases)]
+    flat = [np.concatenate(x) if x else np.zeros(0, dtype=np.int64)
+            for x in (rows, codes, shifts)]
+    gathered, counts, codes = plan.counts_codes_many(*flat, int(sum(sizes)))
+    return plan, gathered, bases, counts, codes
 
 
 def _compile(graph):
@@ -83,8 +111,7 @@ def _assert_pair(got, adj, tx):
 def test_gather_matches_loop_on_every_family(name):
     adj = _adjacency(name, 24, seed=5)
     for tx in _tx_sets(adj, seed=1):
-        (pair,) = counts_codes_blocks([(adj, tx)])
-        _assert_pair(pair, adj, tx)
+        _assert_pair(_resolve(adj, tx), adj, tx)
 
 
 @pytest.mark.parametrize("name,n", TOPOLOGIES)
@@ -101,41 +128,41 @@ def test_compiled_topology_single_and_many_lanes(name, n):
 
 @pytest.mark.parametrize("name", topology.scenario_names())
 def test_fused_blocks_match_loop_on_every_family(name):
-    """Each family's blocks keep their own edges and columns when fused.
+    """Each family's lanes keep their own edges and columns when stacked.
 
     The family's lanes (two graph seeds, every transmitter set, listed
-    in reverse order) sit between two blocks of another topology, so
-    every offset the gather applies is non-trivial.
+    in reverse order) sit between two lanes of another topology, so
+    every row and column offset the gather applies is non-trivial.
     """
     other = _adjacency("star", 17)
-    blocks = [(other, np.arange(other.n, dtype=np.int64))]
-    for seed in (5, 9):
-        adj = _adjacency(name, 24, seed=seed)
-        for tx in _tx_sets(adj, seed=seed):
-            blocks.append((adj, tx[::-1].copy()))
-    blocks.append((other, np.array([0], dtype=np.int64)))
+    adjs = [other, _adjacency(name, 24, seed=5), _adjacency(name, 24, seed=9)]
+    lanes = [(0, np.arange(other.n, dtype=np.int64))]
+    for m, seed in ((1, 5), (2, 9)):
+        for tx in _tx_sets(adjs[m], seed=seed):
+            lanes.append((m, tx[::-1].copy()))
+    lanes.append((0, np.array([0], dtype=np.int64)))
 
-    gathered = gather_edges(blocks)
-    assert gathered.size == sum(adj.n for adj, _ in blocks)
-    start = 0
-    for (adj, tx), (pos, lens), (off, n) in zip(
-        blocks, gathered.edges, gathered.spans
-    ):
-        assert n == adj.n
+    plan, gathered, bases, counts, codes = _stacked(adjs, lanes)
+    assert plan.stack.n == sum(adj.n for adj in adjs)
+    start = sender = 0
+    for (m, tx), off in zip(lanes, bases):
+        adj = adjs[m]
         rows = [adj.row(i) for i in tx]
-        np.testing.assert_array_equal(lens, [row.size for row in rows])
+        stop = start + sum(row.size for row in rows)
+        np.testing.assert_array_equal(gathered.lens[sender:sender + tx.size],
+                                      [row.size for row in rows])
+        sender += tx.size
         want = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-        np.testing.assert_array_equal(adj.indices[pos], want)
-        stop = start + int(lens.sum())
+        np.testing.assert_array_equal(plan.stack.indices[gathered.pos[start:stop]],
+                                      want)
         np.testing.assert_array_equal(gathered.cols[start:stop], want + off)
         np.testing.assert_array_equal(
-            gathered.codes[start:stop], np.repeat(tx + 1, lens)
+            gathered.codes[start:stop],
+            np.repeat(tx + 1, [row.size for row in rows]),
         )
+        _assert_pair((counts[off:off + adj.n], codes[off:off + adj.n]), adj, tx)
         start = stop
     assert start == gathered.cols.size
-
-    for pair, (adj, tx) in zip(counts_codes_blocks(blocks), blocks):
-        _assert_pair(pair, adj, tx)
 
 
 def test_empty_lanes_and_empty_calls():
@@ -145,7 +172,10 @@ def test_empty_lanes_and_empty_calls():
     for pair, tx in zip(topo.counts_codes_many(lanes), lanes):
         _assert_pair(pair, topo.adjacency, tx)
     assert topo.counts_codes_many([]) == []
-    assert counts_codes_blocks([]) == []
+    counts, codes = _resolve(topo.adjacency, empty)
+    assert not counts.any() and not codes.any()
+    _, gathered, _, counts, codes = _stacked([topo.adjacency], [])
+    assert gathered.cols.size == counts.size == codes.size == 0
 
 
 def test_isolated_vertices():
@@ -155,7 +185,7 @@ def test_isolated_vertices():
     adj = _compile(graph)
     for tx in ([3, 4, 7], [0, 3, 5], list(range(8))):
         tx = np.asarray(tx, dtype=np.int64)
-        (pair,) = counts_codes_blocks([(adj, tx)])
+        pair = _resolve(adj, tx)
         _assert_pair(pair, adj, tx)
         assert pair[0][[3, 4, 7]].tolist() == [0, 0, 0]
 
@@ -210,28 +240,49 @@ def test_csr_adjacency_matches_scipy_layout():
 
 def test_mega_plan_mixed_members_match_loop():
     adjs = [_adjacency(name, n) for name, n in TOPOLOGIES]
-    plan = MegaBatchPlan(adjs)
     requests = []
     for m, adj in enumerate(adjs):
         for tx in _tx_sets(adj, seed=m):
             requests.append((m, tx))
     # Interleave members, repeat some, and keep the empty lanes.
     requests = requests[::2] + requests[1::2] + requests[:3]
-    resolved = plan.counts_codes_many(requests)
-    assert len(resolved) == len(requests)
-    for (m, tx), pair in zip(requests, resolved):
-        _assert_pair(pair, adjs[m], tx)
+    _, _, bases, counts, codes = _stacked(adjs, requests)
+    for (m, tx), off in zip(requests, bases):
+        n = adjs[m].n
+        _assert_pair((counts[off:off + n], codes[off:off + n]), adjs[m], tx)
 
 
 def test_mega_plan_order_independent():
-    plan = MegaBatchPlan([_adjacency("grid", 25), _adjacency("star", 17)])
+    adjs = [_adjacency("grid", 25), _adjacency("star", 17)]
     a = (0, np.array([0, 3], dtype=np.int64))
     b = (1, np.array([1], dtype=np.int64))
-    ab = plan.counts_codes_many([a, b])
-    ba = plan.counts_codes_many([b, a])
-    for (ca, xa), (cb, xb) in zip(ab, reversed(ba)):
-        np.testing.assert_array_equal(ca, cb)
-        np.testing.assert_array_equal(xa, xb)
+    _, _, _, ab_counts, ab_codes = _stacked(adjs, [a, b])
+    _, _, _, ba_counts, ba_codes = _stacked(adjs, [b, a])
+    for got, swapped in ((ab_counts, ba_counts), (ab_codes, ba_codes)):
+        np.testing.assert_array_equal(got[:25], swapped[17:])
+        np.testing.assert_array_equal(got[25:], swapped[:17])
+
+
+def test_mega_plan_stacks_once_and_shares_one_member():
+    """A one-member plan is its member's arrays, with no gain array for
+    a binary member; a stacked plan lays the members' rows, edges and
+    gains end to end (zero gains on binary members' edges)."""
+    graph = topology.scenario("geometric", 20, seed=1)
+    adj = _compile(graph)
+    csr = SinrCsr.compile(SinrField(graph, SinrParams()), adj, list(graph.nodes))
+    binary = MegaBatchPlan([adj])
+    assert binary.stack is adj and binary.gains is None
+    sinr = MegaBatchPlan([csr])
+    assert sinr.stack is csr and sinr.gains is csr.gains
+    star = _adjacency("star", 9)
+    both = MegaBatchPlan([star, csr])
+    assert both.row_base.tolist() == [0, star.n]
+    np.testing.assert_array_equal(
+        both.stack.indptr, np.concatenate([star.indptr, csr.indptr[1:] + star.nnz]))
+    np.testing.assert_array_equal(
+        both.stack.indices, np.concatenate([star.indices, csr.indices]))
+    np.testing.assert_array_equal(
+        both.gains, np.concatenate([np.zeros(star.nnz, dtype=np.int64), csr.gains]))
 
 
 def test_mega_plan_requires_members():
@@ -243,6 +294,29 @@ def test_mega_plan_requires_members():
 # SINR arbitration shares the gather
 # ---------------------------------------------------------------------------
 
+def _arbitrate_stacked(blocks):
+    """Arbitrate every ``(csr, tx, levels)`` block as one lane of one
+    stacked gather, as the lockstep executor does; per block
+    ``(counts, winner, deliver)``."""
+    csrs = [csr for csr, _, _ in blocks]
+    plan, gathered, bases, counts, _ = _stacked(
+        csrs, [(m, tx) for m, (_, tx, _) in enumerate(blocks)])
+    mults = np.concatenate(
+        [csr.mults[levels] for csr, _, levels in blocks] or [np.zeros(0, np.int64)])
+    signal = plan.gains[gathered.pos] * np.repeat(mults, gathered.lens)
+    sizes = [csr.n for csr in csrs]
+    winner, deliver = sinr_arbitrate_many(
+        signal, gathered, int(sum(sizes)),
+        np.repeat([csr.threshold_milli for csr in csrs], sizes),
+        np.repeat([csr.noise_floor for csr in csrs], sizes),
+    )
+    return [
+        (counts[off:off + csr.n], winner[off:off + csr.n],
+         deliver[off:off + csr.n])
+        for csr, off in zip(csrs, bases)
+    ]
+
+
 def test_sinr_counts_match_loop_across_fused_blocks():
     blocks = []
     for m, (name, n) in enumerate(TOPOLOGIES[:3]):
@@ -252,12 +326,13 @@ def test_sinr_counts_match_loop_across_fused_blocks():
                               list(graph.nodes))
         for tx in _tx_sets(adj, seed=m):
             blocks.append((csr, tx, np.zeros(tx.shape, dtype=np.int64)))
-    for (csr, tx, _), (counts, _, deliver) in zip(
-        blocks, sinr_arbitrate_many(blocks)
-    ):
+    for (csr, tx, levels), stacked in zip(blocks, _arbitrate_stacked(blocks)):
         want_counts, _ = loop_counts_codes(csr, tx)
-        np.testing.assert_array_equal(counts, want_counts)
-        assert not deliver[want_counts == 0].any()
+        alone = sinr_arbitrate(csr, tx, levels)
+        for got, want in zip(stacked, alone):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(stacked[0], want_counts)
+        assert not stacked[2][want_counts == 0].any()
 
 
 @pytest.mark.parametrize("preset", sorted(named_sinr_params()))
@@ -286,7 +361,7 @@ def test_sinr_arbitration_matches_reference_listener(preset):
 
     outcomes = set()
     for (csr, tx, levels), (field, vertices), (counts, winner, deliver) in zip(
-        blocks, fields, sinr_arbitrate_many(blocks)
+        blocks, fields, _arbitrate_stacked(blocks)
     ):
         level_of = dict(zip(tx.tolist(), levels.tolist()))
         for v in range(csr.n):
