@@ -220,7 +220,7 @@ def decay_bfs_mega(
     keyed by member index, while ``seeds`` maps each
     ``(member, replica)`` lane to its protocol stream.  Every Decay
     phase fuses all still-active lanes — of every member — into one
-    integer gather per slot
+    integer gather per block of slots
     (:func:`~repro.primitives.decay.run_decay_local_broadcast_mega`),
     with each member running its own
     :class:`~repro.primitives.decay.DecayParameters`.

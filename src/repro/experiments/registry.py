@@ -301,7 +301,7 @@ def _run_decay_bfs(ctx: RunContext) -> Dict[str, Any]:
 def _run_decay_bfs_lanes(
     members: Sequence[Sequence[RunContext]],
 ) -> List[List[Tuple[Dict[str, Any], FaultCounters]]]:
-    """Lane-fused ``decay_bfs``: one lane or many, one gather per slot.
+    """Lane-fused ``decay_bfs``: one lane or many, one gather per block.
 
     The production runner of every static fast ``decay_bfs`` spec,
     alone or fused.  ``members[m]`` holds member ``m``'s replica

@@ -28,7 +28,6 @@ from typing import (
     Dict,
     Hashable,
     Iterable,
-    List,
     Mapping,
     Optional,
     Set,
@@ -81,14 +80,14 @@ class DecayParameters:
         """Wall-clock length of the protocol in slots."""
         return self.window * self.iterations
 
-    def sender_slots(self, rng: np.random.Generator) -> List[int]:
-        """A sender's transmit slots, as offsets from the round's start:
-        one :func:`~repro.rng.geometric_decay_slot` per iteration.  The
-        iterations share one vector draw, which NumPy fills with the
-        scalar sampler in order (values and stream position are pinned
-        equal to the scalar loop by a test)."""
+    def sender_slots(self, rng: np.random.Generator) -> np.ndarray:
+        """A sender's transmit slots, ascending int64 offsets from the
+        round's start: one :func:`~repro.rng.geometric_decay_slot` per
+        iteration.  The iterations share one vector draw, which NumPy
+        fills with the scalar sampler in order (values and stream
+        position are pinned equal to the scalar loop by a test)."""
         draws = np.minimum(rng.geometric(0.5, size=self.iterations), self.window)
-        return (np.arange(0, self.total_slots, self.window) + draws - 1).tolist()
+        return np.arange(0, self.total_slots, self.window) + draws - 1
 
 
 class DecaySender(Device):
@@ -116,7 +115,7 @@ class DecaySender(Device):
         self.params = params
         self.start_slot = start_slot
         self._end_slot = start_slot + params.total_slots
-        self._slots: Set[int] = set(params.sender_slots(rng))
+        self._slots: Set[int] = set(params.sender_slots(rng).tolist())
 
     def step(self, slot: int) -> Action:
         if slot >= self._end_slot:
@@ -265,14 +264,15 @@ def _lane_schedule(
     :class:`DecaySender` would.
     """
     streams, base = device_streams(seed, len(index))
-    transmits: Dict[int, List[int]] = {}
-    sender_messages: Dict[int, Message] = {}
-    for i, v in sorted((index[v], v) for v in messages):
-        sender_messages[i] = messages[v]
-        for offset in params.sender_slots(streams.generator(base + i)):
-            transmits.setdefault(offset, []).append(i)
+    sender_messages = {index[v]: message for v, message in messages.items()}
+    senders = np.array(sorted(sender_messages), dtype=np.int64)
+    slots = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        params.sender_slots(streams.generator(base + i)) for i in senders.tolist()
+    ])
+    order = np.argsort(slots, kind="stable")
     return LaneSchedule(
-        transmits=transmits,
+        slots=slots[order],
+        senders=np.repeat(senders, params.iterations)[order],
         messages=sender_messages,
         receivers=sorted(index[v] for v in receiver_set),
         power=power,

@@ -5,7 +5,8 @@ Every static ``decay_bfs`` spec on the fast engine runs here, alone
 sweeps over many seeds of the *same* (topology, algorithm, faults) cell
 — every result in the paper is a statement about distributions over
 random coin flips — and running them as lanes pays one topology build,
-one CSR compile, and one counts/codes gather per slot for all of them.
+one CSR compile, and one counts/codes gather per block of slots for all
+of them.
 Two classes hold that:
 
 - :class:`ReplicaBatchedNetwork` is the per-cell state of ``R``
@@ -21,19 +22,23 @@ Two classes hold that:
   the CSRs of one or more such members — the same topology or
   different ones — into a
   :class:`~repro.radio.kernels.megabatch.MegaBatchPlan` once, and runs
-  each slot of every running lane of every member as **one** array
-  pass: each lane owns a column range of single global vectors
-  (listening, transmit and listen counts, fault masks), and every live
-  sender joins one stacked integer CSR gather.  No Python loop runs
-  per lane per slot, except each faulted lane's plan draw.  A replica
-  batch is simply a one-member mega batch.
+  every running lane of every member as a few **blocks of consecutive
+  slots**, each a fixed number of array passes: each lane owns a column
+  range of single global vectors (listening, transmit and listen
+  counts), every live transmission of the block joins one stacked
+  integer CSR gather, and the edges are grouped by (slot, column).  No
+  Python loop runs per lane or per slot, except each faulted lane's
+  plan draw.  A replica batch is simply a one-member mega batch.
 
 Lanes hold no devices.  Each runs a :class:`LaneSchedule`, the array
 form of one Decay round (Lemma 2.4): a sender's whole transmit schedule
 is fixed by its geometric draws before the round starts, and a receiver
 listens until its first reception, so per slot a lane's transmitters
 are its scheduled senders that are not dead and its listeners are the
-receivers that have not yet heard and are not dead.  The device-callback
+receivers that have not yet heard and are not dead.  Fault draws never
+read the channel, so a whole block of slots resolves at once: each
+receiver hears in the earliest slot of the block in which it is live,
+not jammed, and gets a deliverable message.  The device-callback
 loop lives only in the serial engines
 (:meth:`~repro.radio.fast_engine.FastRadioNetwork.step` and the
 reference one), which are the oracle the lanes are pinned against
@@ -61,7 +66,6 @@ depths.
 from __future__ import annotations
 
 import numbers
-from collections import defaultdict
 from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import (
@@ -123,20 +127,38 @@ def _as_int(value: object, what: str) -> Optional[int]:
 class LaneSchedule:
     """One lane's round as arrays: who transmits when, and who listens.
 
-    ``transmits`` maps a slot offset (counted from the lane's clock when
-    :meth:`MegaBatchedNetwork.run_lockstep` starts) to the member vertex
-    indices, ascending, that transmit in that slot; ``messages`` maps
-    each sender index to its message, sent at standing SINR power level
-    ``power``.  Each of ``receivers`` (vertex indices, ascending)
-    listens from the first slot until its first reception.  The
-    executor fills ``heard``: receiver index -> the message it heard.
+    Transmission ``k`` is member vertex index ``senders[k]`` in slot
+    offset ``slots[k]``, counted from the lane's clock when
+    :meth:`MegaBatchedNetwork.run_lockstep` starts; both are int64
+    arrays sorted by (slot, sender).  ``messages`` maps each sender
+    index to its message, sent at standing SINR power level ``power``.
+    Each of ``receivers`` (vertex indices, ascending) listens from the
+    first slot until its first reception.  The executor fills
+    ``heard``: receiver index -> the message it heard.
     """
 
-    transmits: Mapping[int, Sequence[int]]
+    slots: np.ndarray
+    senders: np.ndarray
     messages: Mapping[int, Message]
     receivers: Sequence[int]
     power: int = 0
     heard: Dict[int, Message] = field(default_factory=dict)
+
+
+#: How much one block of a lockstep call may hold: the edges its
+#: transmissions gather plus the slot x vertex fault mask cells of its
+#: faulted lanes (a single slot may exceed it).  Blocks keep the
+#: temporary arrays of a call small whatever its length.
+BLOCK_CELLS = 1 << 13
+
+
+def _firsts(values: np.ndarray, size: int) -> np.ndarray:
+    """Mask of the entries of ``values`` (ints below ``size``) that
+    hold the first occurrence of their value."""
+    first = np.full(size, values.size)
+    order = np.arange(values.size)
+    np.minimum.at(first, values, order)
+    return first[values] == order
 
 
 class ReplicaBatchedNetwork:
@@ -282,16 +304,16 @@ MegaLaneKey = Tuple[int, int]
 
 
 class MegaBatchedNetwork:
-    """One or more members, one fused gather per slot.
+    """One or more members, one fused gather per block of slots.
 
     The lockstep executor of every batched run.  It stacks replica-batched
     *members* — each a :class:`ReplicaBatchedNetwork` with its own
     topology, collision model, fault model, and lane set; a replica batch
     is a single member — into one
     :class:`~repro.radio.kernels.megabatch.MegaBatchPlan`, so every
-    running lane of every member joins the same gather each slot.
-    Per-lane semantics are untouched: every faulted lane draws its
-    member's fault plan each slot, every lane runs the transmitters and
+    running lane of every member joins the same gather each block of
+    slots.  Per-lane semantics are untouched: every faulted lane draws
+    its member's fault plan each slot, every lane runs the transmitters and
     listeners of its :class:`LaneSchedule` in its own column range of
     the global vectors and of the gather, and charges its own ledger
     and fault counters, so each lane stays **byte-identical** to its
@@ -347,7 +369,7 @@ class MegaBatchedNetwork:
         schedules: Mapping[MegaLaneKey, LaneSchedule],
         max_slots: Union[int, Mapping[MegaLaneKey, int]],
     ) -> Dict[MegaLaneKey, int]:
-        """Run every supplied lane's schedule, fusing all members per slot.
+        """Run every supplied lane's schedule, fusing all members.
 
         ``schedules`` maps ``(member, replica)`` -> that lane's
         :class:`LaneSchedule`.  ``max_slots`` is either one budget for
@@ -411,23 +433,27 @@ class MegaBatchedNetwork:
         budgets: Mapping[MegaLaneKey, int],
     ) -> Dict[MegaLaneKey, Tuple[np.ndarray, np.ndarray]]:
         """Run the lanes ``keys`` (sorted, each with a participant and a
-        positive budget), each slot as one array pass over all of them.
+        positive budget) as a few blocks of consecutive slots, each
+        block a fixed number of array passes over all of them.
 
         Lane ``p`` owns columns ``base[p]:base[p] + n`` of every global
-        vector.  Each slot, the lanes with a fault model draw their
-        plans into the dead, drop and jam masks; the slot's scheduled
-        senders that are not dead pay for their transmission (the RN[b]
-        and power-level checks run at a sender's first such one, in
-        lane key and vertex order); the ones not dropped join one
-        stacked gather; and the listeners that hear a unique (under
-        SINR, a winning) sender and are not jammed record its message
-        and stop listening.  Returns each lane's transmit and listen
-        totals per vertex.
+        vector.  A round fixes every transmission before it starts,
+        fault draws never read the channel, and a receiver's only state
+        is whether it has heard, so a whole block resolves at once: the
+        lanes with a fault model draw the block's plans, slot by slot,
+        into dead, drop and jam masks; the transmissions whose sender is
+        not dead pay (the RN[b] and power-level checks run at a sender's
+        first such one, in slot, lane key and vertex order); the ones
+        not dropped join one stacked gather, grouped by (slot, column);
+        and each listening column hears at its earliest key with a
+        unique (under SINR, a winning) sender where it is neither dead
+        nor jammed.  Returns each lane's transmit and listen totals per
+        vertex.
         """
         plan = self._plan
         members = [self.members[m] for m, _ in keys]
         lanes = [schedules[key] for key in keys]
-        limits = [budgets[key] for key in keys]
+        limits = np.array([budgets[key] for key in keys], dtype=np.int64)
         sizes = np.array([m._topology.n for m in members], dtype=np.int64)
         base = np.cumsum(sizes) - sizes
         size = int(sizes.sum())
@@ -435,28 +461,24 @@ class MegaBatchedNetwork:
         col_base = base[col_lane]
         col_code = np.arange(1, size + 1) - col_base
         col_row = plan.row_base[np.array([m for m, _ in keys])[col_lane]] + col_code - 1
-        col_limit = np.repeat(limits, sizes)
-        spans = [slice(b, b + n) for b, n in zip(base.tolist(), sizes.tolist())]
+        col_limit = limits[col_lane]
         cost = np.ones(len(keys), dtype=np.int64)
         mult = np.zeros(len(keys), dtype=np.int64)
         listening = np.zeros(size, dtype=bool)
-        # Each slot's transmissions as global columns, in (lane, vertex)
-        # order.
-        by_slot: Dict[int, List[int]] = defaultdict(list)
-        for p, (member, lane, limit) in enumerate(zip(members, lanes, limits)):
-            b = spans[p].start
-            listening[b + np.fromiter(lane.receivers, dtype=np.int64)] = True
-            for offset, senders in lane.transmits.items():
-                if offset < limit:
-                    by_slot[offset] += [b + i for i in senders]
+        for p, (member, lane) in enumerate(zip(members, lanes)):
+            listening[base[p] + np.fromiter(lane.receivers, dtype=np.int64)] = True
             if member.sinr is not None:
                 with suppress(SimulationError):  # raised at its first sender
                     level = check_power_level(None, lane.power, member.sinr)
                     cost[p] = member.sinr.power_costs[level]
                     mult[p] = member.sinr.power_levels[level]
-        slot_tx = {t: np.array(c, dtype=np.int64) for t, c in by_slot.items()}
-        no_tx = np.zeros(0, dtype=np.int64)
-        retiring = set(limits)
+        # Every transmission within its lane's budget as (slot, global
+        # column), in (slot, column) order.
+        tx_slot = np.concatenate([lane.slots for lane in lanes])
+        tx_col = np.concatenate([lane.senders + b for lane, b in zip(lanes, base)])
+        within = tx_slot < col_limit[tx_col]
+        order = np.argsort(tx_slot[within], kind="stable")
+        tx_slot, tx_col = tx_slot[within][order], tx_col[within][order]
         col_cost, col_mult = cost[col_lane], mult[col_lane]
         sinr_col = None
         if any(m.sinr is not None for m in members):
@@ -467,85 +489,107 @@ class MegaBatchedNetwork:
             ], sizes, axis=0).T
             sinr_col = sinr_col.astype(bool)
         faulted = [
-            (m._fault_runtimes, key[1], m.lanes[key[1]].slot, limit, span)
-            for key, m, limit, span in zip(keys, members, limits, spans)
+            (p, m._fault_runtimes, key[1], m.lanes[key[1]].slot)
+            for p, (key, m) in enumerate(zip(keys, members))
             if m._fault_runtimes.active
         ]
-        dead_g = np.zeros(size, dtype=bool)
-        drop_g = np.zeros(size, dtype=bool)
-        jam_g = np.zeros(size, dtype=bool)
+        # Blocks of about BLOCK_CELLS gathered edges and fault mask cells.
+        indptr = plan.stack.indptr
+        degree = (indptr[col_row + 1] - indptr[col_row])[tx_col]
+        load = np.bincount(tx_slot, weights=degree, minlength=int(limits.max()))
+        for p, *_ in faulted:
+            load[:limits[p]] += sizes[p]
+        cuts = np.flatnonzero(np.diff((np.cumsum(load) - load) // BLOCK_CELLS, prepend=-1))
         checked = np.zeros(size, dtype=bool)
-        unchecked = len(set().union(*by_slot.values()))
         tx_counts = np.zeros(size, dtype=np.int64)
         listen_counts = np.zeros(size, dtype=np.int64)
         # Per lane: delivered, dropped and jammed this call.
         tallies = np.zeros((3, len(keys)), dtype=np.int64)
-        for t in range(max(limits)):
-            if t in retiring:
-                listening &= col_limit > t
-            any_dead = any_drop = any_jam = False
-            for runtimes, replica, start, limit, span in faulted:
-                if t < limit:
-                    dead, hit, jam, _ = runtimes.plan(replica, start + t)
-                    dead_g[span] = False if dead is None else dead
-                    drop_g[span] = False if hit is None else hit
-                    jam_g[span] = False if jam is None else jam
-                    any_dead |= dead is not None
-                    any_drop |= hit is not None
-                    any_jam |= jam is not None
-            senders = slot_tx.get(t, no_tx)
-            if any_dead:
-                senders = senders[~dead_g[senders]]
-            if unchecked:
-                fresh = senders[~checked[senders]]
-                for c, p in zip(fresh.tolist(), col_lane[fresh].tolist()):
-                    member, lane, i = members[p], lanes[p], c - spans[p].start
+        for t0, t1 in zip(cuts.tolist(), [*cuts[1:].tolist(), load.size]):
+            lo, hi = np.searchsorted(tx_slot, (t0, t1))
+            slot, col = tx_slot[lo:hi] - t0, tx_col[lo:hi]
+            # The block's fault masks: each faulted lane's rows (one per
+            # slot it runs) in one flat array, then one False cell that
+            # every other column's (slot, column) cells point to.
+            drawn = [(p, *rest, min(t1, limits[p]) - t0)
+                     for p, *rest in faulted if limits[p] > t0]
+            dead = hit = jam = False
+            if drawn:
+                offsets = np.cumsum([0] + [rows * sizes[p] for p, *_, rows in drawn])
+                masks = np.zeros((3, offsets[-1] + 1), dtype=bool)
+                lane_cell = np.full(len(keys), offsets[-1])
+                stride = np.zeros(len(keys), dtype=np.int64)
+                for (p, runtimes, replica, start, rows), off in zip(drawn, offsets):
+                    lane_cell[p], stride[p], n = off, sizes[p], sizes[p]
+                    for r in range(rows):
+                        draw = runtimes.plan(replica, start + t0 + r)
+                        for k, mask in enumerate(draw[:3]):
+                            if mask is not None:
+                                masks[k, off + r * n:off + (r + 1) * n] = mask
+                dead, hit, jam = masks.any(axis=1)
+                col_stride = stride[col_lane]
+                col_cell = lane_cell[col_lane] + (col_code - 1) * (col_stride > 0)
+            if dead:
+                alive = ~masks[0, col_cell[col] + slot * col_stride[col]]
+                slot, col = slot[alive], col[alive]
+            if not checked[col].all():
+                for c in col[_firsts(col, size) & ~checked[col]].tolist():
+                    member, lane, i = members[col_lane[c]], lanes[col_lane[c]], col_code[c] - 1
                     member.size_policy.check(lane.messages[i])
                     if member.sinr is not None:
                         check_power_level(
                             member._topology.vertices[i], lane.power, member.sinr
                         )
-                checked[fresh] = True
-                unchecked -= fresh.size
-            tx_counts[senders] += col_cost[senders]
-            if any_drop:
-                lost = drop_g[senders]
-                tallies[1] += np.bincount(col_lane[senders[lost]], minlength=len(keys))
-                senders = senders[~lost]
-            listeners = listening & ~dead_g if any_dead else listening
-            listen_counts += listeners
-            if any_jam:
-                tallies[2] += np.bincount(col_lane[jam_g & listeners], minlength=len(keys))
-            if not (senders.size and listeners.any()):
-                continue
-            gathered, counts, codes = plan.counts_codes_many(
-                col_row[senders], col_code[senders], col_base[senders], size
-            )
-            deliver = counts == 1
-            if sinr_col is not None:
-                winner, wins = sinr_arbitrate_many(
-                    plan.gains[gathered.pos]
-                    * np.repeat(col_mult[senders], gathered.lens),
-                    gathered, size, threshold, noise,
+                checked[col] = True
+            tx_counts += np.bincount(col, minlength=size) * col_cost
+            if hit:
+                lost = masks[1, col_cell[col] + slot * col_stride[col]]
+                tallies[1] += np.bincount(col_lane[col[lost]], minlength=len(keys))
+                slot, col = slot[~lost], col[~lost]
+            # Each column listens in the block's slots [0, stop).
+            stop = np.where(listening, np.clip(col_limit - t0, 0, t1 - t0), 0)
+            if col.size and stop.any():
+                groups = plan.counts_codes_many(
+                    col_row[col], col_code[col], col_base[col], slot, stop
                 )
-                deliver = np.where(sinr_col, wins, deliver)
-                codes = np.where(sinr_col, winner, codes)
-            deliver &= listeners
-            if any_jam:
-                deliver &= ~jam_g
-            got = np.flatnonzero(deliver)
-            listening[got] = False
-            for c, p, code in zip(
-                got.tolist(), col_lane[got].tolist(), codes[got].tolist()
-            ):
-                lane = lanes[p]
-                lane.heard[c - spans[p].start] = lane.messages[code - 1]
-                tallies[0, p] += 1
+                g_slot, g_col = np.divmod(groups.keys, size)
+                deliver, codes = groups.counts == 1, groups.codes
+                if sinr_col is not None:
+                    winner, wins = sinr_arbitrate_many(
+                        plan.gains[groups.pos] * col_mult[groups.cols],
+                        groups, threshold[g_col], noise[g_col],
+                    )
+                    deliver = np.where(sinr_col[g_col], wins, deliver)
+                    codes = np.where(sinr_col[g_col], winner, codes)
+                if dead or jam:
+                    cells = col_cell[g_col] + g_slot * col_stride[g_col]
+                    deliver &= ~(masks[0] | masks[2])[cells]
+                # Keys ascend by (slot, column), so a column's first
+                # delivering key is its earliest.
+                got = np.flatnonzero(deliver)
+                got = got[_firsts(g_col[got], size)]
+                heard = g_col[got]
+                listening[heard] = False
+                stop[heard] = g_slot[got] + 1
+                tallies[0] += np.bincount(col_lane[heard], minlength=len(keys))
+                for p, i, code in zip(col_lane[heard].tolist(),
+                                      (col_code[heard] - 1).tolist(),
+                                      codes[got].tolist()):
+                    lanes[p].heard[i] = lanes[p].messages[code - 1]
+            listen_counts += stop
+            if dead or jam:
+                for (p, *_, rows), off in zip(drawn, offsets):
+                    n, b = sizes[p], base[p]
+                    down, _, jammed = masks[:, off:off + rows * n].reshape(3, rows, n)
+                    window = np.arange(rows)[:, None] < stop[b:b + n]
+                    listen_counts[b:b + n] -= (window & down).sum(axis=0)
+                    tallies[2, p] += np.count_nonzero(window & jammed & ~down)
         totals = {}
-        for p, (key, member, span) in enumerate(zip(keys, members, spans)):
+        for p, (key, member) in enumerate(zip(keys, members)):
             counters = member.lanes[key[1]].fault_counters
             counters.delivered += int(tallies[0, p])
             counters.dropped += int(tallies[1, p])
             counters.jammed += int(tallies[2, p])
+            span = slice(base[p], base[p] + sizes[p])
             totals[key] = (tx_counts[span], listen_counts[span])
         return totals

@@ -3,13 +3,14 @@
 A slot's channel outcome reduces to two integers per listener — how
 many neighbors transmitted and the sum of their 1-based indices — and
 one NumPy CSR gather computes them for every tier
-(:func:`~repro.radio.kernels.base.gather_edges` and
-:func:`~repro.radio.kernels.base.counts_codes`): the fast engine's
-single lane over its own CSR, and every running lane of a lockstep
-call over the stacked CSR of a
+(:func:`~repro.radio.kernels.base.gather_edges`): the fast engine's
+single lane and slot over its own CSR
+(:func:`~repro.radio.kernels.base.counts_codes`), and every running
+lane of a block of lockstep slots over the stacked CSR of a
 :class:`~repro.radio.kernels.megabatch.MegaBatchPlan`, each lane in its
-own column range.  SINR arbitration
-(:mod:`repro.radio.kernels.sinr_csr`) reads the same gather and adds
+own column range and the edges grouped by (slot, column)
+(:func:`~repro.radio.kernels.base.group_edges`).  SINR arbitration
+(:mod:`repro.radio.kernels.sinr_csr`) reads the same groups and adds
 per-edge signal reductions.
 
 Every reduction is exact int64 arithmetic, which no evaluation order or

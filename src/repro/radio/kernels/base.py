@@ -2,20 +2,25 @@
 
 In the RN cost model a slot reduces to integer counts: per listener,
 how many neighbors transmitted and which one (when exactly one did).
-Every vectorized tier computes those numbers the same way —
-:func:`counts_codes` over :func:`gather_edges`:
+Every vectorized tier computes those numbers the same way — a
+reduction over :func:`gather_edges`:
 
 - each transmitter's CSR row becomes a run of *edge positions*
   (``repeat``/``arange`` over ``indptr``), the positions become
   *listener columns*, and each transmitter's columns are shifted by its
   lane's column base, so lanes never mix;
-- per-listener counts are one ``np.bincount`` of the columns, sender
-  codes one int64 ``np.add.at`` of the 1-based codes; where the count
-  is exactly 1, the code minus one *is* the unique sender's local index.
+- for one slot (:func:`counts_codes`), per-listener counts are one
+  ``np.bincount`` of the columns and sender codes one int64
+  ``np.add.at`` of the 1-based codes; for a block of slots
+  (:func:`group_edges`), one stable argsort groups the edges by
+  (slot, column) key, and each key gets its edge count and one int64
+  ``np.add.reduceat`` of the codes.  Where the count is exactly 1, the
+  code minus one *is* the unique sender's local index.
 
-The fast engine gathers over its own CSR with no shift; the lockstep
-executor gathers every running lane of every member at once over a
-stacked CSR (:class:`~repro.radio.kernels.megabatch.MegaBatchPlan`).
+The fast engine gathers one slot over its own CSR with no shift; the
+lockstep executor gathers a block of slots of every running lane of
+every member at once over a stacked CSR
+(:class:`~repro.radio.kernels.megabatch.MegaBatchPlan`).
 Everything above the gather (device callbacks, fault plans, collision
 semantics, energy charging) lives in the engines.  Everything below it
 is exact int64 arithmetic, which no evaluation order, stacking or lane
@@ -160,7 +165,7 @@ def gather_edges(
         int(ends[-1]) if len(ends) else 0, dtype=np.int64
     )
     cols = adjacency.indices[pos]
-    if np.ndim(shifts) or shifts:
+    if np.any(shifts):
         cols = cols + np.repeat(shifts, lens)
     return EdgeGather(pos, lens, cols, np.repeat(codes, lens))
 
@@ -175,6 +180,39 @@ def counts_codes(gathered: EdgeGather, size: int) -> Tuple[np.ndarray, np.ndarra
     codes = np.zeros(size, dtype=np.int64)
     np.add.at(codes, gathered.cols, gathered.codes)
     return counts, codes
+
+
+class EdgeGroups(NamedTuple):
+    """Gathered edges grouped by an integer key, keys ascending.
+
+    ``pos``, ``cols`` and ``edge_codes`` are per edge, sorted by key
+    (stably, so a group keeps gather order); per group, ``keys`` is its
+    key, ``starts`` its first edge, ``counts`` its edge count and
+    ``codes`` the sum of its sender codes.  Where the count is exactly
+    1 the code *is* the unique sender's.
+    """
+
+    pos: np.ndarray
+    cols: np.ndarray
+    edge_codes: np.ndarray
+    keys: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+    codes: np.ndarray
+
+
+def group_edges(
+    pos: np.ndarray, cols: np.ndarray, codes: np.ndarray, keys: np.ndarray
+) -> EdgeGroups:
+    """Group edges by ``keys`` (non-negative int64, one per edge) with
+    one stable argsort, so no table as large as the key space is built."""
+    order = np.argsort(keys, kind="stable")
+    keys, codes = keys[order], codes[order]
+    starts = np.flatnonzero(np.concatenate((keys[:1] >= 0, keys[1:] != keys[:-1])))
+    return EdgeGroups(
+        pos[order], cols[order], codes, keys[starts], starts,
+        np.diff(np.append(starts, keys.size)), np.add.reduceat(codes, starts),
+    )
 
 
 class KernelInfo(NamedTuple):

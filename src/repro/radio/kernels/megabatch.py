@@ -4,24 +4,25 @@ A :class:`MegaBatchPlan` concatenates the CSR adjacencies of its member
 topologies — the same topology or different ones — into one stacked
 CSR, once: member ``m``'s vertex ``i`` is stacked row
 ``row_base[m] + i``, and the column indices stay member-local.  Each
-slot, every sender of every running lane joins **one**
-:func:`~repro.radio.kernels.base.gather_edges` call over that stack;
-shifting a sender's listener columns by its lane's column base gives
-every lane its own column range, and sender codes stay member-local,
-so a lane's counts and codes are exactly those of its member resolved
-alone — structurally, with no offset to undo.  The SINR members'
+block of lockstep slots, every transmission of every running lane
+joins **one** :func:`~repro.radio.kernels.base.gather_edges` call over
+that stack; shifting a sender's listener columns by its lane's column
+base gives every lane its own column range, and sender codes stay
+member-local, so a lane's counts and codes per (slot, column) key are
+exactly those of its member resolved alone, slot by slot —
+structurally, with no offset to undo.  The SINR members'
 per-edge gains are stacked alongside (zeros on binary members' edges).
 A one-member plan uses its member's arrays as they are.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ...errors import ConfigurationError
-from .base import CSRAdjacency, EdgeGather, counts_codes, gather_edges
+from .base import CSRAdjacency, EdgeGroups, gather_edges, group_edges
 from .sinr_csr import SinrCsr
 
 
@@ -73,15 +74,28 @@ class MegaBatchPlan:
         rows: np.ndarray,
         codes: np.ndarray,
         shifts: np.ndarray,
-        size: int,
-    ) -> Tuple[EdgeGather, np.ndarray, np.ndarray]:
-        """Resolve one slot of every lane at once.
+        slots: np.ndarray,
+        until: np.ndarray,
+    ) -> EdgeGroups:
+        """Resolve a block of slots of every lane at once.
 
         ``rows`` are the senders' stacked rows, ``codes`` their 1-based
-        member-local sender codes and ``shifts`` their lanes' column
-        bases in a ``size``-column vector.  Returns the gathered edges
-        and the per-column ``(counts, codes)`` of
-        :func:`~repro.radio.kernels.base.counts_codes`.
+        member-local sender codes, ``shifts`` their lanes' column bases
+        and ``slots`` their slots within the block.  Column ``c`` of the
+        ``until.size``-column vector listens in the block's slots before
+        ``until[c]``; the edges that reach it then are grouped by
+        ``(slot, column)`` key ``slot * until.size + c``
+        (:func:`~repro.radio.kernels.base.group_edges`), which gives
+        each key its sender count and code sum.
         """
         gathered = gather_edges(self.stack, rows, codes, shifts)
-        return (gathered, *counts_codes(gathered, size))
+        # Most edges reach columns that do not listen: drop those first,
+        # then find each kept edge's sender by position.
+        edges = np.flatnonzero((until > 0)[gathered.cols])
+        sender = np.searchsorted(np.cumsum(gathered.lens), edges, side="right")
+        keep = slots[sender] < until[gathered.cols[edges]]
+        edges, slot = edges[keep], slots[sender[keep]]
+        cols = gathered.cols[edges]
+        return group_edges(
+            gathered.pos[edges], cols, gathered.codes[edges], slot * until.size + cols
+        )

@@ -1,18 +1,18 @@
 """Vectorized SINR arbitration over CSR adjacency (int64, numpy-only).
 
 The binary collision models reduce each slot to transmitter *counts*
-per listener (:func:`~repro.radio.kernels.base.counts_codes`).  SINR
-arbitration needs per-edge *signals*, so it reads the same edge gather
-(:func:`~repro.radio.kernels.base.gather_edges`) and weights each
-gathered edge by its compiled gain times its transmitter's power.
-Every operation is an int64 sum, maximum, or comparison — exact and
-order-independent — so arbitrating a lane alone or among many gives
-the same bytes.
+per listener.  SINR arbitration needs per-edge *signals*, so it reads
+the same edge gather (:func:`~repro.radio.kernels.base.gather_edges`),
+grouped per listener (:func:`~repro.radio.kernels.base.group_edges`),
+and weights each edge by its compiled gain times its transmitter's
+power.  Every operation is an int64 sum, maximum, or comparison —
+exact and order-independent — so arbitrating a lane alone or among
+many gives the same bytes.
 
 :func:`sinr_arbitrate` resolves one lane (the fast engine's slot);
-:func:`sinr_arbitrate_many` takes an already gathered slot — the
-lockstep executor's one gather over every running lane — and reduces
-every column at once, each lane in its own column range.
+:func:`sinr_arbitrate_many` takes already grouped edges — in the
+lockstep, a block of slots of every running lane, one group per
+(slot, column) key — and reduces every group at once.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from ...errors import ConfigurationError
 from ..sinr import THRESHOLD_DEN, SinrField
-from .base import CSRAdjacency, EdgeGather, gather_edges
+from .base import CSRAdjacency, EdgeGroups, gather_edges, group_edges
 
 
 @dataclass(frozen=True)
@@ -68,34 +68,31 @@ class SinrCsr(CSRAdjacency):
 
 def sinr_arbitrate_many(
     signal: np.ndarray,
-    gathered: EdgeGather,
-    size: int,
+    groups: EdgeGroups,
     threshold_milli: Union[int, np.ndarray],
     noise_floor: Union[int, np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Arbitrate every gathered column in one pass.
+    """Arbitrate every group of gathered edges in one pass.
 
-    ``signal[k]`` is gathered edge ``k``'s received signal (gain times
-    its transmitter's power); ``threshold_milli`` and ``noise_floor``
-    are scalars or per-column arrays, so lanes of members with
-    different SINR parameters share the pass.  Returns per column
-    ``(winner_code, deliver)`` arrays of length ``size``:
+    ``signal[k]`` is grouped edge ``k``'s received signal (gain times
+    its transmitter's power); a group is one listener (in the lockstep,
+    one listener in one slot).  ``threshold_milli`` and ``noise_floor``
+    are scalars or per-group arrays, so lanes of members with different
+    SINR parameters share the pass.  Returns per group
+    ``(winner_code, deliver)``:
 
-    - ``winner_code[v]`` — the uniquely strongest transmitter's sender
+    - ``winner_code`` — the uniquely strongest transmitter's sender
       code (valid only where ``deliver``) — the same 1-based
       convention as the binary-count kernel;
-    - ``deliver[v]`` — True iff the strongest signal is unique and
-      clears the SINR threshold.
+    - ``deliver`` — True iff the strongest signal is unique and clears
+      the SINR threshold.
     """
-    cols = gathered.cols
-    power = np.zeros(size, dtype=np.int64)
-    np.add.at(power, cols, signal)
-    best = np.zeros(size, dtype=np.int64)
-    np.maximum.at(best, cols, signal)
-    at_max = signal == best[cols]
-    ties = np.bincount(cols[at_max], minlength=size)
-    winner = np.zeros(size, dtype=np.int64)
-    np.add.at(winner, cols[at_max], gathered.codes[at_max])
+    starts = groups.starts
+    power = np.add.reduceat(signal, starts)
+    best = np.maximum.reduceat(signal, starts)
+    at_max = signal == np.repeat(best, groups.counts)
+    ties = np.add.reduceat(at_max, starts)
+    winner = np.add.reduceat(np.where(at_max, groups.edge_codes, 0), starts)
     num = threshold_milli
     deliver = (ties == 1) & (
         (THRESHOLD_DEN + num) * best >= num * (power + noise_floor)
@@ -119,12 +116,12 @@ def sinr_arbitrate(
         )
     tx = np.asarray(tx_idx, dtype=np.int64)
     gathered = gather_edges(csr, tx, tx + 1)
-    counts = np.bincount(gathered.cols, minlength=csr.n).astype(
-        np.int64, copy=False
-    )
-    signal = csr.gains[gathered.pos] * np.repeat(
-        csr.mults[np.asarray(tx_levels, dtype=np.int64)], gathered.lens
-    )
-    return (counts, *sinr_arbitrate_many(
-        signal, gathered, csr.n, csr.threshold_milli, csr.noise_floor
+    groups = group_edges(gathered.pos, gathered.cols, gathered.codes, gathered.cols)
+    level = np.zeros(csr.n, dtype=np.int64)
+    level[tx] = tx_levels
+    signal = csr.gains[groups.pos] * csr.mults[level[groups.edge_codes - 1]]
+    out = np.zeros((3, csr.n), dtype=np.int64)
+    out[:, groups.keys] = (groups.counts, *sinr_arbitrate_many(
+        signal, groups, csr.threshold_milli, csr.noise_floor
     ))
+    return out[0], out[1], out[2].astype(bool)

@@ -1,16 +1,18 @@
 """Property: every lockstep lane equals its own serial run.
 
 :meth:`~repro.radio.batch_engine.MegaBatchedNetwork.run_lockstep` runs
-every running lane of every member as one array pass per slot: one
-global vector per quantity, each lane in its own column range, and one
-stacked gather for all senders.  Whatever the mix — binary and SINR
+every running lane of every member as a few array passes per block of
+slots: one global vector per quantity, each lane in its own column
+range, and one stacked gather for all senders of a block.  Whatever the
+mix — binary and SINR
 members in one network, different Decay lengths per member, crash,
 drop and jam faults, lanes that sit out a call, lanes with senders but
 no receivers or with no participants at all — each lane must equal the
 same seeds run alone, call after call, on both serial device engines:
 heard maps (in order), per-device energy, fault counters and slot
 clocks.  Two successive calls on one network check that the clocks and
-fault streams carry over.
+fault streams carry over, and a fixed case cut into blocks of a few
+slots checks that block boundaries change nothing.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from repro.radio import (
     message_of_ints,
     topology,
 )
+from repro.radio import batch_engine
+from repro.radio.kernels import MegaBatchPlan
 from repro.radio.sinr import SinrParams
 
 ENGINES = ("fast", "reference")
@@ -179,7 +183,7 @@ def test_every_lane_matches_its_serial_runs(members, calls, seed):
     _check(members, calls, seed)
 
 
-def test_fixed_mix_covers_every_case():
+def _fixed_mix():
     """One fixed run through every case the property names: a sender
     dead at its first scheduled slot (lane (0, 0), vertex 1), a lane
     with senders but no receivers ((0, 1)), a lane with no participants
@@ -204,7 +208,11 @@ def test_fixed_mix_covers_every_case():
         (2, 0): "r" * 8 + "s",
         (2, 1): "-s" + "r" * 7,
     }
-    net = _check(members, [first, second], seed=3)
+    return _check(members, [first, second], seed=3)
+
+
+def test_fixed_mix_covers_every_case():
+    net = _fixed_mix()
     lanes = {key: net.lane(key) for key in KEYS}
     assert lanes[(0, 2)].slot == 0
     assert lanes[(2, 2)].slot == 0
@@ -214,3 +222,22 @@ def test_fixed_mix_covers_every_case():
     # Decay lengths differ by member, and the second call adds on.
     assert len({lanes[(m, 1)].slot for m in (0, 1)}) == 2
     assert lanes[(0, 0)].slot == lanes[(0, 1)].slot * 2
+
+
+def test_fixed_mix_across_blocks(monkeypatch):
+    """The fixed run again, each lockstep call cut into blocks of a few
+    slots: every lane still equals its serial runs."""
+    monkeypatch.setattr(batch_engine, "BLOCK_CELLS", 64)
+    blocks = []
+    reduce = MegaBatchPlan.counts_codes_many
+
+    def recorded(plan, rows, codes, shifts, slots, until):
+        blocks.append(int(until.max()))
+        return reduce(plan, rows, codes, shifts, slots, until)
+
+    monkeypatch.setattr(MegaBatchPlan, "counts_codes_many", recorded)
+    net = _fixed_mix()
+    # Every block is shorter than the shortest round (member 2's, two
+    # iterations of four slots), so every round spans several blocks.
+    assert min(lane.slot for lane in net.members[2].lanes if lane.slot) == 8
+    assert len(blocks) > 4 and max(blocks) < 8

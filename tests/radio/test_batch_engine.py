@@ -40,6 +40,8 @@ from repro.rng import make_rng, spawn_streams
 PRESETS = sorted(named_fault_models())
 COLLISION_MODELS = [CollisionModel.NO_CD, CollisionModel.RECEIVER_CD]
 REPLICAS = 4
+#: No transmission: a schedule's empty ``slots`` and ``senders``.
+NO_SLOTS = np.zeros(0, dtype=np.int64)
 
 
 def _fault_model(preset):
@@ -160,7 +162,8 @@ def test_lanes_can_finish_at_different_depths():
 def _listener():
     """A lane schedule with one receiver and no sender: it listens for
     its whole budget."""
-    return LaneSchedule(transmits={}, messages={}, receivers=[0])
+    return LaneSchedule(slots=NO_SLOTS, senders=NO_SLOTS, messages={},
+                        receivers=[0])
 
 
 def test_unknown_replica_lane_is_rejected():
@@ -176,7 +179,8 @@ def test_a_lane_without_participants_runs_no_slot():
     """The serial stop rule: a round with no sender and no receiver is
     over before its first slot, whatever its budget."""
     net = ReplicaBatchedNetwork(topology.scenario("path", 6), 2)
-    empty = LaneSchedule(transmits={}, messages={}, receivers=[])
+    empty = LaneSchedule(slots=NO_SLOTS, senders=NO_SLOTS, messages={},
+                         receivers=[])
     assert net.run_lockstep({0: empty, 1: _listener()}, 4) == {0: 0, 1: 4}
     assert [lane.slot for lane in net.lanes] == [0, 4]
     assert [lane.ledger.time_slots for lane in net.lanes] == [0, 4]

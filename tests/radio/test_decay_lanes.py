@@ -14,6 +14,7 @@ maps (in order), ledger snapshots, fault counters and slot counts, and
 the same error when a message breaks the RN[b] limit or a sender picks
 a power level off the SINR ladder — raised, among several lanes, for
 the sender that first transmits alive, by slot and then by lane key.
+How the executor cuts a call into blocks of slots must change nothing.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from repro.radio import (
     message_of_ints,
     topology,
 )
-from repro.radio.faults import named_fault_models
+from repro.radio import batch_engine
+from repro.radio.faults import ReplicaFaultRuntimes, named_fault_models
 from repro.radio.message import MessageSizePolicy
 from repro.radio.sinr import SinrParams
 
@@ -302,3 +304,83 @@ def test_check_errors_follow_slot_then_lane_key(violation, crashed):
         )
     slot, kind, message, _ = min(first, key=lambda f: (f[0], f[3]))
     assert (type(info.value), str(info.value)) == (kind, message)
+
+
+#: Block sizes of the lockstep, in edges plus fault mask cells: one
+#: (a block per slot), one that cuts the round below into several
+#: blocks of several slots, the default, and one block per call.
+BLOCKS = (1, 500, batch_engine.BLOCK_CELLS, 1 << 40)
+
+
+def _blocked_round(monkeypatch, block):
+    """One Local-Broadcast per lane under ``lossy_mixed`` (crash, drop
+    and jam) on a binary and a SINR member, with the lockstep cut into
+    blocks of ``block``.  Returns each lane's heard map (in order),
+    ledger, fault counters and slot clock, the first slot of every
+    block, and the slot each receiver first heard in."""
+    monkeypatch.setattr(batch_engine, "BLOCK_CELLS", block)
+    runs = []  # (lane, slot) of every fault plan, in draw order
+    draw = ReplicaFaultRuntimes.plan
+
+    def recorded(runtimes, replica, slot):
+        runs.append(((id(runtimes), replica), slot))
+        return draw(runtimes, replica, slot)
+
+    monkeypatch.setattr(ReplicaFaultRuntimes, "plan", recorded)
+    faults = _faults("lossy_mixed")
+    models = (CollisionModel.NO_CD, CollisionModel.SINR)
+    net = MegaBatchedNetwork([
+        ReplicaBatchedNetwork(
+            _graph(m, named=True), REPLICAS, collision_model=models[m],
+            faults=faults, fault_seeds=[_seeds(m, r)[1] for r in range(REPLICAS)],
+        )
+        for m in range(len(MEMBERS))
+    ])
+    keys = [(m, r) for m in range(len(MEMBERS)) for r in range(REPLICAS)]
+    heard = run_decay_local_broadcast_mega(
+        net, {key: _round(*key) for key in keys},
+        failure_probability={m: MEMBERS[m][3] for m in range(len(MEMBERS))},
+        seeds={key: _seeds(*key)[0] for key in keys}, tx_power=1,
+    )
+    # Each block draws every running faulted lane's slots in one run,
+    # lane after lane, so a block starts where some lane's run does.
+    starts = sorted({slot for i, (lane, slot) in enumerate(runs)
+                     if i == 0 or runs[i - 1] != (lane, slot - 1)})
+    lanes = {
+        key: (list(heard[key].items()), net.lane(key).ledger.snapshot(),
+              net.lane(key).fault_counters.as_dict(), net.lane(key).slot)
+        for key in keys
+    }
+    # A receiver that is never crashed (vertex 2 is) listens up to and
+    # including the slot it first hears in.
+    first_heard = [
+        lanes[key][1][v][1] - 1 for key in keys for v in heard[key] if v != "v2"
+    ]
+    return lanes, starts, first_heard
+
+
+def test_block_size_changes_nothing(monkeypatch):
+    """However a lockstep call is cut into blocks, every lane's heard
+    map, ledger, fault counters and clock stay the same.  The cases a
+    block boundary could break all occur: receivers that first hear in
+    the first and in the last slot of a block of several slots, and a
+    lane whose budget ends inside a block."""
+    runs = {block: _blocked_round(monkeypatch, block) for block in BLOCKS}
+    lanes = runs[BLOCKS[0]][0]
+    for block in BLOCKS:
+        assert runs[block][0] == lanes, block
+    assert all(sum(lane[2][name] for lane in lanes.values()) > 0
+               for name in ("crashed", "dropped", "jammed", "delivered"))
+    clocks = [lane[3] for lane in lanes.values()]
+    assert runs[BLOCKS[0]][1] == list(range(max(clocks)))
+
+    def blocks(block):
+        starts = runs[block][1]
+        return list(zip(starts, starts[1:] + [max(clocks)]))
+
+    first_heard = runs[500][2]
+    assert any(t == a for a, b in blocks(500) if b - a > 1 for t in first_heard)
+    assert any(t == b - 1 for a, b in blocks(500) if b - a > 1
+               for t in first_heard)
+    for block in (500, batch_engine.BLOCK_CELLS):
+        assert any(a < clock < b for a, b in blocks(block) for clock in clocks)

@@ -62,20 +62,34 @@ def _resolve(adj, tx):
 
 
 def _stacked(adjs, lanes):
-    """Resolve ``lanes`` — ``(member, tx)`` pairs — in one gather over
-    the stacked CSR of ``adjs``, lane ``j`` in its own column range, as
-    the lockstep executor does.  Returns the plan, the gather, per-lane
-    column bases, and the per-column counts and codes."""
+    """Resolve ``lanes`` — ``(member, tx)`` pairs — over the stacked CSR
+    of ``adjs``, lane ``j`` in its own column range, as the lockstep
+    executor does: one gather, and one block reduction with every
+    transmission in slot 0 and every column listening.  Returns the
+    plan, the gather, per-lane column bases, the per-column counts and
+    codes, and the grouped edges."""
     plan = MegaBatchPlan(adjs)
     sizes = [adjs[m].n for m, _ in lanes]
     bases = np.cumsum([0] + sizes)[:-1]
+    size = int(sum(sizes))
     rows = [plan.row_base[m] + tx for m, tx in lanes]
     codes = [tx + 1 for _, tx in lanes]
     shifts = [np.full(tx.size, b) for (_, tx), b in zip(lanes, bases)]
     flat = [np.concatenate(x) if x else np.zeros(0, dtype=np.int64)
             for x in (rows, codes, shifts)]
-    gathered, counts, codes = plan.counts_codes_many(*flat, int(sum(sizes)))
-    return plan, gathered, bases, counts, codes
+    gathered = gather_edges(plan.stack, *flat)
+    groups = plan.counts_codes_many(
+        *flat, np.zeros(flat[0].size, dtype=np.int64),
+        np.ones(size, dtype=np.int64))
+    counts, codes = _scatter(size, groups.keys, groups.counts, groups.codes)
+    return plan, gathered, bases, counts, codes, groups
+
+
+def _scatter(size, keys, *values):
+    """Per-group ``values`` as per-column vectors (zero off the keys)."""
+    out = np.zeros((len(values), size), dtype=np.int64)
+    out[:, keys] = values
+    return out
 
 
 def _compile(graph):
@@ -142,7 +156,7 @@ def test_fused_blocks_match_loop_on_every_family(name):
             lanes.append((m, tx[::-1].copy()))
     lanes.append((0, np.array([0], dtype=np.int64)))
 
-    plan, gathered, bases, counts, codes = _stacked(adjs, lanes)
+    plan, gathered, bases, counts, codes, _ = _stacked(adjs, lanes)
     assert plan.stack.n == sum(adj.n for adj in adjs)
     start = sender = 0
     for (m, tx), off in zip(lanes, bases):
@@ -174,8 +188,9 @@ def test_empty_lanes_and_empty_calls():
     assert topo.counts_codes_many([]) == []
     counts, codes = _resolve(topo.adjacency, empty)
     assert not counts.any() and not codes.any()
-    _, gathered, _, counts, codes = _stacked([topo.adjacency], [])
+    _, gathered, _, counts, codes, groups = _stacked([topo.adjacency], [])
     assert gathered.cols.size == counts.size == codes.size == 0
+    assert groups.keys.size == groups.pos.size == 0
 
 
 def test_isolated_vertices():
@@ -246,7 +261,7 @@ def test_mega_plan_mixed_members_match_loop():
             requests.append((m, tx))
     # Interleave members, repeat some, and keep the empty lanes.
     requests = requests[::2] + requests[1::2] + requests[:3]
-    _, _, bases, counts, codes = _stacked(adjs, requests)
+    _, _, bases, counts, codes, _ = _stacked(adjs, requests)
     for (m, tx), off in zip(requests, bases):
         n = adjs[m].n
         _assert_pair((counts[off:off + n], codes[off:off + n]), adjs[m], tx)
@@ -256,11 +271,40 @@ def test_mega_plan_order_independent():
     adjs = [_adjacency("grid", 25), _adjacency("star", 17)]
     a = (0, np.array([0, 3], dtype=np.int64))
     b = (1, np.array([1], dtype=np.int64))
-    _, _, _, ab_counts, ab_codes = _stacked(adjs, [a, b])
-    _, _, _, ba_counts, ba_codes = _stacked(adjs, [b, a])
+    _, _, _, ab_counts, ab_codes, _ = _stacked(adjs, [a, b])
+    _, _, _, ba_counts, ba_codes, _ = _stacked(adjs, [b, a])
     for got, swapped in ((ab_counts, ba_counts), (ab_codes, ba_codes)):
         np.testing.assert_array_equal(got[:25], swapped[17:])
         np.testing.assert_array_equal(got[25:], swapped[:17])
+
+
+def test_block_groups_match_loop_per_slot_and_column():
+    """A block of several slots in one call: every (slot, column) key a
+    listening column is reached in carries the loop's count and code
+    for that slot, keys ascend, and a column stops receiving at its
+    ``until`` slot."""
+    adjs = [_adjacency("grid", 25), _adjacency("wheel", 20)]
+    plan = MegaBatchPlan(adjs)
+    bases, size = [0, 25], 45
+    rng = np.random.default_rng(11)
+    until = rng.integers(0, 4, size=size)
+    rows, codes, shifts, slots, want = [], [], [], [], {}
+    for slot in range(4):
+        for m, (adj, off) in enumerate(zip(adjs, bases)):
+            tx = np.flatnonzero(rng.random(adj.n) < 0.3).astype(np.int64)
+            rows.append(plan.row_base[m] + tx)
+            codes.append(tx + 1)
+            shifts.append(np.full(tx.size, off))
+            slots.append(np.full(tx.size, slot))
+            for c, (count, code) in enumerate(zip(*loop_counts_codes(adj, tx))):
+                if count and slot < until[off + c]:
+                    want[slot * size + off + c] = (count, code)
+    groups = plan.counts_codes_many(*(np.concatenate(x) for x in (
+        rows, codes, shifts, slots)), until)
+    assert groups.keys.tolist() == sorted(want)
+    assert list(zip(groups.counts.tolist(), groups.codes.tolist())) == [
+        want[k] for k in sorted(want)]
+    assert 0 < len(want) < sum(x.size for x in rows)
 
 
 def test_mega_plan_stacks_once_and_shares_one_member():
@@ -299,20 +343,23 @@ def _arbitrate_stacked(blocks):
     stacked gather, as the lockstep executor does; per block
     ``(counts, winner, deliver)``."""
     csrs = [csr for csr, _, _ in blocks]
-    plan, gathered, bases, counts, _ = _stacked(
+    plan, _, bases, counts, _, groups = _stacked(
         csrs, [(m, tx) for m, (_, tx, _) in enumerate(blocks)])
-    mults = np.concatenate(
-        [csr.mults[levels] for csr, _, levels in blocks] or [np.zeros(0, np.int64)])
-    signal = plan.gains[gathered.pos] * np.repeat(mults, gathered.lens)
     sizes = [csr.n for csr in csrs]
-    winner, deliver = sinr_arbitrate_many(
-        signal, gathered, int(sum(sizes)),
-        np.repeat([csr.threshold_milli for csr in csrs], sizes),
-        np.repeat([csr.noise_floor for csr in csrs], sizes),
-    )
+    mult = np.zeros(int(sum(sizes)), dtype=np.int64)
+    for (csr, tx, levels), off in zip(blocks, bases):
+        mult[off + tx] = csr.mults[levels]
+    lane_base = np.repeat(bases, sizes)
+    signal = plan.gains[groups.pos] * mult[
+        lane_base[groups.cols] + groups.edge_codes - 1]
+    winner, deliver = _scatter(int(sum(sizes)), groups.keys, *sinr_arbitrate_many(
+        signal, groups,
+        np.repeat([csr.threshold_milli for csr in csrs], sizes)[groups.keys],
+        np.repeat([csr.noise_floor for csr in csrs], sizes)[groups.keys],
+    ))
     return [
         (counts[off:off + csr.n], winner[off:off + csr.n],
-         deliver[off:off + csr.n])
+         deliver[off:off + csr.n].astype(bool))
         for csr, off in zip(csrs, bases)
     ]
 

@@ -113,7 +113,7 @@ class TestDecaySenderSlots:
         got = params.sender_slots(vector_rng)
         want = [it * params.window + geometric_decay_slot(scalar_rng, params.window) - 1
                 for it in range(params.iterations)]
-        assert got == want
+        assert got.dtype == np.int64 and got.tolist() == want
         assert (vector_rng.bit_generator.state
                 == scalar_rng.bit_generator.state)
 
