@@ -28,7 +28,7 @@ The package layout mirrors the paper:
   (Section 5);
 - :mod:`repro.analysis` — complexity predictions and lemma validators;
 - :mod:`repro.experiments` — the unified experiment API: declarative
-  ``ExperimentSpec`` cells, the algorithm registry, structured
+  ``ExperimentSpec`` cells, the algorithm table, structured
   ``RunResult`` JSON, and the parallel ``run_sweep`` grid runner.
 """
 
@@ -45,7 +45,6 @@ from .experiments import (
     RunResult,
     SweepResult,
     algorithm_names,
-    register_algorithm,
     run_experiment,
     run_sweep,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "SweepResult",
     "ZSequence",
     "algorithm_names",
-    "register_algorithm",
     "run_experiment",
     "run_sweep",
     "trivial_bfs",

@@ -1,4 +1,4 @@
-"""Unified experiment API: specs, algorithm registry, sweeps, results.
+"""Unified experiment API: specs, algorithm table, sweeps, results.
 
 The one harness driving every scenario cell in the repo::
 
@@ -49,7 +49,6 @@ from .registry import (
     RunContext,
     algorithm_names,
     get_algorithm,
-    register_algorithm,
 )
 from .results import (
     FAULT_FIELDS,
@@ -110,7 +109,6 @@ __all__ = [
     "member_name",
     "owned_specs",
     "partition_specs",
-    "register_algorithm",
     "run_experiment",
     "run_experiment_batch",
     "run_experiment_mega",

@@ -43,7 +43,7 @@ from ..radio.invariants import invariant_names
 from ..radio.sinr import named_sinr_params
 from ..radio.topology import scenario_is_deterministic, scenario_names
 from .fabric import HashRing, member_name, owned_specs
-from .registry import algorithm_names, check_invariant_sample
+from .registry import LANE_RUNNERS, algorithm_names, check_invariant_sample
 from .results import spec_hash
 from .runner import (
     DEFAULT_BATCH_REPLICAS,
@@ -393,7 +393,8 @@ def _cmd_list() -> int:
 
     Topologies are annotated with ``*`` when seed-deterministic (their
     seeds share one graph), algorithms with ``*`` when
-    their lanes fuse in batched runs (``decay_bfs`` only); fault presets
+    their lanes fuse in batched runs (the keys of
+    :data:`~repro.experiments.registry.LANE_RUNNERS`); fault presets
     are expanded to their layer stacks so ``--fault-model`` values are
     discoverable without reading source.
     """
@@ -406,7 +407,7 @@ def _cmd_list() -> int:
     ))
     print("                  (* = seed-deterministic)")
     print("algorithms:      ", ", ".join(
-        starred(name, name == "decay_bfs") for name in algorithm_names()
+        starred(name, name in LANE_RUNNERS) for name in algorithm_names()
     ))
     print("                  (* = lanes fuse in batched runs)")
     print("engines:         ", ", ".join(available_engines()))

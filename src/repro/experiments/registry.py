@@ -1,4 +1,4 @@
-"""The algorithm registry: one adapter protocol for every entrypoint.
+"""The algorithm table: one adapter protocol for every entrypoint.
 
 Each algorithm in the library keeps its bespoke signature
 (``trivial_bfs(lbg, sources, ...)``, ``two_approx_diameter(lbg, budget,
@@ -8,8 +8,9 @@ so the sweep runner can drive any of them from an
 
 - an adapter is a callable ``(ctx: RunContext) -> Mapping[str, Any]``
   returning the algorithm-specific JSON-native output payload;
-- :func:`register_algorithm` installs it under a public name
-  (third-party code can register its own);
+- the fixed table :data:`ALGORITHMS` names every adapter, and
+  :data:`LANE_RUNNERS` names the ones whose lanes fuse on the slot
+  engines (every other algorithm runs on the Local-Broadcast tier);
 - the :class:`RunContext` supplies the topology, the shared
   :class:`~repro.radio.energy.EnergyLedger`, lazily-built LB-level and
   slot-level network views, the derived algorithm random stream, and
@@ -54,45 +55,6 @@ from .spec import ExperimentSpec
 
 #: Adapter protocol: consume a run context, return the output payload.
 AlgorithmAdapter = Callable[["RunContext"], Mapping[str, Any]]
-
-_ALGORITHMS: Dict[str, AlgorithmAdapter] = {}
-
-
-def register_algorithm(
-    name: str, overwrite: bool = False
-) -> Callable[[AlgorithmAdapter], AlgorithmAdapter]:
-    """Decorator registering an adapter under a public algorithm name.
-
-    >>> @register_algorithm("my_bfs")
-    ... def _run_my_bfs(ctx):
-    ...     labels = my_bfs(ctx.lbg(), ctx.params.get("sources", [0]))
-    ...     return {"labels": encode_labels(labels)}
-    """
-    if not name:
-        raise ConfigurationError("algorithm name must be non-empty")
-
-    def decorator(adapter: AlgorithmAdapter) -> AlgorithmAdapter:
-        if not overwrite and name in _ALGORITHMS:
-            raise ConfigurationError(f"algorithm {name!r} is already registered")
-        _ALGORITHMS[name] = adapter
-        return adapter
-
-    return decorator
-
-
-def algorithm_names() -> Tuple[str, ...]:
-    """All registered algorithm names, sorted."""
-    return tuple(sorted(_ALGORITHMS))
-
-
-def get_algorithm(name: str) -> AlgorithmAdapter:
-    """Look up an adapter, failing loudly for unknown names."""
-    try:
-        return _ALGORITHMS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown algorithm {name!r}; registered: {', '.join(algorithm_names())}"
-        ) from None
 
 
 @dataclass
@@ -274,14 +236,12 @@ def _labels_output(ctx: RunContext, labels: Mapping[Any, float]) -> Dict[str, An
     return out
 
 
-@register_algorithm("trivial_bfs")
 def _run_trivial_bfs(ctx: RunContext) -> Dict[str, Any]:
     """LB-unit wavefront BFS — the Theta(D)-energy baseline."""
     labels = trivial_bfs(ctx.lbg(), ctx.sources(), ctx.depth_budget())
     return _labels_output(ctx, labels)
 
 
-@register_algorithm("decay_bfs")
 def _run_decay_bfs(ctx: RunContext) -> Dict[str, Any]:
     """Slot-level layered BFS via Decay, on the spec's engine tier."""
     net = ctx.network()
@@ -363,12 +323,13 @@ def _run_decay_bfs_lanes(
     return outputs
 
 
-#: The lane-fused runner of each algorithm whose cells may share one
-#: lane-batched engine run (``runner.spec_is_batchable``).
+#: The lane-fused runner of each algorithm that runs on the slot
+#: engines: its cells may share one lane-batched engine run
+#: (``runner.spec_is_batchable``).  Every other algorithm runs on the
+#: Local-Broadcast tier (:func:`check_invariant_sample`).
 LANE_RUNNERS = {"decay_bfs": _run_decay_bfs_lanes}
 
 
-@register_algorithm("recursive_bfs")
 def _run_recursive_bfs(ctx: RunContext) -> Dict[str, Any]:
     """The paper's Recursive-BFS (Theorem 4.1), with Claims 1-2 stats."""
     bfs = RecursiveBFS(ctx.bfs_parameters() or BFSParameters.for_instance(
@@ -384,7 +345,6 @@ def _run_recursive_bfs(ctx: RunContext) -> Dict[str, Any]:
     return out
 
 
-@register_algorithm("leader_election")
 def _run_leader_election(ctx: RunContext) -> Dict[str, Any]:
     """Leader election: charged [10] envelope or honest flooding."""
     method = str(ctx.params.get("method", "charged"))
@@ -422,7 +382,6 @@ def _estimate_output(estimate, budget: int) -> Dict[str, Any]:
     }
 
 
-@register_algorithm("two_approx_diameter")
 def _run_two_approx(ctx: RunContext) -> Dict[str, Any]:
     """Theorem 5.3: leader eccentricity, ``diam/2 <= D' <= diam``."""
     budget = _diameter_budget(ctx)
@@ -432,7 +391,6 @@ def _run_two_approx(ctx: RunContext) -> Dict[str, Any]:
     return _estimate_output(est, budget)
 
 
-@register_algorithm("three_halves_diameter")
 def _run_three_halves(ctx: RunContext) -> Dict[str, Any]:
     """Theorem 5.4: nearly-3/2 approximation via sampled BFS."""
     budget = _diameter_budget(ctx)
@@ -446,7 +404,6 @@ def _run_three_halves(ctx: RunContext) -> Dict[str, Any]:
     return _estimate_output(est, budget)
 
 
-@register_algorithm("exact_diameter")
 def _run_exact_diameter(ctx: RunContext) -> Dict[str, Any]:
     """All-sources BFS — the Omega(n)-energy exact baseline."""
     budget = _diameter_budget(ctx)
@@ -460,7 +417,6 @@ def _run_exact_diameter(ctx: RunContext) -> Dict[str, Any]:
     return _estimate_output(est, budget)
 
 
-@register_algorithm("mpx_clustering")
 def _run_mpx_clustering(ctx: RunContext) -> Dict[str, Any]:
     """MPX clustering with the Lemma 2.5 charged cost envelope."""
     beta = float(ctx.params.get("beta", 0.25))
@@ -481,24 +437,45 @@ def _run_mpx_clustering(ctx: RunContext) -> Dict[str, Any]:
     }
 
 
-#: The built-in adapters that run on the Local-Broadcast tier: all but
-#: ``decay_bfs``.  An adapter registered later, under a new name or over
-#: a built-in one, is not listed: it may drive :meth:`RunContext.network`.
-_LB_TIER_ADAPTERS = frozenset(
-    adapter for name, adapter in _ALGORITHMS.items() if name != "decay_bfs"
-)
+#: Every algorithm the runner drives, by public name.
+ALGORITHMS: Dict[str, AlgorithmAdapter] = {
+    "trivial_bfs": _run_trivial_bfs,
+    "decay_bfs": _run_decay_bfs,
+    "recursive_bfs": _run_recursive_bfs,
+    "leader_election": _run_leader_election,
+    "two_approx_diameter": _run_two_approx,
+    "three_halves_diameter": _run_three_halves,
+    "exact_diameter": _run_exact_diameter,
+    "mpx_clustering": _run_mpx_clustering,
+}
+
+
+def algorithm_names() -> Tuple[str, ...]:
+    """All algorithm names, sorted."""
+    return tuple(sorted(ALGORITHMS))
+
+
+def get_algorithm(name: str) -> AlgorithmAdapter:
+    """Look up an adapter, failing loudly for unknown names."""
+    try:
+        return ALGORITHMS[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown algorithm {name!r}; registered: {', '.join(algorithm_names())}"
+        ) from None
 
 
 def check_invariant_sample(
     specs: Sequence[ExperimentSpec], invariant_sample: Optional[int]
 ) -> None:
-    """Refuse ``invariant_sample`` on a built-in Local-Broadcast-tier
-    algorithm: it never builds a slot engine, so its results would
-    silently carry no ``invariants`` block."""
+    """Refuse ``invariant_sample`` on an algorithm outside
+    :data:`LANE_RUNNERS`: it runs on the Local-Broadcast tier and never
+    builds a slot engine, so its results would silently carry no
+    ``invariants`` block."""
     if invariant_sample is None:
         return
     for spec in specs:
-        if _ALGORITHMS.get(spec.algorithm) in _LB_TIER_ADAPTERS:
+        if spec.algorithm not in LANE_RUNNERS:
             raise ConfigurationError(
                 f"invariant_sample needs a slot engine; {spec.algorithm!r} "
                 "runs on the Local-Broadcast tier, which has no slot clock"

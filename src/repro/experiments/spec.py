@@ -2,8 +2,8 @@
 
 An :class:`ExperimentSpec` names everything needed to reproduce one
 scenario cell bit-for-bit: a topology family (from the named scenario
-registry of :mod:`repro.radio.topology`), an algorithm (from the
-registry of :mod:`repro.experiments.registry`), an engine tier, the
+table of :mod:`repro.radio.topology`), an algorithm (from the table
+of :mod:`repro.experiments.registry`), an engine tier, the
 channel model, the RN[b] message-size policy, and a single integer
 seed.  Specs are frozen, hashable, picklable (so they travel to worker
 processes unchanged), and round-trip losslessly through
@@ -177,7 +177,8 @@ class ExecutionPolicy:
         ``None`` (the default) disables checking entirely.  Checked
         specs always execute as serial singleton units — sampling is
         defined on a single engine's slot clock — and a spec whose
-        algorithm is a built-in Local-Broadcast-tier one is refused.
+        algorithm runs on the Local-Broadcast tier (any outside
+        :data:`~repro.experiments.registry.LANE_RUNNERS`) is refused.
     backend:
         Inert: accepts ``None`` or ``"megabatch"`` and changes nothing.
         It stays only because the benchmark's workload file still

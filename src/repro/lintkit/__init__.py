@@ -11,25 +11,23 @@ and checks them mechanically on every run of::
 Rules (see :mod:`repro.lintkit.rules`): DET001 ambient nondeterminism,
 DET002 unordered iteration feeding serialized output, DET003
 non-canonical JSON, DUR001 raw writes bypassing the durable-write
-helpers, REG001 registry contract discipline, HASH001 spec/hash field
-sync, DOC001 docstring cross-references.  Scoping and options live in
+helpers, HASH001 spec/hash field sync, DOC001 docstring
+cross-references.  Scoping and options live in
 ``pyproject.toml`` under ``[tool.lintkit]``
 (:mod:`repro.lintkit.config`); inline suppressions are
 ``# lintkit: ignore[RULE]`` (:mod:`repro.lintkit.engine`); the empty
 committed baseline is :mod:`repro.lintkit.baseline`.
 
-New invariants (SINR arbitration purity, dynamic-membership safety)
-become new :class:`~repro.lintkit.base.Rule` subclasses decorated with
-:func:`~repro.lintkit.base.register_rule` — the engine is the
-extension point, exactly like the algorithm registry.
+The rules are the fixed table :data:`~repro.lintkit.rules.RULES`: a new
+invariant is a new :class:`~repro.lintkit.base.Rule` subclass and one
+more entry there.
 """
 
-# Importing the module installs the rule set into the registry.
-from . import rules as _rules  # noqa: F401
-from .base import Finding, Rule, make_rules, register_rule, rule_ids
+from .base import Finding, Rule
 from .cli import main
 from .config import LintConfig, load_config
 from .engine import ModuleContext, lint_file, lint_paths
+from .rules import make_rules, rule_ids
 
 __all__ = [
     "Finding",
@@ -41,6 +39,5 @@ __all__ = [
     "load_config",
     "main",
     "make_rules",
-    "register_rule",
     "rule_ids",
 ]

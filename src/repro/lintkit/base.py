@@ -1,23 +1,17 @@
-"""Findings, the rule protocol, and the rule registry.
+"""Findings and the rule protocol.
 
 A *rule* is a named invariant checker: it receives one parsed module
 (:class:`~repro.lintkit.engine.ModuleContext`) and yields
 :class:`Finding` objects for every violation it can prove from the
-AST.  Rules register themselves with :func:`register_rule` exactly the
-way algorithms register with
-:func:`~repro.experiments.registry.register_algorithm`: the registry is
-the extension point, so future invariants (SINR arbitration purity,
-dynamic-membership safety checks) become new rule classes, not engine
-changes.
+AST.  The rules themselves, and the fixed table naming them, live in
+:mod:`repro.lintkit.rules`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Tuple, Type
-
-from ..errors import ConfigurationError
+from typing import TYPE_CHECKING, Iterator, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .engine import ModuleContext
@@ -76,42 +70,3 @@ class Rule(ABC):
         """Build a finding for this rule at a location in ``ctx``."""
         return Finding(path=ctx.relpath, line=line, col=col,
                        rule=self.rule_id, message=message)
-
-
-_RULES: Dict[str, Type[Rule]] = {}
-
-
-def register_rule(cls: Type[Rule]) -> Type[Rule]:
-    """Class decorator installing a rule under its ``rule_id``."""
-    if not cls.rule_id:
-        raise ConfigurationError(f"rule {cls.__name__} has no rule_id")
-    if cls.rule_id in _RULES:
-        raise ConfigurationError(f"rule {cls.rule_id!r} is already registered")
-    _RULES[cls.rule_id] = cls
-    return cls
-
-
-def rule_ids() -> Tuple[str, ...]:
-    """All registered rule ids, sorted."""
-    return tuple(sorted(_RULES))
-
-
-def get_rule(rule_id: str) -> Type[Rule]:
-    """Look up a rule class, failing loudly for unknown ids."""
-    try:
-        return _RULES[rule_id]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown rule {rule_id!r}; registered: {', '.join(rule_ids())}"
-        ) from None
-
-
-def make_rules(select: Tuple[str, ...] = ()) -> List[Rule]:
-    """Instantiate the selected rules (all registered ones by default)."""
-    ids = select or rule_ids()
-    return [get_rule(rule_id)() for rule_id in ids]
-
-
-#: Signature of the hook third-party extensions use to add rules:
-#: decorate a :class:`Rule` subclass with :func:`register_rule`.
-RuleFactory = Callable[[], Rule]

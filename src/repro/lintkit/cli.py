@@ -15,12 +15,10 @@ import sys
 from typing import List, Optional, Sequence
 
 from ..errors import ConfigurationError
-# Importing the module installs the rule set into the registry.
-from . import rules as _rules  # noqa: F401
-from .base import get_rule, make_rules, rule_ids
 from .baseline import apply_baseline, load_baseline, write_baseline
 from .config import load_config
 from .engine import lint_paths
+from .rules import get_rule, make_rules, rule_ids
 
 
 def _build_parser() -> argparse.ArgumentParser:

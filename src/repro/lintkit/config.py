@@ -63,7 +63,6 @@ DEFAULT_SCOPES: Mapping[str, Tuple[str, ...]] = {
         "src/repro/experiments/store.py",
         "src/repro/experiments/fabric.py",
     ),
-    "REG001": ("src/repro/**",),
     "HASH001": ("src/repro/experiments/spec.py",),
     "DOC001": ("src/repro/**",),
 }

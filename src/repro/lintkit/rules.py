@@ -12,12 +12,13 @@ Each rule codifies one prose invariant from ARCHITECTURE.md (see the
   everywhere outside the one canonical-serialization module;
 - :class:`RawWriteRule` (DUR001) — file writes in the store/fabric
   layer go through the durable-write helpers;
-- :class:`RegistryDisciplineRule` (REG001) — adapter and scenario
-  registrations carry their full contracts explicitly;
 - :class:`SpecHashSyncRule` (HASH001) — the spec dataclass and the
   canonical serialization feeding ``spec_hash`` never drift apart;
 - :class:`CrossReferenceRule` (DOC001) — docstring cross-references
   resolve to live objects.
+
+:data:`RULES` is the fixed table of these rules by id; :func:`rule_ids`,
+:func:`get_rule` and :func:`make_rules` read it.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ import ast
 import importlib
 import importlib.util
 import re
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Type
 
-from .base import Finding, Rule, register_rule
+from ..errors import ConfigurationError
+from .base import Finding, Rule
 from .engine import ModuleContext
 
 # ---------------------------------------------------------------------------
@@ -60,7 +62,6 @@ _BANNED_CALLS: Set[str] = {
 }
 
 
-@register_rule
 class AmbientNondeterminismRule(Rule):
     """DET001: no ambient nondeterminism inside the library.
 
@@ -177,7 +178,6 @@ def _is_set_like(expr: ast.expr, env: Dict[str, List[ast.expr]],
     return False
 
 
-@register_rule
 class UnsortedIterationRule(Rule):
     """DET002: serialization-critical modules never iterate raw sets.
 
@@ -281,7 +281,6 @@ class UnsortedIterationRule(Rule):
 # DET003 — canonical JSON kwargs
 # ---------------------------------------------------------------------------
 
-@register_rule
 class NonCanonicalJsonRule(Rule):
     """DET003: every ``json.dumps``/``json.dump`` call is canonical.
 
@@ -345,7 +344,6 @@ class NonCanonicalJsonRule(Rule):
 _WRITE_MODE_CHARS = set("wax+")
 
 
-@register_rule
 class RawWriteRule(Rule):
     """DUR001: store/fabric file writes use the durable-write helpers.
 
@@ -423,89 +421,9 @@ class RawWriteRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# REG001 — registry discipline
-# ---------------------------------------------------------------------------
-
-@register_rule
-class RegistryDisciplineRule(Rule):
-    """REG001: registrations state their full contract explicitly.
-
-    Two checks, one per registry:
-
-    - an ``@register_algorithm`` adapter must accept exactly one
-      parameter — the shared run context carrying the ledger and the
-      derived random streams
-      (:class:`~repro.experiments.registry.RunContext`); extra
-      parameters mean the adapter is smuggling state around the
-      context, exactly what the uniform-cost contract forbids;
-    - every ``register_scenario`` call passes an explicit
-      ``deterministic=`` flag — replica batching trusts this flag, so
-      relying on the default hides a load-bearing claim.
-    """
-
-    rule_id = "REG001"
-    summary = ("adapters take exactly the shared run context; "
-               "register_scenario passes an explicit deterministic= flag")
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_adapter(ctx, node)
-            elif isinstance(node, ast.Call):
-                yield from self._check_scenario(ctx, node)
-
-    def _check_adapter(self, ctx: ModuleContext,
-                       node: ast.FunctionDef) -> Iterator[Finding]:
-        if not any(
-            isinstance(decorator, ast.Call)
-            and self._name_of(decorator.func) == "register_algorithm"
-            for decorator in node.decorator_list
-        ):
-            return
-        args = node.args
-        positional = len(args.posonlyargs) + len(args.args)
-        clean = (
-            positional == 1
-            and not args.kwonlyargs
-            and args.vararg is None
-            and args.kwarg is None
-        )
-        if not clean:
-            yield self.finding(
-                ctx, node.lineno, node.col_offset + 1,
-                f"@register_algorithm adapter {node.name!r} must take "
-                f"exactly one parameter: the shared run context (ledger + "
-                f"derived streams); bespoke extra parameters break the "
-                f"uniform adapter contract",
-            )
-
-    def _check_scenario(self, ctx: ModuleContext,
-                        node: ast.Call) -> Iterator[Finding]:
-        if self._name_of(node.func) != "register_scenario":
-            return
-        if any(kw.arg == "deterministic" for kw in node.keywords):
-            return
-        yield self.finding(
-            ctx, node.lineno, node.col_offset + 1,
-            "register_scenario call must pass an explicit deterministic= "
-            "flag: replica batching fuses seeds of deterministic families, "
-            "so the claim is load-bearing and may not default silently",
-        )
-
-    @staticmethod
-    def _name_of(expr: ast.expr) -> Optional[str]:
-        if isinstance(expr, ast.Name):
-            return expr.id
-        if isinstance(expr, ast.Attribute):
-            return expr.attr
-        return None
-
-
-# ---------------------------------------------------------------------------
 # HASH001 — spec fields vs canonical serialization
 # ---------------------------------------------------------------------------
 
-@register_rule
 class SpecHashSyncRule(Rule):
     """HASH001: spec fields and the ``spec_hash`` preimage stay in sync.
 
@@ -660,7 +578,6 @@ ROLE_RE = re.compile(
 _DOC_BUILTINS = {"None", "True", "False"}
 
 
-@register_rule
 class CrossReferenceRule(Rule):
     """DOC001: every docstring cross-reference resolves to a live object.
 
@@ -793,3 +710,42 @@ class CrossReferenceRule(Rule):
             except AttributeError:
                 break
         return False
+
+
+# ---------------------------------------------------------------------------
+# The rule table
+# ---------------------------------------------------------------------------
+
+#: Every rule, by id.
+RULES: Dict[str, Type[Rule]] = {
+    rule.rule_id: rule
+    for rule in (
+        AmbientNondeterminismRule,
+        UnsortedIterationRule,
+        NonCanonicalJsonRule,
+        RawWriteRule,
+        SpecHashSyncRule,
+        CrossReferenceRule,
+    )
+}
+
+
+def rule_ids() -> Tuple[str, ...]:
+    """All rule ids, sorted."""
+    return tuple(sorted(RULES))
+
+
+def get_rule(rule_id: str) -> Type[Rule]:
+    """Look up a rule class, failing loudly for unknown ids."""
+    try:
+        return RULES[rule_id]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown rule {rule_id!r}; registered: {', '.join(rule_ids())}"
+        ) from None
+
+
+def make_rules(select: Tuple[str, ...] = ()) -> List[Rule]:
+    """Instantiate the selected rules (all of them by default)."""
+    ids = select or rule_ids()
+    return [get_rule(rule_id)() for rule_id in ids]

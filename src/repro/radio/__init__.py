@@ -17,7 +17,7 @@ Select by name with :func:`make_network` (the two-entry table is
 equivalent under identical seeds (slot counts, energy ledgers, and
 event traces — enforced by the differential suite in
 ``tests/radio/test_engine_equivalence.py``).  :mod:`repro.radio.topology`
-additionally exposes a named scenario registry
+additionally exposes a fixed table of named scenarios
 (``topology.scenario(name, n, seed)``) so experiments can sweep diverse
 graph families by name.
 

@@ -13,10 +13,10 @@ All generators relabel vertices to ``0..n-1`` integers and guarantee a
 connected result (taking the giant component where necessary), since the
 paper's problems are defined on connected networks.
 
-A **named scenario registry** sits on top of the raw generators:
-``scenario(name, n, seed)`` builds a member of the family ``name`` with
-(approximately) ``n`` vertices, so tests and benchmarks can sweep
-diverse workloads by name (see :func:`register_scenario` /
+A fixed table of **named scenarios**, :data:`SCENARIOS`, sits on top of
+the raw generators: ``scenario(name, n, seed)`` builds a member of the
+family ``name`` with (approximately) ``n`` vertices, so tests and
+benchmarks can sweep diverse workloads by name (see
 :func:`scenario_names`).
 """
 
@@ -528,7 +528,7 @@ def power_law(n: int, m: int = 2, seed: SeedLike = None) -> nx.Graph:
 
 
 # ---------------------------------------------------------------------------
-# Named scenario registry
+# Named scenarios
 # ---------------------------------------------------------------------------
 
 #: A scenario factory: ``(n, seed) -> connected graph on 0..m-1`` with
@@ -536,42 +536,84 @@ def power_law(n: int, m: int = 2, seed: SeedLike = None) -> nx.Graph:
 #: giant component for stochastic ones).
 ScenarioFactory = Callable[[int, SeedLike], nx.Graph]
 
-_SCENARIOS: Dict[str, ScenarioFactory] = {}
 
-#: Families whose factory ignores the seed: every seed yields the same
-#: graph for a given ``n``.  The experiment layer only fuses replicas
-#: of such families into one batched engine run (the batched engine
-#: shares one compiled topology across all replica lanes).
-_DETERMINISTIC: set = set()
+def _near_square(n: int) -> Tuple[int, int]:
+    """Grid dimensions ``rows x cols`` with ``rows * cols >= n``, near-square."""
+    rows = max(1, int(math.isqrt(n)))
+    cols = max(1, math.ceil(n / rows))
+    return rows, cols
 
 
-def register_scenario(name: str, factory: ScenarioFactory,
-                      overwrite: bool = False,
-                      deterministic: bool = False) -> None:
-    """Register a named graph family for :func:`scenario` lookup.
-
-    Factories must return a connected graph with contiguous integer
-    labels ``0..m-1`` (the property-test suite enforces this for every
-    registered family).  Declare ``deterministic=True`` when the factory
-    ignores its seed (same ``n`` -> same graph, always); deterministic
-    families are eligible for replica batching in seed sweeps (see
-    :func:`scenario_is_deterministic`), so only declare it when it truly
-    holds — the registry property suite verifies the claim.
-    """
-    if not name:
-        raise ConfigurationError("scenario name must be non-empty")
-    if not overwrite and name in _SCENARIOS:
-        raise ConfigurationError(f"scenario {name!r} is already registered")
-    _SCENARIOS[name] = factory
-    if deterministic:
-        _DETERMINISTIC.add(name)
-    else:
-        _DETERMINISTIC.discard(name)
+#: Every named family: ``name -> (factory, deterministic)``.  Each
+#: factory maps the single size knob ``n`` onto the family's natural
+#: parameters, clamping minimum sizes so every family is well-defined
+#: for any ``n >= 1``.  ``deterministic`` marks a factory that ignores
+#: its seed (same ``n``, same graph): the experiment layer fuses the
+#: seeds of such a family onto one compiled topology, and
+#: ``tests/radio/test_topology_registry.py`` checks every flag.
+SCENARIOS: Dict[str, Tuple[ScenarioFactory, bool]] = {
+    "path": (lambda n, seed=None: path_graph(n), True),
+    "cycle": (lambda n, seed=None: cycle_graph(max(3, n)), True),
+    "grid": (lambda n, seed=None: grid_graph(*_near_square(n)), True),
+    "complete": (lambda n, seed=None: complete_graph(max(2, n)), True),
+    "tree": (lambda n, seed=None: random_tree(n, seed=seed), False),
+    "geometric": (lambda n, seed=None: random_geometric(n, seed=seed), False),
+    "dense_geometric": (
+        lambda n, seed=None: dense_geometric(n, seed=seed), False),
+    "erdos_renyi": (lambda n, seed=None: erdos_renyi(n, seed=seed), False),
+    "caterpillar": (lambda n, seed=None: caterpillar(max(1, n // 3), 2), True),
+    "barbell": (
+        lambda n, seed=None: barbell(
+            max(3, n // 3), max(0, n - 2 * max(3, n // 3))),
+        True,
+    ),
+    "star": (lambda n, seed=None: star_graph(max(1, n - 1)), True),
+    "lollipop": (
+        lambda n, seed=None: lollipop(
+            max(3, n // 2), max(0, n - max(3, n // 2))),
+        True,
+    ),
+    "binary_tree": (
+        lambda n, seed=None: binary_tree(
+            max(0, int(math.log2(max(1, n) + 1)) - 1)),
+        True,
+    ),
+    "hypercube": (
+        lambda n, seed=None: hypercube(max(1, int(math.log2(max(2, n))))),
+        True,
+    ),
+    "wheel": (lambda n, seed=None: wheel(max(3, n - 1)), True),
+    "expander": (lambda n, seed=None: expander(max(6, n), 4, seed=seed), False),
+    "small_world": (
+        lambda n, seed=None: small_world(max(5, n), seed=seed), False),
+    "star_of_paths": (
+        lambda n, seed=None: star_of_paths(
+            max(2, int(math.isqrt(max(4, n)))),
+            max(1, (n - 1) // max(2, int(math.isqrt(max(4, n))))),
+        ),
+        True,
+    ),
+    "power_law": (lambda n, seed=None: power_law(max(3, n), seed=seed), False),
+    # The point-process seed is derived from ``n`` itself, so the family
+    # is deterministic (same ``n`` -> same field) and therefore eligible
+    # for replica/mega batching — the regime the SINR differential grid
+    # sweeps.
+    "poisson_cluster": (lambda n, seed=None: poisson_cluster(n, seed=n), True),
+}
 
 
 def scenario_names() -> Tuple[str, ...]:
-    """All registered scenario names, sorted."""
-    return tuple(sorted(_SCENARIOS))
+    """All scenario names, sorted."""
+    return tuple(sorted(SCENARIOS))
+
+
+def _scenario_entry(name: str) -> Tuple[ScenarioFactory, bool]:
+    try:
+        return SCENARIOS[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown scenario {name!r}; registered: {', '.join(scenario_names())}"
+        ) from None
 
 
 def scenario_is_deterministic(name: str) -> bool:
@@ -582,126 +624,16 @@ def scenario_is_deterministic(name: str) -> bool:
     so one compiled adjacency serves every replica.  Raises
     :class:`~repro.errors.ConfigurationError` for unknown names.
     """
-    if name not in _SCENARIOS:
-        raise ConfigurationError(
-            f"unknown scenario {name!r}; registered: {', '.join(scenario_names())}"
-        )
-    return name in _DETERMINISTIC
+    return _scenario_entry(name)[1]
 
 
 def scenario(name: str, n: int, seed: SeedLike = None) -> nx.Graph:
     """Build a member of the named family with approximately ``n`` vertices.
 
     Raises :class:`~repro.errors.ConfigurationError` for unknown names;
-    the registered families are listed by :func:`scenario_names`.
+    the families are listed by :func:`scenario_names`.
     """
-    try:
-        factory = _SCENARIOS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown scenario {name!r}; registered: {', '.join(scenario_names())}"
-        ) from None
+    factory = _scenario_entry(name)[0]
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
     return factory(n, seed)
-
-
-def _near_square(n: int) -> Tuple[int, int]:
-    """Grid dimensions ``rows x cols`` with ``rows * cols >= n``, near-square."""
-    rows = max(1, int(math.isqrt(n)))
-    cols = max(1, math.ceil(n / rows))
-    return rows, cols
-
-
-def _register_default_scenarios() -> None:
-    """Register the built-in families under their canonical names.
-
-    Each adapter maps the single size knob ``n`` onto the family's
-    natural parameters; minimum sizes are clamped so every family is
-    well-defined for any ``n >= 1``.
-    """
-    register_scenario("path", lambda n, seed=None: path_graph(n),
-                      deterministic=True)
-    register_scenario("cycle", lambda n, seed=None: cycle_graph(max(3, n)),
-                      deterministic=True)
-    register_scenario("grid", lambda n, seed=None: grid_graph(*_near_square(n)),
-                      deterministic=True)
-    register_scenario("complete", lambda n, seed=None: complete_graph(max(2, n)),
-                      deterministic=True)
-    register_scenario("tree", lambda n, seed=None: random_tree(n, seed=seed),
-                      deterministic=False)
-    register_scenario(
-        "geometric", lambda n, seed=None: random_geometric(n, seed=seed),
-        deterministic=False,
-    )
-    register_scenario(
-        "dense_geometric", lambda n, seed=None: dense_geometric(n, seed=seed),
-        deterministic=False,
-    )
-    register_scenario(
-        "erdos_renyi", lambda n, seed=None: erdos_renyi(n, seed=seed),
-        deterministic=False,
-    )
-    register_scenario(
-        "caterpillar",
-        lambda n, seed=None: caterpillar(max(1, n // 3), 2),
-        deterministic=True,
-    )
-    register_scenario(
-        "barbell",
-        lambda n, seed=None: barbell(max(3, n // 3), max(0, n - 2 * max(3, n // 3))),
-        deterministic=True,
-    )
-    register_scenario("star", lambda n, seed=None: star_graph(max(1, n - 1)),
-                      deterministic=True)
-    register_scenario(
-        "lollipop",
-        lambda n, seed=None: lollipop(max(3, n // 2), max(0, n - max(3, n // 2))),
-        deterministic=True,
-    )
-    register_scenario(
-        "binary_tree",
-        lambda n, seed=None: binary_tree(
-            max(0, int(math.log2(max(1, n) + 1)) - 1)
-        ),
-        deterministic=True,
-    )
-    register_scenario(
-        "hypercube",
-        lambda n, seed=None: hypercube(max(1, int(math.log2(max(2, n))))),
-        deterministic=True,
-    )
-    register_scenario("wheel", lambda n, seed=None: wheel(max(3, n - 1)),
-                      deterministic=True)
-    register_scenario(
-        "expander", lambda n, seed=None: expander(max(6, n), 4, seed=seed),
-        deterministic=False,
-    )
-    register_scenario(
-        "small_world", lambda n, seed=None: small_world(max(5, n), seed=seed),
-        deterministic=False,
-    )
-    register_scenario(
-        "star_of_paths",
-        lambda n, seed=None: star_of_paths(
-            max(2, int(math.isqrt(max(4, n)))),
-            max(1, (n - 1) // max(2, int(math.isqrt(max(4, n))))),
-        ),
-        deterministic=True,
-    )
-    register_scenario(
-        "power_law", lambda n, seed=None: power_law(max(3, n), seed=seed),
-        deterministic=False,
-    )
-    # The scenario adapter derives the point-process seed from ``n``
-    # itself, so the family is registered deterministic (same ``n`` ->
-    # same field) and therefore eligible for replica/mega batching —
-    # the regime the SINR differential grid sweeps.
-    register_scenario(
-        "poisson_cluster",
-        lambda n, seed=None: poisson_cluster(n, seed=n),
-        deterministic=True,
-    )
-
-
-_register_default_scenarios()

@@ -29,6 +29,7 @@ from repro.errors import ConfigurationError
 from repro.experiments import (
     ExecutionPolicy,
     ExperimentSpec,
+    algorithm_names,
     expand_grid,
     run_experiment,
     run_experiment_batch,
@@ -38,6 +39,7 @@ from repro.experiments import (
     run_sweep,
     spec_is_batchable,
 )
+from repro.experiments.registry import LANE_RUNNERS
 from repro.experiments.runner import (
     DEFAULT_BATCH_REPLICAS,
     UNIT_MAX_DEVICES,
@@ -359,13 +361,16 @@ def test_sweep_invariant_sample_reaches_every_run(parallel):
             run_experiment(spec, invariant_sample=2))
 
 
-def test_invariant_sample_refused_without_a_slot_engine(tmp_path):
-    """An LB-tier algorithm has no slot clock to check: refused in one
-    line before anything runs or any store is opened."""
+@pytest.mark.parametrize(
+    "name", [a for a in algorithm_names() if a not in LANE_RUNNERS])
+def test_invariant_sample_refused_without_a_slot_engine(name, tmp_path):
+    """An LB-tier algorithm (any outside ``LANE_RUNNERS``) has no slot
+    clock to check: refused in one line before anything runs or any
+    store is opened."""
     lb = _cell_specs("none", "no_cd", seeds=[0], topology="grid", n=16,
-                     algorithm="trivial_bfs", algorithm_params=None)
+                     algorithm=name, algorithm_params=None)
     calls = [
-        lambda: run_sweep(["grid"], ["trivial_bfs", "decay_bfs"], sizes=16,
+        lambda: run_sweep(["grid"], [name, "decay_bfs"], sizes=16,
                           seeds=1, parallel=False,
                           policy={"invariant_sample": 1}),
         lambda: run_specs(lb, parallel=False, store=str(tmp_path / "store"),
@@ -377,40 +382,13 @@ def test_invariant_sample_refused_without_a_slot_engine(tmp_path):
     ]
     for call in calls:
         with pytest.raises(ConfigurationError,
-                           match="invariant_sample.*'trivial_bfs'") as info:
+                           match=f"invariant_sample.*'{name}'") as info:
             call()
         assert "\n" not in str(info.value)
     assert not (tmp_path / "store").exists()
     assert not (tmp_path / "shard").exists()
     # Without the checker the same cells run.
     assert run_experiment(lb[0]).invariants is None
-
-
-@pytest.mark.parametrize("name", ["_test_slot_bfs", "trivial_bfs"])
-def test_invariant_sample_reaches_a_registered_slot_adapter(name):
-    """Only the built-in LB-tier adapters are refused: an adapter
-    registered under a new name, or over a built-in one, may drive
-    ``ctx.network()`` and gets its invariants block."""
-    from repro.core.simple_bfs import decay_bfs
-    from repro.experiments import registry
-
-    builtin = registry._ALGORITHMS.get(name)
-
-    def _slot_bfs(ctx):
-        labels = decay_bfs(ctx.network(), ctx.sources(), ctx.depth_budget(),
-                           seed=ctx.rng)
-        return {"reached": len(labels)}
-
-    registry.register_algorithm(name, overwrite=True)(_slot_bfs)
-    try:
-        spec = ExperimentSpec(topology="path", n=8, algorithm=name, seed=3)
-        sweep = run_specs([spec], parallel=False,
-                          policy=ExecutionPolicy(invariant_sample=1))
-        assert sweep.results[0].invariants["checked_slots"] > 0
-    finally:
-        registry._ALGORITHMS.pop(name)
-        if builtin is not None:
-            registry._ALGORITHMS[name] = builtin
 
 
 def test_default_batch_replicas_is_sane():

@@ -1,4 +1,4 @@
-"""Tests for the algorithm registry and the built-in adapters."""
+"""Tests for the algorithm table and the built-in adapters."""
 
 import networkx as nx
 import pytest
@@ -9,9 +9,24 @@ from repro.experiments import (
     algorithm_names,
     decode_labels,
     get_algorithm,
-    register_algorithm,
     run_experiment,
 )
+from repro.experiments.__main__ import main
+
+#: The table lines of ``python -m repro.experiments list``, stars
+#: included: ``*`` marks a seed-deterministic topology and an algorithm
+#: whose lanes fuse in batched runs.
+LIST_TABLE_LINES = [
+    "topologies:       barbell*, binary_tree*, caterpillar*, complete*, "
+    "cycle*, dense_geometric, erdos_renyi, expander, geometric, grid*, "
+    "hypercube*, lollipop*, path*, poisson_cluster*, power_law, "
+    "small_world, star*, star_of_paths*, tree, wheel*",
+    "                  (* = seed-deterministic)",
+    "algorithms:       decay_bfs*, exact_diameter, leader_election, "
+    "mpx_clustering, recursive_bfs, three_halves_diameter, trivial_bfs, "
+    "two_approx_diameter",
+    "                  (* = lanes fuse in batched runs)",
+]
 
 
 class TestRegistry:
@@ -23,28 +38,14 @@ class TestRegistry:
             "mpx_clustering",
         } <= names
 
-    def test_duplicate_rejected(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_algorithm("trivial_bfs")(lambda ctx: {})
-
     def test_unknown_lookup(self):
         with pytest.raises(ConfigurationError, match="unknown algorithm"):
             get_algorithm("no-such-algorithm")
 
-    def test_custom_registration_and_overwrite(self):
-        @register_algorithm("_test_noop")
-        def _noop(ctx):
-            return {"ok": True}
-
-        try:
-            spec = ExperimentSpec(topology="path", n=4, algorithm="_test_noop")
-            assert run_experiment(spec).output == {"ok": True}
-            register_algorithm("_test_noop", overwrite=True)(lambda ctx: {"ok": 2})
-            assert run_experiment(spec).output == {"ok": 2}
-        finally:
-            from repro.experiments import registry
-
-            registry._ALGORITHMS.pop("_test_noop", None)
+    def test_list_prints_the_tables(self, capsys):
+        assert main(["list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:4] == LIST_TABLE_LINES
 
 
 def run(topology="grid", n=20, algorithm="trivial_bfs", params=None, seed=4,

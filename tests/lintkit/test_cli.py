@@ -86,10 +86,10 @@ def test_missing_path_is_a_usage_error(tmp_path, capsys):
 
 def test_list_rules_names_the_shipped_set(capsys):
     assert main(["--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for rule_id in ("DET001", "DET002", "DET003", "DUR001",
-                    "REG001", "HASH001", "DOC001"):
-        assert rule_id in out
+    listed = [line.split()[0]
+              for line in capsys.readouterr().out.splitlines()]
+    assert listed == ["DET001", "DET002", "DET003", "DOC001", "DUR001",
+                      "HASH001"]
 
 
 def test_report_lines_are_ruff_style(tmp_path, capsys):

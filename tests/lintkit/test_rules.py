@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 
 RULES = [
-    "DET001", "DET002", "DET003", "DUR001", "REG001", "HASH001", "DOC001",
+    "DET001", "DET002", "DET003", "DUR001", "HASH001", "DOC001",
 ]
 
 

@@ -1,9 +1,10 @@
-"""Property tests for the named scenario registry.
+"""Property tests for the named scenario table.
 
-Every registered family must uphold the module contract: a connected
-graph with contiguous integer labels ``0..m-1`` (``m`` approximately
-the requested ``n``), deterministic under a fixed seed, and registry
-lookups must fail loudly for unknown names.
+Every family must uphold the module contract: a connected graph with
+contiguous integer labels ``0..m-1`` (``m`` approximately the requested
+``n``), deterministic under a fixed seed, seed-independent exactly when
+:data:`~repro.radio.topology.SCENARIOS` says so, and lookups must fail
+loudly for unknown names.
 """
 
 from __future__ import annotations
@@ -15,10 +16,21 @@ from repro.errors import ConfigurationError
 from repro.radio import topology
 
 SIZES = (8, 21, 40)
-# Families whose construction consumes randomness; same seed must give
-# the same graph, different seeds should usually differ.
-STOCHASTIC = ("tree", "geometric", "erdos_renyi", "expander",
-              "small_world", "power_law")
+SEEDS = (0, 1, 7)
+# Families that ignore the seed (batching fuses their seeds onto one
+# graph), and families whose construction consumes randomness: same
+# seed must give the same graph, different seeds must differ.
+DETERMINISTIC = tuple(name for name in topology.scenario_names()
+                      if topology.SCENARIOS[name][1])
+STOCHASTIC = tuple(name for name in topology.scenario_names()
+                   if not topology.SCENARIOS[name][1])
+
+
+def _layout(name, n, seed):
+    """Everything a batched run shares between the seeds of a cell:
+    node order, node data and edge order."""
+    graph = topology.scenario(name, n, seed=seed)
+    return list(graph.nodes(data=True)), list(graph.edges(data=True))
 
 
 @pytest.mark.parametrize("name", topology.scenario_names())
@@ -45,6 +57,24 @@ def test_stochastic_families_deterministic_per_seed(name):
     assert sorted(a.edges) == sorted(b.edges)
 
 
+@pytest.mark.parametrize("name", DETERMINISTIC)
+@pytest.mark.parametrize("n", SIZES)
+def test_deterministic_families_ignore_the_seed(name, n):
+    """Batching fuses the seeds of a deterministic family onto one
+    compiled topology, so every seed must build the very same graph."""
+    first, *rest = (_layout(name, n, seed) for seed in SEEDS)
+    for other in rest:
+        assert other == first
+
+
+@pytest.mark.parametrize("name", STOCHASTIC)
+def test_stochastic_families_depend_on_the_seed(name):
+    assert any(
+        _layout(name, n, seed) != _layout(name, n, SEEDS[0])
+        for n in SIZES for seed in SEEDS[1:]
+    )
+
+
 def test_issue_families_registered():
     """The families the engine benchmarks sweep are all present."""
     names = set(topology.scenario_names())
@@ -60,29 +90,6 @@ def test_unknown_name_raises():
 def test_invalid_size_raises():
     with pytest.raises(ConfigurationError):
         topology.scenario("path", 0)
-
-
-def test_duplicate_registration_rejected():
-    name = "___registry_test_dup"
-    topology.register_scenario(name, lambda n, seed=None: nx.path_graph(n))
-    try:
-        with pytest.raises(ConfigurationError):
-            topology.register_scenario(
-                name, lambda n, seed=None: nx.path_graph(n)
-            )
-        # Explicit overwrite is the sanctioned escape hatch.
-        topology.register_scenario(
-            name, lambda n, seed=None: nx.cycle_graph(max(3, n)),
-            overwrite=True,
-        )
-        assert topology.scenario(name, 5).number_of_edges() == 5
-    finally:
-        topology._SCENARIOS.pop(name, None)
-
-
-def test_empty_name_rejected():
-    with pytest.raises(ConfigurationError):
-        topology.register_scenario("", lambda n, seed=None: nx.path_graph(n))
 
 
 def test_star_of_paths_shape():
