@@ -630,6 +630,7 @@ def run_specs(
     order, mixing stored and freshly-run results — which are
     byte-identical anyway, timing aside.
     """
+    max_workers = validate_batch_replicas(max_workers, "max_workers")
     policy = _coerce_policy(policy)
     task = functools.partial(
         _run_unit, invariant_sample=policy.invariant_sample

@@ -119,8 +119,8 @@ def validate_batch_replicas(value: Any, where: str = "batch_replicas") -> Option
     returned as a Python ``int`` (numpy integers are accepted).
 
     The single check behind every cap — the policy fields
-    (:class:`ExecutionPolicy`) and ``run_specs(..., chunk_size=...)`` —
-    so they can never drift in what they accept.  Booleans are rejected
+    (:class:`ExecutionPolicy`) and ``run_specs(..., chunk_size=...,
+    max_workers=...)`` — so they can never drift in what they accept.  Booleans are rejected
     explicitly: ``batch_replicas=True`` is a plausible "enable
     batching" mistake that would otherwise silently mean "limit 1",
     i.e. the exact opposite.

@@ -12,11 +12,11 @@ Rules (see :mod:`repro.lintkit.rules`): DET001 ambient nondeterminism,
 DET002 unordered iteration feeding serialized output, DET003
 non-canonical JSON, DUR001 raw writes bypassing the durable-write
 helpers, HASH001 spec/hash field sync, DOC001 docstring
-cross-references.  Scoping and options live in
-``pyproject.toml`` under ``[tool.lintkit]``
-(:mod:`repro.lintkit.config`); inline suppressions are
-``# lintkit: ignore[RULE]`` (:mod:`repro.lintkit.engine`); the empty
-committed baseline is :mod:`repro.lintkit.baseline`.
+cross-references.  Scoping and options are the tables of
+:mod:`repro.lintkit.config`, their only copy; inline suppressions are
+``# lintkit: ignore[RULE]`` (:mod:`repro.lintkit.engine`).  There is
+no baseline of grandfathered findings: a violation is fixed or
+suppressed inline with a reason.
 
 The rules are the fixed table :data:`~repro.lintkit.rules.RULES`: a new
 invariant is a new :class:`~repro.lintkit.base.Rule` subclass and one
@@ -25,7 +25,7 @@ more entry there.
 
 from .base import Finding, Rule
 from .cli import main
-from .config import LintConfig, load_config
+from .config import LintConfig
 from .engine import ModuleContext, lint_file, lint_paths
 from .rules import make_rules, rule_ids
 
@@ -36,7 +36,6 @@ __all__ = [
     "Rule",
     "lint_file",
     "lint_paths",
-    "load_config",
     "main",
     "make_rules",
     "rule_ids",

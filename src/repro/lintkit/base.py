@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Tuple
+from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .engine import ModuleContext
@@ -36,15 +36,6 @@ class Finding:
         """The ruff-style report line: ``path:line:col: RULE message``."""
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
-    def baseline_key(self) -> Tuple[str, str, str]:
-        """The identity used by baseline matching.
-
-        Deliberately excludes line/column so a grandfathered finding
-        survives unrelated edits above it; see
-        :mod:`repro.lintkit.baseline`.
-        """
-        return (self.path, self.rule, self.message)
-
 
 class Rule(ABC):
     """Base class for lint rules.
@@ -55,7 +46,7 @@ class Rule(ABC):
     """
 
     #: Stable identifier, e.g. ``"DET001"`` — what suppressions,
-    #: baselines, ``--select``, and scope configuration refer to.
+    #: ``--select``, and scope configuration refer to.
     rule_id: str = ""
 
     #: One-line description shown by ``--list-rules``.

@@ -2,21 +2,21 @@
 
 Exit codes follow the ruff convention:
 
-- ``0`` — no findings (after suppressions and baseline);
+- ``0`` — no findings (after inline suppressions);
 - ``1`` — at least one finding was reported;
-- ``2`` — usage or configuration error (unknown rule, bad baseline,
-  unreadable target, malformed ``[tool.lintkit]``).
+- ``2`` — usage or configuration error (unknown rule, unreadable
+  target).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional, Sequence
 
 from ..errors import ConfigurationError
-from .baseline import apply_baseline, load_baseline, write_baseline
-from .config import load_config
+from .config import DEFAULT_PATHS, LintConfig
 from .engine import lint_paths
 from .rules import get_rule, make_rules, rule_ids
 
@@ -32,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "paths", nargs="*", metavar="PATH",
-        help="files or directories to lint (default: [tool.lintkit] paths)",
+        help="files or directories to lint (default: src/repro scripts)",
     )
     parser.add_argument(
         "--select", action="append", default=[], metavar="RULES",
@@ -42,19 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--root", default=None, metavar="DIR",
         help="config root; relative paths, scopes and report paths are "
              "anchored here (default: current directory)",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="baseline file of grandfathered findings "
-             "(default: [tool.lintkit] baseline)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any configured baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write current findings to the baseline file and exit 0",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -85,24 +72,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     try:
-        config = load_config(root=args.root)
+        config = LintConfig(root=os.path.abspath(args.root or os.getcwd()))
         rules = make_rules(tuple(_selected_ids(args.select)))
-        paths = list(args.paths) or list(config.paths)
+        paths = list(args.paths) or list(DEFAULT_PATHS)
         findings, checked = lint_paths(paths, config, rules)
-
-        baseline_file = args.baseline or config.baseline_path()
-        if args.write_baseline:
-            if baseline_file is None:
-                raise ConfigurationError(
-                    "no baseline file configured; pass --baseline FILE"
-                )
-            count = write_baseline(baseline_file, findings)
-            print(f"wrote {count} baseline entr"
-                  f"{'y' if count == 1 else 'ies'} to {baseline_file}")
-            return 0
-
-        if baseline_file is not None and not args.no_baseline:
-            findings, _ = apply_baseline(findings, load_baseline(baseline_file))
     except ConfigurationError as exc:
         print(f"lintkit: error: {exc}", file=sys.stderr)
         return 2

@@ -1,37 +1,18 @@
 """Lint configuration: per-rule file scoping and rule options.
 
-The committed configuration lives in ``pyproject.toml`` under
-``[tool.lintkit]`` — rule scopes are *path globs* (``**`` crosses
-directory boundaries), so each invariant applies exactly where the
-architecture says it holds (e.g. the durability rule only inside the
-store/fabric layer).  The defaults baked into this module mirror the
-committed ``pyproject.toml`` byte-for-byte in meaning: on interpreters
-without a TOML parser (Python 3.10 with no ``tomli``) the linter falls
-back to them and behaves identically — ``tests/lintkit/test_config.py``
-asserts the two never drift.
-
-Configuration keys (all optional)::
-
-    [tool.lintkit]
-    paths = ["src/repro", "scripts"]     # default lint targets
-    package-roots = ["src"]              # import roots for DOC001
-    baseline = ".lintkit-baseline"       # grandfathered findings
-
-    [tool.lintkit.scopes]
-    DET001 = ["src/repro/**"]            # rule id -> path globs
-
-    [tool.lintkit.options.DUR001]
-    allowed-writers = ["SweepStore._create"]
+The tables below are the linter's whole configuration, and its only
+copy.  Rule scopes are *path globs* (``**`` crosses directory
+boundaries), so each invariant applies exactly where the architecture
+says it holds (e.g. the durability rule only inside the store/fabric
+layer).  :class:`LintConfig` anchors them at a root directory; tests
+that lint fixtures pass their own ``scopes`` and ``options``.
 """
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
-
-from ..errors import ConfigurationError
+from typing import Any, Mapping, Tuple
 
 #: Default lint targets (what a bare ``python -m repro.lintkit`` checks).
 DEFAULT_PATHS: Tuple[str, ...] = ("src/repro", "scripts")
@@ -39,11 +20,6 @@ DEFAULT_PATHS: Tuple[str, ...] = ("src/repro", "scripts")
 #: Directories whose children are importable packages (DOC001 derives
 #: dotted module names from these).
 DEFAULT_PACKAGE_ROOTS: Tuple[str, ...] = ("src",)
-
-#: Default baseline file (relative to the config root); the committed
-#: baseline is empty — every invariant violation in the tree is fixed,
-#: not grandfathered.
-DEFAULT_BASELINE = ".lintkit-baseline"
 
 #: Which files each rule applies to.  These globs are the machine
 #: version of ARCHITECTURE.md's invariant scoping: determinism rules
@@ -119,15 +95,12 @@ class LintConfig:
     """Resolved lint configuration for one run.
 
     ``root`` anchors every relative path in the run: lint targets,
-    scope globs, the baseline file, and the ``path`` column of every
+    scope globs, the package roots, and the ``path`` column of every
     finding are all relative to it, so reports are stable no matter
     where the tool is invoked from.
     """
 
     root: str
-    paths: Tuple[str, ...] = DEFAULT_PATHS
-    package_roots: Tuple[str, ...] = DEFAULT_PACKAGE_ROOTS
-    baseline: Optional[str] = DEFAULT_BASELINE
     scopes: Mapping[str, Tuple[str, ...]] = field(
         default_factory=lambda: dict(DEFAULT_SCOPES)
     )
@@ -145,121 +118,3 @@ class LintConfig:
     def rule_option(self, rule_id: str, key: str, default: Any = None) -> Any:
         """One rule's configured option (or ``default``)."""
         return self.options.get(rule_id, {}).get(key, default)
-
-    def baseline_path(self) -> Optional[str]:
-        """Absolute path of the configured baseline file, if any."""
-        if self.baseline is None:
-            return None
-        return os.path.join(self.root, self.baseline)
-
-
-def _load_toml(path: str) -> Optional[Dict[str, Any]]:
-    """Parse a TOML file, or ``None`` when no parser is available.
-
-    Python 3.11+ ships :mod:`tomllib`; on 3.10 we accept an installed
-    ``tomli`` and otherwise fall back to the baked-in defaults (which
-    the test suite pins to the committed ``pyproject.toml``).
-    """
-    try:
-        import tomllib
-    except ModuleNotFoundError:  # Python 3.10
-        try:
-            import tomli as tomllib  # type: ignore[import-not-found, no-redef]
-        except ModuleNotFoundError:
-            return None
-    try:
-        with open(path, "rb") as handle:
-            return dict(tomllib.load(handle))
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read {path}: {exc}") from None
-    except tomllib.TOMLDecodeError as exc:
-        raise ConfigurationError(f"invalid TOML in {path}: {exc}") from None
-
-
-def _str_tuple(value: Any, where: str) -> Tuple[str, ...]:
-    if isinstance(value, str):
-        return (value,)
-    if isinstance(value, (list, tuple)) and all(
-        isinstance(v, str) for v in value
-    ):
-        return tuple(value)
-    raise ConfigurationError(
-        f"{where} must be a string or list of strings, got {value!r}"
-    )
-
-
-def load_config(root: Optional[str] = None,
-                pyproject: Optional[str] = None) -> LintConfig:
-    """Build the run configuration.
-
-    ``root`` defaults to the current directory; ``pyproject`` defaults
-    to ``<root>/pyproject.toml``.  A missing file, a missing
-    ``[tool.lintkit]`` table, or an interpreter without a TOML parser
-    all yield the baked-in defaults.
-    """
-    root = os.path.abspath(root or os.getcwd())
-    pyproject = pyproject or os.path.join(root, "pyproject.toml")
-    section: Mapping[str, Any] = {}
-    if os.path.exists(pyproject):
-        document = _load_toml(pyproject)
-        if document is not None:
-            tool = document.get("tool")
-            if isinstance(tool, Mapping):
-                found = tool.get("lintkit", {})
-                if not isinstance(found, Mapping):
-                    raise ConfigurationError(
-                        f"[tool.lintkit] in {pyproject} must be a table"
-                    )
-                section = found
-
-    paths = DEFAULT_PATHS
-    if "paths" in section:
-        paths = _str_tuple(section["paths"], "[tool.lintkit] paths")
-    package_roots = DEFAULT_PACKAGE_ROOTS
-    if "package-roots" in section:
-        package_roots = _str_tuple(
-            section["package-roots"], "[tool.lintkit] package-roots"
-        )
-    baseline: Optional[str] = DEFAULT_BASELINE
-    if "baseline" in section:
-        raw = section["baseline"]
-        if raw is not None and not isinstance(raw, str):
-            raise ConfigurationError(
-                f"[tool.lintkit] baseline must be a string, got {raw!r}"
-            )
-        baseline = raw
-
-    scopes: Dict[str, Tuple[str, ...]] = dict(DEFAULT_SCOPES)
-    raw_scopes = section.get("scopes", {})
-    if not isinstance(raw_scopes, Mapping):
-        raise ConfigurationError("[tool.lintkit.scopes] must be a table")
-    for rule_id, globs in raw_scopes.items():
-        scopes[str(rule_id)] = _str_tuple(
-            globs, f"[tool.lintkit.scopes] {rule_id}"
-        )
-
-    options: Dict[str, Dict[str, Any]] = {
-        rule_id: dict(opts) for rule_id, opts in DEFAULT_OPTIONS.items()
-    }
-    raw_options = section.get("options", {})
-    if not isinstance(raw_options, Mapping):
-        raise ConfigurationError("[tool.lintkit.options] must be a table")
-    for rule_id, opts in raw_options.items():
-        if not isinstance(opts, Mapping):
-            raise ConfigurationError(
-                f"[tool.lintkit.options.{rule_id}] must be a table"
-            )
-        merged = options.setdefault(str(rule_id), {})
-        for key, value in opts.items():
-            merged[str(key)] = (
-                tuple(value) if isinstance(value, list) else value
-            )
-
-    return LintConfig(
-        root=root,
-        paths=paths,
-        package_roots=package_roots,
-        baseline=baseline,
-        scopes=scopes,
-        options=options,
-    )

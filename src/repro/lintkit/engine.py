@@ -5,7 +5,7 @@ the shared static-analysis helpers every rule needs: a parent map
 (``ast`` has no parent pointers), the module's import-alias table
 (``import numpy as np`` makes ``np.random.seed`` resolve to
 ``numpy.random.seed``), and the dotted module name derived from the
-configured package roots (what DOC001 imports).
+package roots (what DOC001 imports).
 
 Suppressions are inline, same-line, and explicit::
 
@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..errors import ConfigurationError
 from .base import Finding, Rule
-from .config import LintConfig
+from .config import DEFAULT_PACKAGE_ROOTS, LintConfig
 
 #: Rule id attached to files the engine cannot parse at all.  Not a
 #: registered rule: an unparseable file violates every invariant at
@@ -131,7 +131,7 @@ class ModuleContext:
         Files outside every package root (scripts, fixtures) have no
         module name and are imported by location instead (DOC001).
         """
-        for root in self.config.package_roots:
+        for root in DEFAULT_PACKAGE_ROOTS:
             prefix = root.rstrip("/") + "/"
             if not self.relpath.startswith(prefix):
                 continue
@@ -247,8 +247,8 @@ def lint_file(path: str, config: LintConfig,
 
 
 def ensure_importable(config: LintConfig) -> None:
-    """Put the configured package roots on ``sys.path`` (for DOC001)."""
-    for root in config.package_roots:
+    """Put the package roots on ``sys.path`` (for DOC001)."""
+    for root in DEFAULT_PACKAGE_ROOTS:
         abspath = os.path.join(config.root, root)
         if os.path.isdir(abspath) and abspath not in sys.path:
             sys.path.insert(0, abspath)

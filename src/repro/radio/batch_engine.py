@@ -39,9 +39,9 @@ receivers that have not yet heard and are not dead.  Fault draws never
 read the channel, so a whole block of slots resolves at once: each
 receiver hears in the earliest slot of the block in which it is live,
 not jammed, and gets a deliverable message.  The device-callback
-loop lives only in the serial engines
-(:meth:`~repro.radio.fast_engine.FastRadioNetwork.step` and the
-reference one), which are the oracle the lanes are pinned against
+loop lives only in the serial engines' shared slot
+(:meth:`~repro.radio.network.SlotEngineBase.step`), and the two serial
+engines are the oracle the lanes are pinned against
 (``tests/radio/test_decay_lanes.py``).
 
 Bit-identity contract

@@ -78,8 +78,9 @@ class EnergyLedger:
         """Charge one slot to every transmitter and listener at once.
 
         Equivalent to one :meth:`charge_transmit` per transmitter plus
-        one :meth:`charge_listen` per listener; the serial fast engine
-        uses the batch form so each slot touches the ledger once.
+        one :meth:`charge_listen` per listener; the shared serial slot
+        (:meth:`~repro.radio.network.SlotEngineBase.step`) uses the
+        batch form so each slot touches the ledger once.
         ``transmit_costs`` (aligned with ``transmitters``) replaces the
         flat one-unit transmit charge with per-transmitter costs — the
         SINR power ladder, where louder costs more.

@@ -5,12 +5,16 @@ Every slot-level consumer in the library (the Decay primitives,
 written against :class:`~repro.radio.network.SlotEngineBase`, so any
 protocol runs on either executor unchanged:
 
-- ``"reference"`` — :class:`~repro.radio.network.RadioNetwork`, the
-  per-device Python transcription of paper Section 1.1; the semantic
+- ``"reference"`` — :class:`~repro.radio.network.RadioNetwork`, which
+  resolves each listener by scanning its neighbor list; the semantic
   ground truth.
 - ``"fast"`` — :class:`~repro.radio.fast_engine.FastRadioNetwork`, the
   vectorized engine resolving each slot's channel with the integer CSR
   gather of :mod:`repro.radio.kernels`.
+
+Both run the one slot loop of
+:meth:`SlotEngineBase.step <repro.radio.network.SlotEngineBase.step>`
+(paper Section 1.1) and differ only in that channel arbitration.
 
 :data:`ENGINES` is the whole set; :func:`make_network` constructs from
 it by name.  Both engines are bit-for-bit equivalent under identical

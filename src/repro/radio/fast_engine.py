@@ -11,14 +11,15 @@ channel for *all* listeners at once:
   vertex, the number of transmitting neighbors *and* (summed)
   transmitter indices;
 - a vertex with transmitter-count exactly 1 decodes its unique sender
-  directly from the index sum — no per-listener neighbor scan;
-- energy charges are applied to the ledger in one batch per slot.
+  directly from the index sum — no per-listener neighbor scan.
 
-The per-device control path (``device.step`` / ``device.receive``
-callbacks, their private RNG streams, trace event ordering, ledger
-totals) is kept identical to the reference engine, so a protocol run
-with the same seed produces bit-for-bit identical slot counts, energy
-ledgers, and event traces on either engine — a guarantee enforced by
+That arbitration is all this engine defines: the per-device control
+path (``device.step`` / ``device.receive`` callbacks, energy charges,
+fault handling, trace events) is the one slot of
+:meth:`SlotEngineBase.step <repro.radio.network.SlotEngineBase.step>`,
+shared with the reference engine, so a protocol run with the same seed
+produces bit-for-bit identical slot counts, energy ledgers, and event
+traces on either engine — a guarantee enforced by
 ``tests/radio/test_engine_equivalence.py``.
 
 The batched tier
@@ -51,10 +52,9 @@ from typing import (
 import networkx as nx
 import numpy as np
 
-from ..errors import SimulationError
 from ..rng import SeedLike
 from .channel import CollisionModel, Feedback, Reception
-from .device import ActionKind, Device
+from .device import Device
 from .dynamic import DynamicTopology, TopologyPatch
 from .energy import EnergyLedger
 from .faults import FaultModel
@@ -62,7 +62,7 @@ from .kernels import CSRAdjacency, counts_codes, gather_edges
 from .kernels.sinr_csr import SinrCsr, sinr_arbitrate
 from .message import Message, MessageSizePolicy
 from .network import SlotEngineBase
-from .sinr import SinrParams, transmit_level
+from .sinr import SinrParams
 from .trace import EventTrace
 
 
@@ -121,8 +121,9 @@ class FastRadioNetwork(SlotEngineBase):
     :class:`~repro.radio.network.RadioNetwork`.
 
     Accepts the same constructor arguments and runs the same
-    :class:`~repro.radio.device.Device` populations; only the internal
-    channel-resolution strategy differs.  Prefer this engine for
+    :class:`~repro.radio.device.Device` populations through the same
+    slot loop; only the channel arbitration (:meth:`_arbitrate`)
+    differs.  Prefer this engine for
     ``n`` in the thousands or dense topologies, where the reference
     engine's per-listener neighbor scans dominate.
     """
@@ -209,106 +210,34 @@ class FastRadioNetwork(SlotEngineBase):
 
     # ------------------------------------------------------------------
     def step(self, devices: Mapping[Hashable, Device]) -> None:
-        """Execute one synchronous slot for all devices.
+        """Execute one synchronous slot (:meth:`SlotEngineBase.step`).
 
-        Steps every live device and stages its action (crashed devices
-        sit the slot out; a dropped transmitter is charged and traced
-        but never enters the channel), charges the staged energy in one
-        batch, resolves the channel when the slot has both live
-        transmitters and listeners, and delivers the receptions.  A
-        jammed listener perceives noise, exactly like a collision (see
-        :func:`~repro.radio.network.silence_and_noise`).
+        Defined here rather than inherited because
+        ``perfbench/tracer.py`` wraps ``FastRadioNetwork.step`` by name.
         """
-        plan = self._next_fault_plan()
-        slot = self.slot
-        counters = self.fault_counters
+        super().step(devices)
+
+    def _arbitrate(self, messages: Dict[Hashable, Message], levels: List[int],
+                   listeners: List[Hashable]) -> List[Reception]:
+        """Resolve every listener at once on the CSR (see base).
+
+        The integer gather yields each vertex's transmitting-neighbor
+        count and summed 1-based sender codes; where exactly one
+        neighbor transmits (or, under SINR, the kernel's delivery mask
+        is set) the code names the sender.
+        """
         index = self._index
-        size_policy = self.size_policy
-        sinr = self.sinr
-        trace = self.trace
-        msgs: Dict[int, Message] = {}
-        tx_idx: List[int] = []
-        tx_levels: List[int] = []
-        tx_vertices: List[Hashable] = []
-        tx_costs: Optional[List[int]] = None if sinr is None else []
-        listen_idx: List[int] = []
-        listen_vertices: List[Hashable] = []
-        listen_devices: List[Device] = []
-        idle_kind = ActionKind.IDLE
-        transmit_kind = ActionKind.TRANSMIT
-
-        for vertex, device in devices.items():
-            if device.halted:
-                continue
-            if plan is not None and vertex in plan.dead:
-                continue
-            action = device.step(slot)
-            kind = action.kind
-            if kind is idle_kind:
-                continue
-            if kind is transmit_kind:
-                message = action.message
-                if message is None:
-                    raise SimulationError(f"device {vertex!r} transmitted no message")
-                size_policy.check(message)
-                level = 0 if sinr is None else transmit_level(device, action, sinr)
-                if plan is not None and vertex in plan.dropped:
-                    counters.dropped += 1
-                else:
-                    i = index[vertex]
-                    tx_idx.append(i)
-                    tx_levels.append(level)
-                    msgs[i] = message
-                tx_vertices.append(vertex)
-                if tx_costs is None:
-                    detail = message.kind
-                else:
-                    tx_costs.append(sinr.power_costs[level])
-                    detail = f"{message.kind}/p{level}"
-                if trace is not None:
-                    trace.record(slot, "transmit", vertex, detail)
-            else:  # LISTEN
-                listen_idx.append(index[vertex])
-                listen_vertices.append(vertex)
-                listen_devices.append(device)
-
-        self.ledger.charge_slot_batch(
-            tx_vertices, listen_vertices, transmit_costs=tx_costs
-        )
-        if tx_idx and listen_idx:
-            tx = np.asarray(tx_idx, dtype=np.int64)
-            if self._sinr_csr is None:
-                counts, codes = self._topology.counts_codes(tx)
-                deliver = None
-            else:
-                counts, codes, deliver = sinr_arbitrate(
-                    self._sinr_csr, tx, np.asarray(tx_levels, dtype=np.int64)
-                )
-            gather = np.asarray(listen_idx, dtype=np.int64)
-            counts = counts[gather]
-            codes = codes[gather].tolist()
-            deliver = (
-                (counts == 1) if deliver is None else deliver[gather]
-            ).tolist()
-            counts = counts.tolist()
+        tx = np.array([index[v] for v in messages], dtype=np.int64)
+        if self._sinr_csr is None:
+            counts, codes = self._topology.counts_codes(tx)
+            deliver = counts == 1
         else:
-            counts = codes = [0] * len(listen_idx)
-            deliver = [False] * len(listen_idx)
-        jammed = () if plan is None else plan.jammed
+            counts, codes, deliver = sinr_arbitrate(
+                self._sinr_csr, tx, np.array(levels, dtype=np.int64))
+        at = np.array([index[v] for v in listeners], dtype=np.int64)
+        vertices = self._topology.vertices
         silent, noisy = self._silent, self._noisy
-        for vertex, device, c, code, ok in zip(
-            listen_vertices, listen_devices, counts, codes, deliver
-        ):
-            if vertex in jammed:
-                counters.jammed += 1
-                reception = noisy
-            elif ok:
-                counters.delivered += 1
-                reception = Reception(Feedback.MESSAGE, msgs[code - 1])
-            else:
-                reception = silent if c == 0 else noisy
-            device.receive(slot, reception)
-            if trace is not None and reception.received:
-                trace.record(slot, "receive", vertex, reception.message.kind)
-        self.slot += 1
-        self.ledger.advance_time(1)
+        return [Reception(Feedback.MESSAGE, messages[vertices[code - 1]]) if ok
+                else silent if c == 0 else noisy
+                for c, code, ok in zip(counts[at].tolist(), codes[at].tolist(),
+                                       deliver[at].tolist())]

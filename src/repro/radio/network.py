@@ -10,20 +10,22 @@ paper Section 1.1 exactly:
 - a listener receives a message iff exactly one neighbor transmits;
 - energy = listening slots + transmitting slots; idling is free.
 
-Two interchangeable executors implement these semantics:
+:class:`SlotEngineBase` writes the slot out once: it steps the
+devices, charges the energy, and delivers the receptions, and asks the
+concrete engine only to arbitrate the channel.  Two interchangeable
+executors supply that arbitration:
 
-- :class:`RadioNetwork` (this module) — the reference engine: a direct
-  per-device Python transcription of the model, optimized for
-  readability and used as the semantic ground truth;
+- :class:`RadioNetwork` (this module) — the reference engine: scans
+  each listener's own neighbor list, a direct transcription of the
+  channel rule and the semantic ground truth;
 - :class:`~repro.radio.fast_engine.FastRadioNetwork` — the vectorized
-  engine: identical slot-for-slot behavior, with channel arbitration
-  computed for all listeners at once through a CSR adjacency matrix.
+  engine: resolves all listeners at once through a CSR adjacency
+  matrix.
 
-Both derive from :class:`SlotEngineBase`, which owns the slot loop,
-device validation, and device spawning, so the engines can only differ
-in *how* one slot is resolved — never in what a slot means.  The
-differential test suite (``tests/radio/test_engine_equivalence.py``)
-asserts bit-for-bit agreement between them.
+So the engines can only differ in *how* the channel is resolved —
+never in what a slot means.  The differential test suite
+(``tests/radio/test_engine_equivalence.py``) asserts bit-for-bit
+agreement between them.
 """
 
 from __future__ import annotations
@@ -161,9 +163,10 @@ class SlotEngineBase:
     """Shared slot-loop driver for both engine tiers.
 
     Owns everything that must be *identical* across engines — the run
-    loop, halting/early-stop logic, device-mapping validation, and
-    device spawning — leaving only :meth:`step` (how one synchronous
-    slot is resolved) to the concrete engine.
+    loop, halting/early-stop logic, device-mapping validation, device
+    spawning, and the slot itself (:meth:`step`) — leaving only
+    :meth:`_arbitrate` (how the channel is resolved at the listeners)
+    to the concrete engine.
 
     Parameters
     ----------
@@ -361,7 +364,92 @@ class SlotEngineBase:
         return executed
 
     def step(self, devices: Mapping[Hashable, Device]) -> None:
-        """Execute one synchronous slot for all devices."""
+        """Execute one synchronous slot for all devices.
+
+        The one definition of a slot (paper Section 1.1), shared by both
+        engines: draw the fault plan; step every live device (halted and
+        crashed devices sit the slot out) and stage its action, tracing
+        each transmission; charge the slot's energy in one batch (a
+        dropped transmitter is charged, but never enters the channel);
+        let the engine arbitrate the channel (:meth:`_arbitrate`); and
+        deliver one reception per listener.  A jammed listener perceives
+        noise, exactly like a collision (see :func:`silence_and_noise`).
+        """
+        plan = self._next_fault_plan()
+        slot = self.slot
+        counters = self.fault_counters
+        size_policy = self.size_policy
+        sinr = self.sinr
+        trace = self.trace
+        messages: Dict[Hashable, Message] = {}
+        levels: List[int] = []
+        transmitters: List[Hashable] = []
+        costs: Optional[List[int]] = None if sinr is None else []
+        listeners: List[Hashable] = []
+        listen_devices: List[Device] = []
+        idle, listen = ActionKind.IDLE, ActionKind.LISTEN
+
+        for vertex, device in devices.items():
+            if device.halted or (plan is not None and vertex in plan.dead):
+                continue
+            action = device.step(slot)
+            kind = action.kind
+            if kind is idle:
+                continue
+            if kind is listen:
+                listeners.append(vertex)
+                listen_devices.append(device)
+                continue
+            message = action.message
+            if message is None:
+                raise SimulationError(f"device {vertex!r} transmitted no message")
+            size_policy.check(message)
+            transmitters.append(vertex)
+            if costs is None:
+                level = 0
+                detail = message.kind
+            else:
+                level = transmit_level(device, action, sinr)
+                costs.append(sinr.power_costs[level])
+                detail = f"{message.kind}/p{level}"
+            # A dropped transmitter still spends the slot's energy —
+            # the device transmitted; the channel lost the message.
+            if plan is not None and vertex in plan.dropped:
+                counters.dropped += 1
+            else:
+                messages[vertex] = message
+                levels.append(level)
+            if trace is not None:
+                trace.record(slot, "transmit", vertex, detail)
+
+        self.ledger.charge_slot_batch(transmitters, listeners, transmit_costs=costs)
+        if messages and listeners:
+            receptions = self._arbitrate(messages, levels, listeners)
+        else:
+            receptions = [self._silent] * len(listeners)
+        jammed = () if plan is None else plan.jammed
+        for vertex, device, reception in zip(listeners, listen_devices, receptions):
+            if vertex in jammed:
+                counters.jammed += 1
+                reception = self._noisy
+            elif reception.received:
+                counters.delivered += 1
+            device.receive(slot, reception)
+            if trace is not None and reception.received:
+                trace.record(slot, "receive", vertex, reception.message.kind)
+        self.slot += 1
+        self.ledger.advance_time(1)
+
+    def _arbitrate(self, messages: Dict[Hashable, Message], levels: List[int],
+                   listeners: List[Hashable]) -> List[Reception]:
+        """Resolve the channel: one :class:`Reception` per listener.
+
+        ``messages`` maps each transmitter whose message entered the
+        channel to that message; ``levels`` holds their SINR power
+        levels in the same order (all ``0`` under the binary models).
+        Called only when the slot has both transmitters and listeners;
+        jamming is applied afterwards by :meth:`step`.
+        """
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -392,9 +480,10 @@ class SlotEngineBase:
 class RadioNetwork(SlotEngineBase):
     """Reference slot-level executor for a population of :class:`Device`.
 
-    The direct transcription of the paper's model: one Python loop
-    collects actions, a second resolves the channel at each listener by
-    scanning its neighbor list.  Use
+    The direct transcription of the paper's channel rule: each
+    listener's slot is resolved by scanning its own neighbor list
+    (kept as networkx-derived lists, never the CSR the fast engine
+    reads, so it stays an independent oracle).  Use
     :class:`~repro.radio.fast_engine.FastRadioNetwork` (or
     ``make_network(graph, engine="fast")``) for large instances.
     """
@@ -434,81 +523,16 @@ class RadioNetwork(SlotEngineBase):
         """The live adjacency as canonical neighbor sets (see base)."""
         return {v: frozenset(nbrs) for v, nbrs in self._adjacency.items()}
 
-    def step(self, devices: Mapping[Hashable, Device]) -> None:
-        """Execute one synchronous slot for all devices."""
-        plan = self._next_fault_plan()
-        counters = self.fault_counters
-        transmissions: Dict[Hashable, Message] = {}
-        # Under SINR: each live transmitter's power multiplier.
-        signals: Optional[Dict[Hashable, int]] = (
-            {} if self.sinr is not None else None
-        )
-        listeners: List[Tuple[Hashable, Device]] = []
-
-        for vertex, device in devices.items():
-            if device.halted:
-                continue
-            if plan is not None and vertex in plan.dead:
-                continue
-            action = device.step(self.slot)
-            if action.kind is ActionKind.IDLE:
-                continue
-            if action.kind is ActionKind.TRANSMIT:
-                message = action.message
-                if message is None:
-                    raise SimulationError(f"device {vertex!r} transmitted no message")
-                self.size_policy.check(message)
-                level = (0 if self.sinr is None
-                         else transmit_level(device, action, self.sinr))
-                # A dropped transmitter still spends the slot's energy —
-                # the device transmitted; the channel lost the message.
-                if plan is not None and vertex in plan.dropped:
-                    counters.dropped += 1
-                else:
-                    transmissions[vertex] = message
-                    if signals is not None:
-                        signals[vertex] = self.sinr.power_levels[level]
-                if self.sinr is None:
-                    self.ledger.charge_transmit(vertex)
-                    detail = message.kind
-                else:
-                    self.ledger.charge_transmit(
-                        vertex, self.sinr.power_costs[level]
-                    )
-                    detail = f"{message.kind}/p{level}"
-                if self.trace is not None:
-                    self.trace.record(self.slot, "transmit", vertex, detail)
-            else:  # LISTEN
-                listeners.append((vertex, device))
-                self.ledger.charge_listen(vertex)
-
-        for vertex, device in listeners:
-            if plan is not None and vertex in plan.jammed:
-                counters.jammed += 1
-                reception = self._noisy
-            elif self._sinr_field is None:
-                heard = [
-                    transmissions[u]
-                    for u in self._adjacency[vertex]
-                    if u in transmissions
-                ]
-                reception = resolve(heard, self.collision_model)
-            else:
-                field = self._sinr_field
-                contributions = [
-                    (transmissions[u], field.gain(u, vertex) * signals[u])
-                    for u in self._adjacency[vertex]
-                    if u in transmissions
-                ]
-                reception = resolve_sinr(contributions, self.sinr)
-            if reception.received:
-                counters.delivered += 1
-            device.receive(self.slot, reception)
-            if self.trace is not None and reception.received:
-                assert reception.message is not None
-                self.trace.record(
-                    self.slot, "receive", vertex, reception.message.kind
-                )
-
-        self.slot += 1
-        self.ledger.advance_time(1)
+    def _arbitrate(self, messages: Dict[Hashable, Message], levels: List[int],
+                   listeners: List[Hashable]) -> List[Reception]:
+        """Scan each listener's neighbor list for transmitters (see base)."""
+        adjacency = self._adjacency
+        field = self._sinr_field
+        if field is None:
+            return [resolve([messages[u] for u in adjacency[v] if u in messages],
+                            self.collision_model)
+                    for v in listeners]
+        power = {u: self.sinr.power_levels[level] for u, level in zip(messages, levels)}
+        return [resolve_sinr([(messages[u], field.gain(u, v) * power[u])
+                              for u in adjacency[v] if u in messages], self.sinr)
+                for v in listeners]

@@ -14,9 +14,10 @@ from repro.experiments.__main__ import main
 FLAGS = ["--fault-model", "--dynamic", "--sinr"]
 
 
-def _argv(command, tmp_path):
-    argv = [command, "--topologies", "grid", "--algorithms", "decay_bfs",
-            "--sizes", "16", "--seeds", "1", "--serial"]
+def _argv(command, tmp_path, topologies=("grid",), algorithm="decay_bfs",
+          serial=True):
+    argv = [command, "--topologies", *topologies, "--algorithms", algorithm,
+            "--sizes", "16", "--seeds", "1"] + (["--serial"] if serial else [])
     if command in ("sweep", "worker"):
         argv += ["--out", str(tmp_path / "store")]
     if command == "worker":
@@ -58,6 +59,22 @@ def test_invariant_sample_on_lb_tier_refused_before_the_store(
     assert "invariant_sample" in line and "'trivial_bfs'" in line
     assert not (tmp_path / "store").exists()
 
+
+@pytest.mark.parametrize("command", ["run", "sweep", "worker"])
+@pytest.mark.parametrize("max_workers", ["0", "-3"])
+@pytest.mark.parametrize("topologies,serial", [
+    (["grid"], True), (["grid"], False), (["grid", "path"], False),
+], ids=["one-unit-serial", "one-unit", "several-units-pooled"])
+def test_non_positive_max_workers_is_one_error_line(
+        command, max_workers, topologies, serial, tmp_path, capsys):
+    # One trivial_bfs cell is one unit; two cells are two units, which
+    # without --serial go to a process pool.
+    argv = _argv(command, tmp_path, topologies, "trivial_bfs", serial)
+    status = main(argv + ["--max-workers", max_workers])
+    assert status == 2
+    line = _one_error_line(capsys)
+    assert line == (f"error: max_workers must be a positive int or None, "
+                    f"got {max_workers}")
 
 
 @pytest.mark.parametrize("argv", [

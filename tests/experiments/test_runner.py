@@ -10,6 +10,7 @@ from repro.experiments import (
     SweepStore,
     expand_grid,
     iter_grid,
+    run_partition,
     run_specs,
     run_sweep,
     validate_document,
@@ -241,6 +242,25 @@ class TestRunSweep:
                 run_specs(specs, parallel=False, store=str(tmp_path / "b"),
                           **cap(value))
             assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("max_workers", [0, -3])
+    @pytest.mark.parametrize("parallel", [True, False])
+    @pytest.mark.parametrize("topologies", [["grid"], ["grid", "path"]],
+                             ids=["one-unit", "several-units"])
+    def test_non_positive_max_workers_refused(self, max_workers, parallel,
+                                              topologies, tmp_path):
+        specs = expand_grid(topologies, ["trivial_bfs"], sizes=16, seeds=2)
+        message = (f"max_workers must be a positive int or None, "
+                   f"got {max_workers}")
+        with pytest.raises(ConfigurationError) as info:
+            run_specs(specs, parallel=parallel, max_workers=max_workers)
+        assert str(info.value) == message
+        with pytest.raises(ConfigurationError, match="max_workers"):
+            run_sweep(topologies, ["trivial_bfs"], sizes=16, seeds=2,
+                      parallel=parallel, max_workers=max_workers)
+        with pytest.raises(ConfigurationError, match="max_workers"):
+            run_partition(specs, 0, 1, str(tmp_path / "store"),
+                          parallel=parallel, max_workers=max_workers)
 
     def test_run_sweep_end_to_end(self):
         sweep = run_sweep(["path"], ["trivial_bfs"], sizes=8, seeds=1,

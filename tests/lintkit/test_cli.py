@@ -1,5 +1,5 @@
-"""CLI behavior: exit codes, baseline round-trip, self-clean tree, and
-the acceptance-criterion injection checks (a planted violation must
+"""CLI behavior: exit codes, self-clean tree, and the
+acceptance-criterion injection checks (a planted violation must
 fail the lint run with the right rule ID)."""
 
 from __future__ import annotations
@@ -8,8 +8,6 @@ import os
 import shutil
 import subprocess
 import sys
-
-import pytest
 
 from repro.lintkit.cli import main
 
@@ -55,21 +53,6 @@ def test_injected_set_iteration_fails_with_det002(repo_root, tmp_path,
     out = capsys.readouterr().out
     assert code == 1
     assert "DET002" in out and "results.py" in out
-
-
-def test_baseline_round_trip_through_cli(tmp_path, capsys):
-    bad = tmp_path / "src" / "repro" / "mod.py"  # inside DET001's scope
-    bad.parent.mkdir(parents=True)
-    bad.write_text("import random\nx = random.random()\n", encoding="utf-8")
-    baseline = tmp_path / "baseline"
-    args = ["--root", str(tmp_path), "--select", "DET001",
-            "--baseline", str(baseline), str(bad)]
-
-    assert main(args) == 1  # finding reported
-    assert main(args + ["--write-baseline"]) == 0
-    capsys.readouterr()
-    assert main(args) == 0  # absorbed by the baseline
-    assert main(args + ["--no-baseline"]) == 1  # and back without it
 
 
 def test_unknown_rule_is_a_usage_error(tmp_path, capsys):

@@ -1,31 +1,8 @@
-"""Config semantics: glob scoping, pyproject parsing, default sync."""
+"""Config semantics: glob scoping."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.errors import ConfigurationError
-from repro.lintkit.config import (
-    DEFAULT_BASELINE,
-    DEFAULT_OPTIONS,
-    DEFAULT_PACKAGE_ROOTS,
-    DEFAULT_PATHS,
-    DEFAULT_SCOPES,
-    LintConfig,
-    load_config,
-)
-
-
-def _has_toml_parser() -> bool:
-    try:
-        import tomllib  # noqa: F401
-        return True
-    except ModuleNotFoundError:
-        try:
-            import tomli  # noqa: F401
-            return True
-        except ModuleNotFoundError:
-            return False
+from repro.lintkit.config import LintConfig
 
 
 def test_glob_scoping_semantics():
@@ -39,52 +16,3 @@ def test_glob_scoping_semantics():
     assert config.applies("B", "src/top.py")
     assert not config.applies("B", "src/nested/mod.py")  # * stays in-segment
     assert not config.applies("UNKNOWN", "src/top.py")
-
-
-def test_committed_pyproject_matches_baked_in_defaults(repo_root):
-    """The 3.10 no-TOML fallback must behave identically to the
-    committed ``[tool.lintkit]`` section (which needs a parser)."""
-    config = load_config(root=str(repo_root))
-    assert config.paths == DEFAULT_PATHS
-    assert config.package_roots == DEFAULT_PACKAGE_ROOTS
-    assert config.baseline == DEFAULT_BASELINE
-    assert dict(config.scopes) == dict(DEFAULT_SCOPES)
-    assert {k: dict(v) for k, v in config.options.items()} == \
-        {k: dict(v) for k, v in DEFAULT_OPTIONS.items()}
-
-
-@pytest.mark.skipif(not _has_toml_parser(), reason="no TOML parser")
-def test_pyproject_overrides_are_applied(tmp_path):
-    (tmp_path / "pyproject.toml").write_text(
-        '[tool.lintkit]\n'
-        'paths = ["lib"]\n'
-        'baseline = "custom-baseline"\n'
-        '[tool.lintkit.scopes]\n'
-        'DET001 = ["lib/**"]\n'
-        '[tool.lintkit.options.DUR001]\n'
-        'allowed-writers = ["X.y"]\n',
-        encoding="utf-8",
-    )
-    config = load_config(root=str(tmp_path))
-    assert config.paths == ("lib",)
-    assert config.baseline == "custom-baseline"
-    assert config.scopes["DET001"] == ("lib/**",)
-    # Unmentioned rules keep their default scopes and options.
-    assert config.scopes["DUR001"] == DEFAULT_SCOPES["DUR001"]
-    assert config.rule_option("DUR001", "allowed-writers") == ("X.y",)
-    assert config.rule_option("HASH001", "spec-class") == "ExperimentSpec"
-
-
-@pytest.mark.skipif(not _has_toml_parser(), reason="no TOML parser")
-def test_malformed_section_raises(tmp_path):
-    (tmp_path / "pyproject.toml").write_text(
-        '[tool.lintkit]\npaths = 7\n', encoding="utf-8"
-    )
-    with pytest.raises(ConfigurationError):
-        load_config(root=str(tmp_path))
-
-
-def test_missing_pyproject_yields_defaults(tmp_path):
-    config = load_config(root=str(tmp_path))
-    assert config.paths == DEFAULT_PATHS
-    assert dict(config.scopes) == dict(DEFAULT_SCOPES)

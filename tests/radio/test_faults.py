@@ -235,7 +235,8 @@ class TestEngineSemantics:
     @pytest.mark.parametrize("engine", ("reference", "fast"))
     def test_dropped_transmitter_pays_energy(self, engine):
         g = topology.path_graph(2)
-        net = make_network(g, engine=engine,
+        trace = EventTrace()
+        net = make_network(g, engine=engine, trace=trace,
                            faults=FaultModel((IIDDrop(1.0),)), fault_seed=0)
         devices = net.spawn_devices(_Beacon, seed=3)
         net.run(devices, max_slots=_Beacon.HORIZON)
@@ -243,7 +244,14 @@ class TestEngineSemantics:
         assert net.ledger.device(0).transmit_slots == _Beacon.HORIZON
         assert net.fault_counters.dropped == _Beacon.HORIZON
         assert net.fault_counters.delivered == 0
-        assert all(f is not Feedback.MESSAGE for _, f in devices[1].heard)
+        assert devices[1].heard == [
+            (slot, Feedback.NOTHING) for slot in range(_Beacon.HORIZON)
+        ]
+        # A dropped transmission is still traced; nothing is received.
+        assert [e.slot for e in trace.of_kind("transmit")] == list(
+            range(_Beacon.HORIZON)
+        )
+        assert trace.of_kind("receive") == []
 
     @pytest.mark.parametrize("engine", ("reference", "fast"))
     def test_dead_device_is_skipped_and_free(self, engine):
@@ -257,10 +265,14 @@ class TestEngineSemantics:
         # (being dead, not halted) keeps the run alive to max_slots.
         assert executed == _Beacon.HORIZON
         assert devices[1].heard == []
-        assert net.ledger.device(1).slots == 0
+        assert 1 not in net.ledger.devices()
         assert net.fault_counters.crashed == 1
         # Vertex 2 still listened (its only neighbor is dead => silence).
         assert net.ledger.device(2).listen_slots == _Beacon.HORIZON
+        assert devices[2].heard == [
+            (slot, Feedback.NOTHING) for slot in range(_Beacon.HORIZON)
+        ]
+        assert net.fault_counters.delivered == 0
 
     @pytest.mark.parametrize("engine", ("reference", "fast"))
     @pytest.mark.parametrize("model,expected", [
@@ -274,10 +286,12 @@ class TestEngineSemantics:
         devices = net.spawn_devices(_Beacon, seed=3)
         net.run(devices, max_slots=_Beacon.HORIZON)
         assert net.fault_counters.delivered == 0
-        assert net.fault_counters.jammed > 0
+        # The hub's closed neighborhood is jammed in every slot.
+        assert net.fault_counters.jammed == 3 * _Beacon.HORIZON
         for leaf in (1, 2, 3):
-            assert devices[leaf].heard
-            assert all(f is expected for _, f in devices[leaf].heard)
+            assert devices[leaf].heard == [
+                (slot, expected) for slot in range(_Beacon.HORIZON)
+            ]
             # Jammed listeners still pay for listening.
             assert net.ledger.device(leaf).listen_slots == _Beacon.HORIZON
 

@@ -4,10 +4,11 @@ Decay devices stop listening at their first reception, so the Decay
 equivalence suites never drive an engine through long, mixed feedback
 sequences.  Here randomized devices (each slot: transmit at a random
 power level, listen, or idle) run on two topologies under every
-collision model and three fault presets, and the serial fast engine's
-device loop (:meth:`~repro.radio.fast_engine.FastRadioNetwork.step`)
-must equal the reference engine: per-device feedback logs, ledger
-snapshots, fault counters and slot counts.  The two serial engines are
+collision model and three fault presets, and the fast engine's CSR
+arbitration must equal the reference engine's neighbor-list scan, both
+driven by the one shared slot loop
+(:meth:`~repro.radio.network.SlotEngineBase.step`): per-device feedback
+logs, ledger snapshots, fault counters and slot counts.  The two serial engines are
 the oracle: every static fast ``decay_bfs`` spec runs on the array
 lanes, which run Decay rounds, not devices, and
 ``tests/radio/test_decay_lanes.py`` pins them against both engines.

@@ -9,6 +9,7 @@ from repro.radio import (
     Action,
     CollisionModel,
     Device,
+    Event,
     EventTrace,
     FastRadioNetwork,
     Message,
@@ -19,6 +20,7 @@ from repro.radio import (
     make_network,
 )
 from repro.errors import MessageTooLargeError
+from repro.radio.engine import ENGINES
 
 
 class OneShotSender(Device):
@@ -56,28 +58,39 @@ def _devices(network, roles):
     )
 
 
+@pytest.mark.parametrize("engine", sorted(ENGINES))
 class TestDelivery:
-    def test_single_transmitter_heard(self):
+    """The channel rule on each serial engine, pinned by value."""
+
+    def test_single_transmitter_heard(self, engine):
         g = nx.path_graph(2)
-        net = RadioNetwork(g)
+        net = make_network(g, engine=engine)
         devices = _devices(net, {0: OneShotSender, 1: AlwaysListener})
         net.run(devices, max_slots=1)
         assert len(devices[1].heard) == 1
         assert devices[1].heard[0].sender == 0
+        assert net.fault_counters.delivered == 1
+        assert net.ledger.snapshot() == {0: (1, 0, 0, 0), 1: (0, 1, 0, 0)}
 
-    def test_collision_blocks_delivery(self):
+    def test_collision_blocks_delivery(self, engine):
         g = nx.star_graph(2)  # center 0, leaves 1, 2
-        net = RadioNetwork(g)
+        net = make_network(g, engine=engine)
         devices = _devices(net, {0: AlwaysListener, 1: OneShotSender, 2: OneShotSender})
         net.run(devices, max_slots=1)
         assert devices[0].heard == []
+        assert net.fault_counters.delivered == 0
+        assert net.ledger.snapshot() == {
+            0: (0, 1, 0, 0), 1: (1, 0, 0, 0), 2: (1, 0, 0, 0),
+        }
 
-    def test_non_neighbor_not_heard(self):
+    def test_non_neighbor_not_heard(self, engine):
         g = nx.path_graph(3)  # 0-1-2
-        net = RadioNetwork(g)
+        net = make_network(g, engine=engine)
         devices = _devices(net, {0: OneShotSender, 1: Sleeper, 2: AlwaysListener})
         net.run(devices, max_slots=1)
         assert devices[2].heard == []
+        # The halted sleeper is never stepped, so never charged.
+        assert net.ledger.snapshot() == {0: (1, 0, 0, 0), 2: (0, 1, 0, 0)}
 
 
 class TestEnergyAccounting:
@@ -106,12 +119,17 @@ class TestEnergyAccounting:
 
 
 class TestPolicies:
-    def test_size_policy_enforced(self):
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_size_policy_enforced(self, engine):
         g = nx.path_graph(2)
-        net = RadioNetwork(g, size_policy=MessageSizePolicy(1))
-        devices = _devices(net, {0: OneShotSender, 1: AlwaysListener})
+        net = make_network(g, engine=engine, size_policy=MessageSizePolicy(1))
+        devices = _devices(net, {0: AlwaysListener, 1: OneShotSender})
         with pytest.raises(MessageTooLargeError):
             net.run(devices, max_slots=1)
+        # The slot raised before its batch charge: the listener stepped
+        # ahead of the offending transmitter is not charged either.
+        assert net.ledger.snapshot() == {}
+        assert net.slot == 0
 
     def test_missing_devices_rejected(self):
         g = nx.path_graph(3)
@@ -147,25 +165,29 @@ class TestPolicies:
             with pytest.raises(ConfigurationError, match="undirected"):
                 make_network(g, engine=engine)
 
-    def test_trace_records_events(self):
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_trace_records_events(self, engine):
         g = nx.path_graph(2)
         trace = EventTrace()
-        net = RadioNetwork(g, trace=trace)
+        net = make_network(g, engine=engine, trace=trace)
         devices = _devices(net, {0: OneShotSender, 1: AlwaysListener})
         net.run(devices, max_slots=1)
-        kinds = {e.kind for e in trace}
-        assert "transmit" in kinds and "receive" in kinds
+        assert list(trace) == [
+            Event(0, "transmit", 0, ""), Event(0, "receive", 1, ""),
+        ]
 
-    def test_stop_when(self):
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_stop_when(self, engine):
         g = nx.path_graph(2)
-        net = RadioNetwork(g)
+        net = make_network(g, engine=engine)
         devices = _devices(net, {0: AlwaysListener, 1: AlwaysListener})
         executed = net.run(devices, max_slots=100, stop_when=lambda: net.slot >= 7)
         assert executed == 7
 
-    def test_max_degree(self):
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_max_degree(self, engine):
         g = nx.star_graph(9)
-        assert RadioNetwork(g).max_degree == 9
+        assert make_network(g, engine=engine).max_degree == 9
 
 
 # Every executor tier validates its channel settings through one shared
